@@ -8,6 +8,88 @@ import (
 	"fastmon/internal/fault"
 )
 
+func fromBool(b bool) value {
+	if b {
+		return v1
+	}
+	return v0
+}
+
+// eval3 evaluates a gate kind over 3-valued inputs, one input at a time.
+// It is the reference the fused evaluator of evalAt is tested against.
+func eval3(kind circuit.Kind, in []value) value {
+	switch kind {
+	case circuit.Buf:
+		return in[0]
+	case circuit.Not:
+		return in[0].not()
+	case circuit.And, circuit.Nand:
+		out := v1
+		for _, v := range in {
+			if v == v0 {
+				out = v0
+				break
+			}
+			if v == vX {
+				out = vX
+			}
+		}
+		if kind == circuit.Nand {
+			return out.not()
+		}
+		return out
+	case circuit.Or, circuit.Nor:
+		out := v0
+		for _, v := range in {
+			if v == v1 {
+				out = v1
+				break
+			}
+			if v == vX {
+				out = vX
+			}
+		}
+		if kind == circuit.Nor {
+			return out.not()
+		}
+		return out
+	case circuit.Xor, circuit.Xnor:
+		out := v0
+		for _, v := range in {
+			if v == vX {
+				return vX
+			}
+			if v == v1 {
+				out = out.not()
+			}
+		}
+		if kind == circuit.Xnor {
+			return out.not()
+		}
+		return out
+	}
+	panic("atpg: eval3 on " + kind.String())
+}
+
+// newMachine acquires a machine over a fresh analysis of c.
+func newMachine(c *circuit.Circuit, f fault.Fault, stuck value) *machine {
+	return newMachineWith(newAnalysis(c), f, stuck)
+}
+
+// justify searches for a source assignment that sets net to target on a
+// fresh analysis and returns a copy of it.
+func justify(c *circuit.Circuit, net int, target value, maxBacktracks int) ([]value, podemResult) {
+	an := newAnalysis(c)
+	m := newMachineWith(an, fault.Fault{Gate: net, Pin: -1}, target.not())
+	_, res := m.justify(net, target, maxBacktracks)
+	var assign []value
+	if res == testFound {
+		assign = append([]value(nil), m.assign...)
+	}
+	an.release(m)
+	return assign, res
+}
+
 func TestEval3(t *testing.T) {
 	cases := []struct {
 		k    circuit.Kind

@@ -47,67 +47,51 @@ func (v value) not() value {
 	return vX
 }
 
-func fromBool(b bool) value {
-	if b {
-		return v1
+// evalTab[k][set][par] is the 3-valued output of a gate of kind k whose
+// input values form set (bit 1<<v set when some input is v) and whose
+// number of v1 inputs has parity par. Every combinational function here
+// depends on its inputs only through that pair: AND-like gates on whether
+// some input is 0 or X, OR-like gates on whether some input is 1 or X, and
+// XOR-like gates on whether some input is X and on the parity. Buf and Not
+// are the one-input AND and NAND.
+var evalTab = func() (t [circuit.DFF][8][2]value) {
+	for k := circuit.Buf; k <= circuit.Xnor; k++ {
+		for set := 1; set < 8; set++ {
+			some := func(v value) bool { return set&(1<<v) != 0 }
+			for par := 0; par < 2; par++ {
+				var out value
+				switch k {
+				case circuit.Buf, circuit.Not, circuit.And, circuit.Nand:
+					out = v1
+					if some(v0) {
+						out = v0
+					} else if some(vX) {
+						out = vX
+					}
+				case circuit.Or, circuit.Nor:
+					out = v0
+					if some(v1) {
+						out = v1
+					} else if some(vX) {
+						out = vX
+					}
+				default: // Xor, Xnor
+					out = v0
+					if some(vX) {
+						out = vX
+					} else if par == 1 {
+						out = v1
+					}
+				}
+				if k.Inverting() {
+					out = out.not()
+				}
+				t[k][set][par] = out
+			}
+		}
 	}
-	return v0
-}
-
-// eval3 evaluates a gate kind over 3-valued inputs.
-func eval3(kind circuit.Kind, in []value) value {
-	switch kind {
-	case circuit.Buf:
-		return in[0]
-	case circuit.Not:
-		return in[0].not()
-	case circuit.And, circuit.Nand:
-		out := v1
-		for _, v := range in {
-			if v == v0 {
-				out = v0
-				break
-			}
-			if v == vX {
-				out = vX
-			}
-		}
-		if kind == circuit.Nand {
-			return out.not()
-		}
-		return out
-	case circuit.Or, circuit.Nor:
-		out := v0
-		for _, v := range in {
-			if v == v1 {
-				out = v1
-				break
-			}
-			if v == vX {
-				out = vX
-			}
-		}
-		if kind == circuit.Nor {
-			return out.not()
-		}
-		return out
-	case circuit.Xor, circuit.Xnor:
-		out := v0
-		for _, v := range in {
-			if v == vX {
-				return vX
-			}
-			if v == v1 {
-				out = out.not()
-			}
-		}
-		if kind == circuit.Xnor {
-			return out.not()
-		}
-		return out
-	}
-	panic("atpg: eval3 on " + kind.String())
-}
+	return t
+}()
 
 // controlling returns the controlling input value of the kind and whether
 // one exists (XOR-family gates have none).
@@ -126,7 +110,7 @@ func controlling(kind circuit.Kind) (value, bool) {
 // observability depths, and the tap/source index tables. Computing it
 // once per circuit instead of once per fault dominates ATPG throughput on
 // large designs. It also owns the machine pool: PODEM scratch state
-// (assignment, dual machine values, dirty versions, search stacks) is
+// (assignment, dual machine values, implication worklist, search stacks) is
 // recycled across faults instead of reallocated per target, and the pool
 // is safe for the concurrent speculative workers of the parallel phase.
 type analysis struct {
@@ -165,16 +149,13 @@ type machine struct {
 	// itself when observed directly).
 	siteTaps []int
 
-	// dirtyVer/curVer implement an O(1)-clear dirty set for event-driven
-	// implication: dirtyVer[id] == curVer marks a changed net.
-	dirtyVer []int
-	curVer   int
+	// wl is the event queue of implySrc; it is empty between decisions.
+	wl *circuit.Worklist
 
-	// Reusable per-decision scratch: gate-input values for evalAt, the
-	// PODEM decision stack, the D-frontier buffer, and the visited set of
-	// the X-path check (seenVer[id] == seenCur marks visited). All survive
-	// release/acquire cycles so steady-state PODEM allocates nothing.
-	gin, bin []value
+	// Reusable per-decision scratch: the PODEM decision stack, the
+	// D-frontier buffer, and the visited set of the X-path check
+	// (seenVer[id] == seenCur marks visited). All survive release/acquire
+	// cycles so steady-state PODEM allocates nothing.
 	stack    []decision
 	frontier []int
 	seenVer  []int
@@ -200,10 +181,6 @@ func newAnalysis(c *circuit.Circuit) *analysis {
 	return a
 }
 
-func newMachine(c *circuit.Circuit, f fault.Fault, stuck value) *machine {
-	return newMachineWith(newAnalysis(c), f, stuck)
-}
-
 // newMachineWith acquires a machine from the analysis pool and retargets
 // it at the given fault. Callers must return it with release when the
 // run's results have been copied out; the pool keeps steady-state PODEM
@@ -217,10 +194,8 @@ func newMachineWith(an *analysis, f fault.Fault, stuck value) *machine {
 			assign:   make([]value, len(an.srcs)),
 			good:     make([]value, n),
 			bad:      make([]value, n),
-			dirtyVer: make([]int, n),
+			wl:       an.c.NewWorklist(),
 			seenVer:  make([]int, n),
-			gin:      make([]value, 0, 8),
-			bin:      make([]value, 0, 8),
 		}
 	}
 	m.reset(f, stuck)
@@ -232,8 +207,9 @@ func newMachineWith(an *analysis, f fault.Fault, stuck value) *machine {
 func (an *analysis) release(m *machine) { an.pool.Put(m) }
 
 // reset retargets a pooled machine at a new fault. good/bad need no
-// clearing (imply rewrites every gate before they are read) and
-// dirtyVer/seenVer survive because their versions are monotone.
+// clearing (imply rewrites every gate before they are read), the worklist
+// is always left drained, and seenVer survives because its versions are
+// monotone.
 func (m *machine) reset(f fault.Fault, stuck value) {
 	m.flt, m.stuck = f, stuck
 	m.backtracks = 0
@@ -353,26 +329,34 @@ func (m *machine) siteNet() int {
 }
 
 // evalAt recomputes good and bad for one combinational gate from its
-// current fanin values, honouring the fault forcing. It uses the
-// machine's gin/bin scratch (kept across calls so wide gates grow the
-// buffers once instead of reallocating per evaluation).
+// current fanin values in a single pass over the fanin list, forcing the
+// faulty machine's stuck value onto the fault pin (or the gate output)
+// inline.
 func (m *machine) evalAt(id int) {
 	g := &m.c.Gates[id]
-	gin, bin := m.gin[:0], m.bin[:0]
-	for _, f := range g.Fanin {
-		gin = append(gin, m.good[f])
-		bin = append(bin, m.bad[f])
-	}
-	m.gin, m.bin = gin, bin
-	m.good[id] = eval3(g.Kind, gin)
+	pin := -1
 	if id == m.flt.Gate {
-		if m.flt.Pin < 0 {
-			m.bad[id] = m.stuck
-			return
-		}
-		bin[m.flt.Pin] = m.stuck
+		pin = m.flt.Pin
 	}
-	m.bad[id] = eval3(g.Kind, bin)
+	// Value sets and v1-parities of the good and faulty inputs; v1 is the
+	// only value with bit 1 set, so v>>1 counts it.
+	var gset, bset, gpar, bpar value
+	for p, f := range g.Fanin {
+		gv, bv := m.good[f], m.bad[f]
+		if p == pin {
+			bv = m.stuck
+		}
+		gset |= 1 << gv
+		bset |= 1 << bv
+		gpar ^= gv >> 1
+		bpar ^= bv >> 1
+	}
+	m.good[id] = evalTab[g.Kind][gset][gpar]
+	if id == m.flt.Gate && m.flt.Pin < 0 {
+		m.bad[id] = m.stuck
+	} else {
+		m.bad[id] = evalTab[g.Kind][bset][bpar]
+	}
 }
 
 // imply evaluates both machines from the current source assignment.
@@ -386,37 +370,31 @@ func (m *machine) imply() {
 	}
 }
 
-// implySrc incrementally re-evaluates the fanout cone of one changed
-// source — the per-decision cost of the PODEM loop. The sweep is
-// event-driven: a cone gate is re-evaluated only when one of its fanins
-// actually changed, and marks itself changed only when its own output
-// moved, so implication cost tracks the actually affected region rather than the
-// structural cone.
+// implySrc propagates the new value of one source — the per-decision cost
+// of the PODEM loop. It is event-driven: the worklist hands out, in level
+// order, exactly the gates with a fanin that changed during this call, and
+// only gates whose good or faulty value moved queue their own fanouts. So
+// the cost tracks the region that actually changes, not the structural
+// fanout cone, and every gate is evaluated after all of its changed fanins
+// and at most once. The result equals a full imply().
 func (m *machine) implySrc(srcIdx int) {
 	srcGate := m.srcs[srcIdx]
 	nv := m.assign[srcIdx]
 	if m.good[srcGate] == nv && m.bad[srcGate] == nv {
 		return
 	}
-	m.curVer++
 	m.good[srcGate] = nv
 	m.bad[srcGate] = nv
-	m.dirtyVer[srcGate] = m.curVer
-	for _, id := range m.c.FanoutCone(srcGate) {
-		touched := false
-		for _, f := range m.c.Gates[id].Fanin {
-			if m.dirtyVer[f] == m.curVer {
-				touched = true
-				break
-			}
-		}
-		if !touched {
-			continue
+	m.wl.PushFanout(srcGate)
+	for {
+		id, ok := m.wl.Pop()
+		if !ok {
+			return
 		}
 		og, ob := m.good[id], m.bad[id]
 		m.evalAt(id)
 		if m.good[id] != og || m.bad[id] != ob {
-			m.dirtyVer[id] = m.curVer
+			m.wl.PushFanout(id)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package atpg
 
 import (
 	"fastmon/internal/circuit"
-	"fastmon/internal/fault"
 )
 
 // podemResult is the outcome of one PODEM run.
@@ -146,23 +145,6 @@ func (m *machine) run(maxBacktracks int) podemResult {
 	}
 }
 
-// justify searches for a source assignment that sets the given net to the
-// target value (used to build the initialization vector V1). It runs the
-// same decision engine with a trivial fault so that the good machine is
-// authoritative. The returned assignment is a copy that survives the
-// machine's return to the pool.
-func justify(c *circuit.Circuit, net int, target value, maxBacktracks int) ([]value, podemResult) {
-	an := newAnalysis(c)
-	m := newMachineWith(an, fault.Fault{Gate: net, Pin: -1}, target.not())
-	_, res := m.justify(net, target, maxBacktracks)
-	var assign []value
-	if res == testFound {
-		assign = append([]value(nil), m.assign...)
-	}
-	an.release(m)
-	return assign, res
-}
-
 // justify runs the justification decision loop on this machine: it
 // searches for a source assignment with m.good[net] == target, reporting
 // the number of backtracks spent (the ATPG effort metric). On success the
@@ -209,20 +191,6 @@ func (m *machine) justify(net int, target value, maxBacktracks int) (int, podemR
 			stack = stack[:len(stack)-1]
 		}
 	}
-}
-
-// justifyWith is the shared-analysis justification entry used by tests:
-// it reports the assignment (copied out of the pooled machine), the
-// backtracks spent, and the result.
-func justifyWith(an *analysis, net int, target value, maxBacktracks int) ([]value, int, podemResult) {
-	m := newMachineWith(an, fault.Fault{Gate: net, Pin: -1}, target.not())
-	bt, res := m.justify(net, target, maxBacktracks)
-	var assign []value
-	if res == testFound {
-		assign = append([]value(nil), m.assign...)
-	}
-	an.release(m)
-	return assign, bt, res
 }
 
 // splitmix64 is the SplitMix64 output function: a bijective avalanche

@@ -1,8 +1,9 @@
 // Package circuit provides the gate-level netlist model used by all of
 // fastmon: parsing and writing ISCAS-style .bench netlists, a deterministic
 // synthetic benchmark generator, and the topological utilities (levelized
-// order, fanout cones, full-scan combinational view) that static timing
-// analysis, ATPG and the timing-accurate fault simulator are built on.
+// order, fanout cones, full-scan combinational view, the level-ordered
+// event Worklist) that static timing analysis, ATPG and the
+// timing-accurate fault simulator are built on.
 package circuit
 
 import (
@@ -145,6 +146,12 @@ type Circuit struct {
 	tapReach  []bool // per gate: does its output signal reach an observation point?
 	finalized bool
 
+	// Worklist tables (see buildWorklistIndex): DFF-free fanouts of gate
+	// id are foList[foOff[id]:foOff[id+1]]; levelOff[l] is the first
+	// worklist slot of level l.
+	foOff, foList []int32
+	levelOff      []int32
+
 	coneMu sync.RWMutex
 	cones  map[int][]int // FanoutCone cache (finalized circuits are immutable)
 }
@@ -249,6 +256,7 @@ func (c *Circuit) Finalize() error {
 		return err
 	}
 	c.buildTapReach()
+	c.buildWorklistIndex()
 	c.finalized = true
 	return nil
 }

@@ -189,58 +189,39 @@ func (e *Engine) FaultSimScratch(base []Waveform, inj Injection, horizon tunit.T
 	sc.markDirty(g, fw)
 
 	// Seed the worklist with the fanouts of the injection site and drain
-	// it in level order. A gate's fanouts always sit on strictly higher
-	// levels, so one ascending sweep over the buckets processes every gate
-	// after all of its disturbed fanins — each gate is evaluated at most
-	// once.
-	pending := 0
-	minLvl := len(sc.buckets)
-	push := func(from int) {
-		for _, fo := range e.C.Gates[from].Fanout {
-			if e.C.Gates[fo].Kind == circuit.DFF || sc.queued[fo] {
-				continue
-			}
-			sc.queued[fo] = true
-			lvl := e.C.Level(fo)
-			sc.buckets[lvl] = append(sc.buckets[lvl], fo)
-			if lvl < minLvl {
-				minLvl = lvl
-			}
-			pending++
-		}
-	}
-	push(g)
+	// it in level order: every gate is evaluated once, after all of its
+	// disturbed fanins, and propagation stops where a gate's recomputed
+	// waveform equals its baseline.
+	sc.wl.PushFanout(g)
 	evaluated := 0
-	for lvl := minLvl; lvl < len(sc.buckets) && pending > 0; lvl++ {
-		bucket := sc.buckets[lvl]
-		for _, id := range bucket {
-			sc.queued[id] = false
-			pending--
-			evaluated++
-			cg := &e.C.Gates[id]
-			ins := sc.ins[:0]
-			for _, f := range cg.Fanin {
-				if sc.dirty[f] {
-					ins = append(ins, sc.faulty[f])
-				} else {
-					ins = append(ins, base[f])
-				}
-			}
-			sc.ins = ins[:0]
-			nw := EvalGate(cg.Kind, ins, e.A.Delay[id], e.MinPulse)
-			if nw.Equal(base[id]) {
-				if st != nil {
-					st.Converged++
-				}
-				continue
-			}
-			if st != nil {
-				st.Events++
-			}
-			sc.markDirty(id, nw)
-			push(id)
+	for {
+		id, ok := sc.wl.Pop()
+		if !ok {
+			break
 		}
-		sc.buckets[lvl] = bucket[:0]
+		evaluated++
+		cg := &e.C.Gates[id]
+		ins := sc.ins[:0]
+		for _, f := range cg.Fanin {
+			if sc.dirty[f] {
+				ins = append(ins, sc.faulty[f])
+			} else {
+				ins = append(ins, base[f])
+			}
+		}
+		sc.ins = ins[:0]
+		nw := EvalGate(cg.Kind, ins, e.A.Delay[id], e.MinPulse)
+		if nw.Equal(base[id]) {
+			if st != nil {
+				st.Converged++
+			}
+			continue
+		}
+		if st != nil {
+			st.Events++
+		}
+		sc.markDirty(id, nw)
+		sc.wl.PushFanout(id)
 	}
 	if st != nil {
 		st.Pruned += int64(len(e.C.FanoutCone(g)) - evaluated)

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+
+	"fastmon/internal/circuit"
 )
 
 // Stats counts the work the event-driven fault simulator performs. Workers
@@ -33,34 +35,32 @@ func (s *Stats) Add(o Stats) {
 }
 
 // Scratch is the per-worker arena of the event-driven fault simulator: the
-// faulty-waveform overlay, the level-bucketed worklist and the input
+// faulty-waveform overlay, the level-ordered worklist and the input
 // buffer. A Scratch is sized to one engine's circuit and must not be shared
 // between goroutines; obtain one with NewScratch and reuse it across
 // faults — FaultSimScratch resets only the entries it touched, so the cost
 // per fault is proportional to the disturbed region, not the circuit.
 type Scratch struct {
-	faulty  []Waveform // overlay: valid where dirty[id]
-	dirty   []bool     // gate waveform differs from baseline
-	queued  []bool     // gate is on the worklist
-	touched []int      // dirty gate ids, for O(touched) reset
-	buckets [][]int    // worklist bucketed by logic level
-	ins     []Waveform // fanin gather buffer
+	faulty  []Waveform        // overlay: valid where dirty[id]
+	dirty   []bool            // gate waveform differs from baseline
+	touched []int             // dirty gate ids, for O(touched) reset
+	wl      *circuit.Worklist // event queue, empty between simulations
+	ins     []Waveform        // fanin gather buffer
 }
 
 // NewScratch allocates a simulation arena for the engine's circuit.
 func (e *Engine) NewScratch() *Scratch {
 	n := len(e.C.Gates)
 	return &Scratch{
-		faulty:  make([]Waveform, n),
-		dirty:   make([]bool, n),
-		queued:  make([]bool, n),
-		buckets: make([][]int, e.C.Depth()+1),
-		ins:     make([]Waveform, 0, 8),
+		faulty: make([]Waveform, n),
+		dirty:  make([]bool, n),
+		wl:     e.C.NewWorklist(),
+		ins:    make([]Waveform, 0, 8),
 	}
 }
 
-// reset clears the entries touched by one fault simulation. Buckets and
-// queued flags are already clean: the worklist is always fully drained.
+// reset clears the entries touched by one fault simulation. The worklist
+// is already clean: it is always fully drained.
 func (sc *Scratch) reset() {
 	for _, id := range sc.touched {
 		sc.dirty[id] = false
