@@ -151,31 +151,3 @@ func TestWorklistReusableAfterDrain(t *testing.T) {
 		}
 	}
 }
-
-func TestWorklistSkipsDFF(t *testing.T) {
-	c := MustParseBench("s27", S27)
-	for id := range c.Gates {
-		w := c.NewWorklist()
-		w.PushFanout(id)
-		want := 0
-		for _, fo := range c.Gates[id].Fanout {
-			if c.Gates[fo].Kind != DFF {
-				want++
-			}
-		}
-		n := 0
-		for {
-			fo, ok := w.Pop()
-			if !ok {
-				break
-			}
-			if c.Gates[fo].Kind == DFF {
-				t.Fatalf("fanout of %s: popped DFF %s", c.Gates[id].Name, c.Gates[fo].Name)
-			}
-			n++
-		}
-		if n != want {
-			t.Fatalf("fanout of %s: popped %d, want %d combinational fanouts", c.Gates[id].Name, n, want)
-		}
-	}
-}
