@@ -2,7 +2,10 @@ package atpg
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"fastmon/internal/circuit"
@@ -33,13 +36,18 @@ func kernelCircuits(t *testing.T) []*circuit.Circuit {
 	return cs
 }
 
-// TestImplySrcMatchesImply drives random decide / flip / unassign
-// sequences through the incremental implySrc and checks, after every step,
-// that both machines equal a from-scratch imply(), for output faults, pin
-// faults and the source-site fault the justification machine uses.
+// TestImplySrcMatchesImply drives random decision sequences through
+// decide and backtrack, as PODEM does: decide sets a random X source to a
+// random value, backtrack restores the trail to the newest unflipped
+// decision and flips it. After every step, for output faults, pin faults
+// and the source-site fault the justification machine uses, both machines
+// must equal a from-scratch imply(), the trail must hold at most
+// 2·len(gates) entries, and, when the fault is activated, dFrontier must
+// equal the cone scan dFrontierScan element by element. Undoing every
+// decision must return the all-X state.
 func TestImplySrcMatchesImply(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	steps := 0
+	steps, compared, multi := 0, 0, 0
 	for _, c := range kernelCircuits(t) {
 		an := newAnalysis(c)
 		universe := fault.Universe(c)
@@ -58,29 +66,65 @@ func TestImplySrcMatchesImply(t *testing.T) {
 			}
 			m := newMachineWith(an, f, stuck)
 			ref := newMachineWith(an, f, stuck)
-			m.imply()
-			for step := 0; step < 150; step++ {
-				src := rng.Intn(len(m.srcs))
-				switch cur := m.assign[src]; {
-				case cur == vX: // decide
-					m.assign[src] = fromBool(rng.Intn(2) == 1)
-				case rng.Intn(2) == 0: // flip
-					m.assign[src] = cur.not()
-				default: // unassign
-					m.assign[src] = vX
-				}
-				m.implySrc(src)
-				steps++
-
+			matchImply := func(when string) {
+				t.Helper()
 				copy(ref.assign, m.assign)
 				ref.imply()
 				for id := range c.Gates {
 					if m.good[id] != ref.good[id] || m.bad[id] != ref.bad[id] {
-						t.Fatalf("%s fault %+v step %d: gate %s incremental good/bad %v/%v, imply() %v/%v",
-							c.Name, f, step, c.Gates[id].Name, m.good[id], m.bad[id], ref.good[id], ref.bad[id])
+						t.Fatalf("%s fault %+v %s: gate %s incremental good/bad %v/%v, imply() %v/%v",
+							c.Name, f, when, c.Gates[id].Name, m.good[id], m.bad[id], ref.good[id], ref.bad[id])
 					}
 				}
 			}
+			m.begin()
+			var xs []int
+			for step := 0; step < 150; step++ {
+				xs = xs[:0]
+				for i, v := range m.assign {
+					if v == vX {
+						xs = append(xs, i)
+					}
+				}
+				if len(m.stack) == 0 || (len(xs) > 0 && rng.Intn(3) > 0) {
+					m.decide(xs[rng.Intn(len(xs))], fromBool(rng.Intn(2) == 1))
+				} else {
+					m.backtrack(math.MaxInt)
+				}
+				steps++
+				when := fmt.Sprintf("step %d", step)
+				if len(m.trail) > 2*len(c.Gates) {
+					t.Fatalf("%s fault %+v %s: trail holds %d entries for %d gates",
+						c.Name, f, when, len(m.trail), len(c.Gates))
+				}
+				matchImply(when)
+				if !m.activated() {
+					continue
+				}
+				got, want := m.dFrontier(), dFrontierScan(m)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s fault %+v %s: dFrontier %v, cone scan %v", c.Name, f, when, got, want)
+				}
+				compared++
+				if len(want) >= 2 {
+					multi++
+				}
+			}
+			// Undo every decision in one restore: a gate changed by several
+			// of them must come back to its oldest logged value.
+			m.undoTo(0)
+			for _, d := range m.stack {
+				m.assign[d.src] = vX
+			}
+			for i, v := range m.assign {
+				if v != vX {
+					t.Fatalf("%s fault %+v: source %d still %v after undoing every decision", c.Name, f, i, v)
+				}
+			}
+			if len(m.trail) != 0 {
+				t.Fatalf("%s fault %+v: %d trail entries left after undoing every decision", c.Name, f, len(m.trail))
+			}
+			matchImply("after undoing every decision")
 			an.release(m)
 			an.release(ref)
 		}
@@ -88,6 +132,42 @@ func TestImplySrcMatchesImply(t *testing.T) {
 	if steps == 0 {
 		t.Fatal("no implication steps ran")
 	}
+	t.Logf("%d steps, %d frontiers compared, %d of them with two or more gates", steps, compared, multi)
+	if multi < 100 {
+		t.Fatalf("only %d compared frontiers held two or more gates, want at least 100", multi)
+	}
+}
+
+// dFrontierScan is the reference D-frontier dFrontier is tested against: a
+// scan of the whole fault-site cone in topological order for gates not
+// fully defined in both machines with a fanin that carries a defined
+// effect (or the activated fault gate of a pin fault), stably sorted by
+// observation depth.
+func dFrontierScan(m *machine) []int {
+	var out []int
+	for _, id := range m.c.FanoutCone(m.siteNet()) {
+		if m.good[id] != vX && m.bad[id] != vX {
+			continue
+		}
+		if id == m.flt.Gate && m.flt.Pin >= 0 && m.activated() {
+			out = append(out, id)
+			continue
+		}
+		for _, f := range m.c.Gates[id].Fanin {
+			if m.effect(f) {
+				out = append(out, id)
+				break
+			}
+		}
+	}
+	depth := func(id int) int {
+		if d := m.obsDepth[id]; d >= 0 {
+			return d
+		}
+		return 1 << 30
+	}
+	sort.SliceStable(out, func(i, j int) bool { return depth(out[i]) < depth(out[j]) })
+	return out
 }
 
 // TestEvalAtMatchesEval3 checks the fused evaluator exhaustively: for every

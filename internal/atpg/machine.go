@@ -11,6 +11,8 @@
 package atpg
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"fastmon/internal/circuit"
@@ -116,11 +118,12 @@ func controlling(kind circuit.Kind) (value, bool) {
 type analysis struct {
 	c        *circuit.Circuit
 	taps     []circuit.Tap
-	srcs     []int       // cached c.Sources() (per-call allocation otherwise)
-	srcIdx   map[int]int // source gate ID -> source order index
-	cc0, cc1 []int       // SCOAP-style controllability costs per net
-	obsDepth []int       // min fanout hops to an observation point (-1: none)
-	tapGate  map[int]bool
+	srcs     []int   // cached c.Sources() (per-call allocation otherwise)
+	srcIdx   []int   // per gate: source order index (-1: not a source)
+	cc0, cc1 []int   // SCOAP-style controllability costs per net
+	obsDepth []int   // min fanout hops to an observation point (-1: none)
+	rank     []int32 // per gate: D-frontier priority (see computeCosts)
+	tapGate  []bool  // per gate: is its output an observation point?
 
 	pool sync.Pool // *machine scratch, recycled across faults
 }
@@ -141,21 +144,26 @@ type machine struct {
 	good   []value // per gate
 	bad    []value // per gate (faulty machine)
 
-	// siteCone is the fanout cone of the fault site net (topological
-	// order): the only region where fault effects can exist. Frontier and
-	// detection scans are restricted to it.
-	siteCone []int
-	// siteTaps lists the tap-gate IDs inside the cone (or the site net
-	// itself when observed directly).
+	// siteTaps lists the tap-gate IDs inside the fanout cone of the fault
+	// site net (or the site net itself when observed directly): the only
+	// observation points a fault effect can reach.
 	siteTaps []int
 
 	// wl is the event queue of implySrc; it is empty between decisions.
 	wl *circuit.Worklist
+	// trail logs the (good, bad) pair of every gate implySrc changed,
+	// before the change, in order; each decision records the trail length
+	// it started at, and backtracking restores the log down to it. Values
+	// only refine from X along the decision stack, so a gate enters the
+	// trail at most twice: its capacity of 2·len(gates) is allocated once
+	// per pooled machine.
+	trail []undo
 
 	// Reusable per-decision scratch: the PODEM decision stack, the
-	// D-frontier buffer, and the visited set of the X-path check
-	// (seenVer[id] == seenCur marks visited). All survive release/acquire
-	// cycles so steady-state PODEM allocates nothing.
+	// D-frontier buffer, and the visited set and stack of the frontier
+	// walk and the X-path check (seenVer[id] == seenCur marks visited).
+	// All survive release/acquire cycles so steady-state PODEM allocates
+	// nothing.
 	stack    []decision
 	frontier []int
 	seenVer  []int
@@ -164,12 +172,16 @@ type machine struct {
 }
 
 func newAnalysis(c *circuit.Circuit) *analysis {
+	n := len(c.Gates)
 	a := &analysis{
 		c:       c,
 		taps:    c.Taps(),
 		srcs:    c.Sources(),
-		srcIdx:  map[int]int{},
-		tapGate: map[int]bool{},
+		srcIdx:  make([]int, n),
+		tapGate: make([]bool, n),
+	}
+	for id := range a.srcIdx {
+		a.srcIdx[id] = -1
 	}
 	for i, id := range a.srcs {
 		a.srcIdx[id] = i
@@ -179,6 +191,13 @@ func newAnalysis(c *circuit.Circuit) *analysis {
 	}
 	a.computeCosts()
 	return a
+}
+
+// undo is one trail entry: a gate and its (good, bad) pair before
+// implySrc changed it.
+type undo struct {
+	id        int32
+	good, bad value
 }
 
 // newMachineWith acquires a machine from the analysis pool and retargets
@@ -195,6 +214,7 @@ func newMachineWith(an *analysis, f fault.Fault, stuck value) *machine {
 			good:     make([]value, n),
 			bad:      make([]value, n),
 			wl:       an.c.NewWorklist(),
+			trail:    make([]undo, 0, 2*n),
 			seenVer:  make([]int, n),
 		}
 	}
@@ -208,7 +228,8 @@ func (an *analysis) release(m *machine) { an.pool.Put(m) }
 
 // reset retargets a pooled machine at a new fault. good/bad need no
 // clearing (imply rewrites every gate before they are read), the worklist
-// is always left drained, and seenVer survives because its versions are
+// is always left drained, the search loops empty the decision stack and
+// trail when they start, and seenVer survives because its versions are
 // monotone.
 func (m *machine) reset(f fault.Fault, stuck value) {
 	m.flt, m.stuck = f, stuck
@@ -217,12 +238,11 @@ func (m *machine) reset(f fault.Fault, stuck value) {
 		m.assign[i] = vX
 	}
 	site := m.siteNet()
-	m.siteCone = m.c.FanoutCone(site)
 	m.siteTaps = m.siteTaps[:0]
 	if m.tapGate[site] {
 		m.siteTaps = append(m.siteTaps, site)
 	}
-	for _, id := range m.siteCone {
+	for _, id := range m.c.FanoutCone(site) {
 		if m.tapGate[id] {
 			m.siteTaps = append(m.siteTaps, id)
 		}
@@ -309,6 +329,21 @@ func (m *analysis) computeCosts() {
 		}
 		m.obsDepth[id] = best
 	}
+	// rank orders the combinational gates by observation depth, closest
+	// first and unobservable last, ties in topological order: the order
+	// dFrontier returns its gates in.
+	depth := func(id int) int {
+		if d := m.obsDepth[id]; d >= 0 {
+			return d
+		}
+		return 1 << 30
+	}
+	order := slices.Clone(topo)
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(depth(a), depth(b)) })
+	m.rank = make([]int32, n)
+	for r, id := range order {
+		m.rank[id] = int32(r)
+	}
 }
 
 // cost returns the controllability cost of setting net to v.
@@ -370,33 +405,52 @@ func (m *machine) imply() {
 	}
 }
 
-// implySrc propagates the new value of one source — the per-decision cost
-// of the PODEM loop. It is event-driven: the worklist hands out, in level
-// order, exactly the gates with a fanin that changed during this call, and
-// only gates whose good or faulty value moved queue their own fanouts. So
-// the cost tracks the region that actually changes, not the structural
-// fanout cone, and every gate is evaluated after all of its changed fanins
-// and at most once. The result equals a full imply().
+// implySrc propagates the value just decided for one source — the
+// per-decision cost of the PODEM loop. Precondition: the source was X
+// before the decision. backtrace only returns X sources, and backtrack
+// undoes a decision to X before it implies the opposite value.
+//
+// It is event-driven: the worklist hands out, in level order, exactly the
+// gates with a fanin that changed during this call, and only gates whose
+// good or faulty value moved queue their own fanouts. So the cost tracks
+// the region that actually changes, not the structural fanout cone, and
+// every gate is evaluated after all of its changed fanins and at most
+// once. 3-valued evaluation under the constant fault forcing is monotone:
+// refining a source from X can only refine gates from X, never change a
+// defined value. So a popped gate already defined in both machines is
+// skipped, and every gate that does change is logged on the trail first.
+// The result equals a full imply().
 func (m *machine) implySrc(srcIdx int) {
-	srcGate := m.srcs[srcIdx]
+	src := m.srcs[srcIdx]
 	nv := m.assign[srcIdx]
-	if m.good[srcGate] == nv && m.bad[srcGate] == nv {
-		return
-	}
-	m.good[srcGate] = nv
-	m.bad[srcGate] = nv
-	m.wl.PushFanout(srcGate)
+	m.trail = append(m.trail, undo{int32(src), m.good[src], m.bad[src]})
+	m.good[src], m.bad[src] = nv, nv
+	m.wl.PushFanout(src)
 	for {
 		id, ok := m.wl.Pop()
 		if !ok {
 			return
 		}
 		og, ob := m.good[id], m.bad[id]
+		if og != vX && ob != vX {
+			continue
+		}
 		m.evalAt(id)
 		if m.good[id] != og || m.bad[id] != ob {
+			m.trail = append(m.trail, undo{int32(id), og, ob})
 			m.wl.PushFanout(id)
 		}
 	}
+}
+
+// undoTo restores every gate changed since the trail held mark entries,
+// newest first, and truncates the trail there.
+func (m *machine) undoTo(mark int) {
+	for i := len(m.trail) - 1; i >= mark; i-- {
+		u := m.trail[i]
+		m.good[u.id], m.bad[u.id] = u.good, u.bad
+	}
+	m.trail = m.trail[:mark]
 }
 
 // effect reports whether net s carries a defined fault effect.
@@ -430,43 +484,57 @@ func (m *machine) activationConflict() bool {
 }
 
 // dFrontier returns the gates through which the fault effect can still
-// advance: some fanin carries the effect (or, for a pin fault, the fault
-// gate itself is activated) and the gate output is not yet fully defined
-// in both machines. The result is sorted by distance to the nearest
-// observation point, closest first.
+// advance: gates not yet fully defined in both machines with a fanin that
+// carries a defined effect or, for a pin fault, the activated fault gate.
+// A defined effect at a gate's output needs one at some fanin or at the
+// forced fault pin (fanins equal or X in the two machines leave outputs
+// equal or X, by monotonicity), so every effect lies on a chain of effects
+// from the fault origin. The walk follows those chains only, collecting
+// the fanouts they reach that are X in either machine. The result is
+// sorted by distance to the nearest observation point, closest first,
+// ties in topological order.
 func (m *machine) dFrontier() []int {
 	out := m.frontier[:0]
-	for _, id := range m.siteCone {
-		g := &m.c.Gates[id]
-		if m.good[id] != vX && m.bad[id] != vX {
-			continue
+	m.seenCur++
+	seen, cur := m.seenVer, m.seenCur
+	stack := m.xstack[:0]
+	visit := func(id int) {
+		if seen[id] == cur {
+			return
 		}
-		if id == m.flt.Gate && m.flt.Pin >= 0 && m.activated() {
-			// The effect originates inside the fault gate: the forced pin
-			// differs from its good value.
+		seen[id] = cur
+		switch g, b := m.good[id], m.bad[id]; {
+		case g == vX || b == vX:
 			out = append(out, id)
-			continue
+		case g != b:
+			stack = append(stack, id)
 		}
-		for _, f := range g.Fanin {
-			if m.effect(f) {
-				out = append(out, id)
-				break
+	}
+	switch {
+	case m.flt.Pin >= 0:
+		// The forced pin carries the effect into the fault gate.
+		if m.activated() {
+			visit(m.flt.Gate)
+		}
+	case m.effect(m.flt.Gate):
+		stack = append(stack, m.flt.Gate)
+	}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, fo := range m.c.Gates[id].Fanout {
+			if m.c.Gates[fo].Kind != circuit.DFF {
+				visit(fo)
 			}
 		}
 	}
-	// Stable insertion sort by observation depth: frontiers are small and
-	// this runs once per decision, where sort.SliceStable's reflection
-	// closure allocated on every call.
-	depth := func(id int) int {
-		if d := m.obsDepth[id]; d >= 0 {
-			return d
-		}
-		return 1 << 30
-	}
+	m.xstack = stack[:0]
+	// Insertion sort by rank: frontiers are small and this runs once per
+	// decision, where a library sort's closure would allocate.
 	for i := 1; i < len(out); i++ {
-		v, dv := out[i], depth(out[i])
+		v, rv := out[i], m.rank[out[i]]
 		j := i
-		for ; j > 0 && depth(out[j-1]) > dv; j-- {
+		for ; j > 0 && m.rank[out[j-1]] > rv; j-- {
 			out[j] = out[j-1]
 		}
 		out[j] = v

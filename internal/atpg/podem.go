@@ -13,10 +13,12 @@ const (
 	aborted
 )
 
+// decision is one entry of the PODEM decision stack.
 type decision struct {
 	src     int // source index
 	val     value
 	flipped bool
+	mark    int // trail length before the decision was implied
 }
 
 // objective returns the next (net, value) objective: activate the fault if
@@ -55,10 +57,12 @@ func (m *machine) objective(frontier []int) (net int, val value, ok bool) {
 	return 0, vX, false
 }
 
-// backtrace maps an objective to a source assignment by walking backwards
-// through X-valued nets, choosing inputs by controllability cost: the
-// cheapest input when one controlling input suffices, the hardest when all
-// inputs must be non-controlling (fail-fast ordering).
+// backtrace maps an objective on an X-valued net to a source assignment by
+// walking backwards through X-valued nets, choosing inputs by
+// controllability cost: the cheapest input when one controlling input
+// suffices, the hardest when all inputs must be non-controlling (fail-fast
+// ordering). The source it returns is therefore always X, as decide
+// requires.
 func (m *machine) backtrace(net int, val value) (srcIdx int, v value, ok bool) {
 	for {
 		g := &m.c.Gates[net]
@@ -87,62 +91,87 @@ func (m *machine) backtrace(net int, val value) (srcIdx int, v value, ok bool) {
 	}
 }
 
+// begin starts a decision search on the all-X assignment: a full imply()
+// sets the base state, and the decision stack and trail start empty.
+func (m *machine) begin() {
+	m.backtracks = 0
+	m.stack = m.stack[:0]
+	m.trail = m.trail[:0]
+	m.imply()
+}
+
+// decide pushes the decision src = v and implies it. The source must be X,
+// which backtrace guarantees (see implySrc).
+func (m *machine) decide(src int, v value) {
+	m.stack = append(m.stack, decision{src: src, val: v, mark: len(m.trail)})
+	m.assign[src] = v
+	m.implySrc(src)
+}
+
+// backtrack flips the most recent unflipped decision. Every decision above
+// it is already flipped: it is unassigned by restoring the trail to its
+// mark and popped. The decision itself is also restored to X, then
+// implied at the opposite value. ok=false ends the search: untestable
+// when no decision is left to flip, aborted when the flip exceeds
+// maxBacktracks.
+func (m *machine) backtrack(maxBacktracks int) (res podemResult, ok bool) {
+	for len(m.stack) > 0 {
+		top := &m.stack[len(m.stack)-1]
+		m.undoTo(top.mark)
+		if !top.flipped {
+			top.flipped = true
+			top.val = top.val.not()
+			m.assign[top.src] = top.val
+			m.implySrc(top.src)
+			m.backtracks++
+			if m.backtracks > maxBacktracks {
+				return aborted, false
+			}
+			return 0, true
+		}
+		m.assign[top.src] = vX
+		m.stack = m.stack[:len(m.stack)-1]
+	}
+	return untestable, false
+}
+
 // run executes the PODEM decision loop. On success the source assignment
 // (with X for don't-cares) is left in m.assign.
 func (m *machine) run(maxBacktracks int) podemResult {
-	stack := m.stack[:0]
-	defer func() { m.stack = stack[:0] }()
-	m.backtracks = 0
-	m.imply() // initial all-X evaluation; decisions update incrementally
+	m.begin()
 	for {
 		if m.detected() {
 			return testFound
 		}
-		fail := false
-		var frontier []int
-		if m.activationConflict() {
-			fail = true
-		} else if m.activated() {
-			frontier = m.dFrontier()
-			if len(frontier) == 0 || !m.xPathExists(frontier) {
-				fail = true
-			}
-		}
-		if !fail {
-			net, val, ok := m.objective(frontier)
-			if !ok {
-				fail = true
-			} else if src, v, ok2 := m.backtrace(net, val); !ok2 {
-				fail = true
-			} else {
-				stack = append(stack, decision{src: src, val: v})
-				m.assign[src] = v
-				m.implySrc(src)
-				continue
-			}
-		}
-		// Backtrack: flip the most recent unflipped decision.
-		for {
-			if len(stack) == 0 {
-				return untestable
-			}
-			top := &stack[len(stack)-1]
-			if !top.flipped {
-				top.flipped = true
-				top.val = top.val.not()
-				m.assign[top.src] = top.val
-				m.implySrc(top.src)
-				m.backtracks++
-				if m.backtracks > maxBacktracks {
-					return aborted
-				}
-				break
-			}
-			m.assign[top.src] = vX
-			m.implySrc(top.src)
-			stack = stack[:len(stack)-1]
+		if src, v, ok := m.next(); ok {
+			m.decide(src, v)
+		} else if res, ok := m.backtrack(maxBacktracks); !ok {
+			return res
 		}
 	}
+}
+
+// next returns the next PODEM decision: an objective that activates the
+// fault or advances the D-frontier, backtraced to a source. ok=false
+// means the current branch is dead — the site holds the stuck value, no
+// frontier gate has an X path to an observation point, or no objective
+// backtraces to a source.
+func (m *machine) next() (src int, v value, ok bool) {
+	if m.activationConflict() {
+		return 0, vX, false
+	}
+	var frontier []int
+	if m.activated() {
+		frontier = m.dFrontier()
+		if len(frontier) == 0 || !m.xPathExists(frontier) {
+			return 0, vX, false
+		}
+	}
+	net, val, ok := m.objective(frontier)
+	if !ok {
+		return 0, vX, false
+	}
+	return m.backtrace(net, val)
 }
 
 // justify runs the justification decision loop on this machine: it
@@ -153,42 +182,20 @@ func (m *machine) run(maxBacktracks int) podemResult {
 // {Gate: net, Pin: -1} and stuck = target.not() so the good machine is
 // authoritative.
 func (m *machine) justify(net int, target value, maxBacktracks int) (int, podemResult) {
-	stack := m.stack[:0]
-	defer func() { m.stack = stack[:0] }()
-	backtracks := 0
-	m.imply()
+	m.begin()
 	for {
 		if m.good[net] == target {
-			return backtracks, testFound
+			return m.backtracks, testFound
 		}
 		if m.good[net] == vX {
 			if src, v, ok := m.backtrace(net, target); ok {
-				stack = append(stack, decision{src: src, val: v})
-				m.assign[src] = v
-				m.implySrc(src)
+				m.decide(src, v)
 				continue
 			}
 		}
 		// Defined-but-wrong value or no X path: backtrack.
-		for {
-			if len(stack) == 0 {
-				return backtracks, untestable
-			}
-			top := &stack[len(stack)-1]
-			if !top.flipped {
-				top.flipped = true
-				top.val = top.val.not()
-				m.assign[top.src] = top.val
-				m.implySrc(top.src)
-				backtracks++
-				if backtracks > maxBacktracks {
-					return backtracks, aborted
-				}
-				break
-			}
-			m.assign[top.src] = vX
-			m.implySrc(top.src)
-			stack = stack[:len(stack)-1]
+		if res, ok := m.backtrack(maxBacktracks); !ok {
+			return m.backtracks, res
 		}
 	}
 }

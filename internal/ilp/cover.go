@@ -456,9 +456,11 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 }
 
 // lowerBound returns a valid lower bound on the number of additional sets
-// needed: every uncovered element must pay at least 1/|largest set
-// covering it|, so the sum of these shares rounded up is a bound; the
-// cheaper ⌈uncovered/maxGain⌉ bound is taken when stronger.
+// needed: ⌈|U|/maxGain⌉, where U is the uncovered set and maxGain the
+// largest number of its elements any one set covers. It returns 1<<20 when
+// no set covers any of U, so the branch is pruned. The stronger
+// sum-of-shares bound Σ_{e∈U} 1/max_{S∋e}|S∩U| is not computed; it is
+// the open solver item in ROADMAP.md ("Prove the schedules optimal").
 func lowerBound(sub []*bitset.Set, unc *bitset.Set) int {
 	maxGain := 0
 	for _, s := range sub {
