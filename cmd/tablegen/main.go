@@ -7,15 +7,14 @@
 //	tablegen -all -scale 0.08
 //	tablegen -table2 -circuits s9234,s13207 -scale 0.1
 //	tablegen -fig3 -circuits s9234
-//	tablegen -all -checkpoint out/ckpt          # persist per-circuit results
-//	tablegen -all -checkpoint out/ckpt -resume  # reuse completed circuits
+//	tablegen -all -cache.dir out/cache   # rerun the same command to resume
 //
-// With -checkpoint DIR every circuit's derived results are flushed to
-// DIR/<name>.json as soon as the circuit finishes; -resume reloads the
-// directory and recomputes only missing, corrupt, or configuration-
-// mismatched entries. The first SIGINT (Ctrl-C) finishes and flushes the
-// circuit in flight, then exits with the tables computed so far; a second
-// SIGINT aborts the in-flight circuit itself.
+// With -cache.dir DIR every pipeline stage (ATPG, fault simulation, each
+// schedule) is stored in DIR as soon as it completes, keyed on its actual
+// inputs; rerunning after an interrupt or a crash reads the completed
+// stages back and computes only the rest. The first SIGINT (Ctrl-C)
+// finishes the circuits in flight, then exits with the tables computed so
+// far; a second SIGINT aborts the in-flight circuits themselves.
 package main
 
 import (
@@ -47,8 +46,6 @@ type options struct {
 	robust     bool
 	lifetime   bool
 	steps      int
-	ckptDir    string
-	resume     bool
 
 	verbose  bool   // -v: per-stage span logging
 	jsonLogs bool   // -json-logs: structured JSON log lines
@@ -84,8 +81,6 @@ func main() {
 		maxF     = flag.Int("maxfaults", 2500, "fault-sample budget per circuit")
 		budget   = flag.Duration("budget", 5*time.Second, "time budget per exact covering solve")
 		steps    = flag.Int("steps", 10, "sweep points for -fig3")
-		ckpt     = flag.String("checkpoint", "", "directory for per-circuit result checkpoints")
-		resume   = flag.Bool("resume", false, "reuse completed circuits from -checkpoint DIR")
 		slowsim  = flag.Bool("slowsim", false, "use the naive full-resimulation fault simulator (differential debugging)")
 		workers  = flag.Int("workers", 0, "goroutines for every parallel stage: concurrent circuits, fault simulation and the covering solvers (0 = all CPUs)")
 
@@ -112,18 +107,13 @@ func main() {
 	if *all {
 		*t1, *t2, *t3, *fig3 = true, true, true, true
 	}
-	if *resume && *ckpt == "" {
-		fmt.Fprintln(os.Stderr, "tablegen: -resume requires -checkpoint DIR")
-		os.Exit(2)
-	}
 	cfg := exper.SuiteConfig{Scale: *scale, MaxFaults: *maxF, SolverBudget: *budget, SlowSim: *slowsim, Workers: *workers}
 	if *circuits != "" {
 		cfg.Names = strings.Split(*circuits, ",")
 	}
 	opts := options{
 		t1: *t1, t2: *t2, t3: *t3, fig3: *fig3,
-		ablate: *ablate, robust: *robust, lifetime: *lifetime,
-		steps: *steps, ckptDir: *ckpt, resume: *resume,
+		ablate: *ablate, robust: *robust, lifetime: *lifetime, steps: *steps,
 		verbose: *verbose, jsonLogs: *jsonLogs, manifest: *manifest,
 		listen: *listen, chaosSeed: *chaosSeed, chaosRate: *chaosRate,
 		cacheDir: *cacheDir, cacheMax: *cacheMax,
@@ -143,8 +133,8 @@ func main() {
 	}
 
 	// Two-stage interrupt handling: the first SIGINT requests a graceful
-	// stop (finish + flush the circuit in flight, emit partial tables), the
-	// second cancels the in-flight work itself.
+	// stop (finish the circuits in flight, emit partial tables), the second
+	// cancels the in-flight work itself.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	stop := make(chan struct{})
@@ -229,7 +219,8 @@ func run(ctx context.Context, out, log io.Writer, cfg exper.SuiteConfig, opts op
 	// Result cache: -cache.dir attaches a content-addressed store to the
 	// context; every pipeline stage (ATPG, detection, schedule) memoizes
 	// through it, so a re-run with one changed knob recomputes only the
-	// stages downstream of the change.
+	// stages downstream of the change, and an interrupted run resumes by
+	// rerunning it.
 	var store *cache.Store
 	if opts.cacheDir != "" {
 		var err error
@@ -283,34 +274,18 @@ func run(ctx context.Context, out, log io.Writer, cfg exper.SuiteConfig, opts op
 		}()
 	}
 
-	dir := ""
-	if opts.ckptDir != "" {
-		dir = opts.ckptDir
-		if !opts.resume {
-			// A fresh (non-resume) run must not silently reuse stale
-			// entries; clear the directory's claim by ignoring it on load.
-			if err := clearCheckpoints(dir); err != nil {
-				return err
-			}
-		}
-	}
-
 	progress := func(ev exper.SuiteEvent) {
 		srv.Publish("progress", ev) // no-op without -listen
 		pos := fmt.Sprintf("[%d/%d]", ev.Index+1, ev.Total)
-		switch {
-		case ev.Res == nil:
+		if ev.Res == nil {
 			fmt.Fprintf(log, "# %s %-8s computing...\n", pos, ev.Spec.Name)
-		case ev.Cached:
-			fmt.Fprintf(log, "# %s %-8s resumed from checkpoint (degradation: %s)\n",
-				pos, ev.Res.Name, ev.Res.Degradation)
-		default:
-			fmt.Fprintf(log, "# %s %-8s computed in %v (degradation: %s)\n",
-				pos, ev.Res.Name, ev.Res.Elapsed.Round(time.Millisecond), ev.Res.Degradation)
+			return
 		}
+		fmt.Fprintf(log, "# %s %-8s computed in %v (degradation: %s)\n",
+			pos, ev.Res.Name, ev.Res.Elapsed.Round(time.Millisecond), ev.Res.Degradation)
 	}
 	var runErr error
-	results, runErr = exper.RunSuiteCheckpointed(ctx, cfg, req, dir, stop, progress)
+	results, runErr = exper.RunSuite(ctx, cfg, req, stop, progress)
 	if runErr != nil {
 		// Post-mortem: dump the flight ring alongside the failure so the
 		// event journal leading up to it is preserved.
@@ -372,7 +347,7 @@ func run(ctx context.Context, out, log io.Writer, cfg exper.SuiteConfig, opts op
 	}
 
 	// The single-circuit studies need a live flow; they rerun the first
-	// selected circuit (checkpoints hold only derived rows).
+	// selected circuit (suite results hold only derived rows).
 	if opts.ablate || opts.robust || opts.lifetime {
 		specs, err := cfg.Select()
 		if err != nil {
@@ -460,25 +435,4 @@ func newLogger(w io.Writer, opts options) *slog.Logger {
 		return slog.New(slog.NewJSONHandler(w, ho))
 	}
 	return slog.New(slog.NewTextHandler(w, ho))
-}
-
-// clearCheckpoints removes stale .json entries so a fresh run starts from
-// scratch. The directory itself is kept (it may be user-created).
-func clearCheckpoints(dir string) error {
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	for _, f := range files {
-		if f.IsDir() || !strings.HasSuffix(f.Name(), ".json") {
-			continue
-		}
-		if err := os.Remove(dir + string(os.PathSeparator) + f.Name()); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -2,10 +2,10 @@ package main
 
 import (
 	"context"
-	"os"
-	"path/filepath"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"fastmon/internal/exper"
 )
@@ -14,66 +14,61 @@ func smallCfg() exper.SuiteConfig {
 	return exper.SuiteConfig{Scale: 0.05, MaxFaults: 600, Names: []string{"s9234"}}
 }
 
-// TestRunResumeUsesCheckpoint drives run() twice against the same
-// checkpoint directory: the second, resumed invocation must serve the
-// circuit from the checkpoint instead of recomputing it.
-func TestRunResumeUsesCheckpoint(t *testing.T) {
+// TestRunResumesFromCache drives run() three times on one cache
+// directory. A rerun with the same options reads every stage back and
+// prints the same tables. A rerun under another solver budget reuses the
+// pattern set and detection data, rebuilds the schedules, and prints the
+// tables of a fresh run at that budget.
+func TestRunResumesFromCache(t *testing.T) {
 	dir := t.TempDir()
+	opts := options{t1: true, t2: true, t3: true, cacheDir: dir}
 	cfg := smallCfg()
-	opts := options{t1: true, ckptDir: dir, resume: false}
+	cfg.SolverBudget = 10 * time.Millisecond
 
-	var out1, log1 strings.Builder
-	if err := run(context.Background(), &out1, &log1, cfg, opts, nil); err != nil {
-		t.Fatal(err)
+	first, _, _ := runTables(t, cfg, opts)
+	second, hits, misses := runTables(t, cfg, opts)
+	if hits == 0 || misses != 0 {
+		t.Fatalf("same-options rerun: %d hits, %d misses; want every stage read back", hits, misses)
 	}
-	if !strings.Contains(log1.String(), "computed") {
-		t.Fatalf("first run did not compute: %q", log1.String())
-	}
-	if _, err := os.Stat(filepath.Join(dir, "s9234.json")); err != nil {
-		t.Fatalf("checkpoint not written: %v", err)
+	if second != first {
+		t.Fatalf("rerun tables differ\n--- first ---\n%s\n--- rerun ---\n%s", first, second)
 	}
 
-	opts.resume = true
-	var out2, log2 strings.Builder
-	if err := run(context.Background(), &out2, &log2, cfg, opts, nil); err != nil {
-		t.Fatal(err)
+	cfg.SolverBudget = time.Minute
+	third, hits, misses := runTables(t, cfg, opts)
+	if hits == 0 || misses == 0 {
+		t.Fatalf("new-budget rerun: %d hits, %d misses; want ATPG and detection read back and the schedules rebuilt", hits, misses)
 	}
-	if !strings.Contains(log2.String(), "resumed from checkpoint") {
-		t.Fatalf("resume recomputed the circuit: %q", log2.String())
-	}
-	if !strings.Contains(out2.String(), "TABLE I") {
-		t.Fatalf("resumed run produced no table: %q", out2.String())
-	}
-	// Both runs must print identical Table I rows (same data, one cached).
-	row := func(s string) string {
-		for _, l := range strings.Split(s, "\n") {
-			if strings.HasPrefix(l, "s9234") {
-				return l
-			}
-		}
-		return ""
-	}
-	if r1, r2 := row(out1.String()), row(out2.String()); r1 == "" || r1 != r2 {
-		t.Fatalf("resumed row differs:\n  fresh:   %q\n  resumed: %q", r1, r2)
+	opts.cacheDir = t.TempDir()
+	if fresh, _, _ := runTables(t, cfg, opts); third != fresh {
+		t.Fatalf("new-budget rerun differs from a fresh run\n--- rerun ---\n%s\n--- fresh ---\n%s", third, fresh)
 	}
 }
 
-// TestRunFreshClearsStaleCheckpoints: without -resume an existing
-// checkpoint directory is cleared, not silently reused.
-func TestRunFreshClearsStaleCheckpoints(t *testing.T) {
-	dir := t.TempDir()
-	stale := filepath.Join(dir, "s9234.json")
-	if err := os.WriteFile(stale, []byte(`{"name":"s9234","scale":0.05,"max_faults":600,"t1":{"Name":"s9234"}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+// runTables drives run() once and returns its output without the
+// wall-clock line, plus the hit and miss counts of its "# cache:" summary.
+func runTables(t *testing.T, cfg exper.SuiteConfig, opts options) (tables string, hits, misses int64) {
+	t.Helper()
 	var out, log strings.Builder
-	opts := options{t1: true, ckptDir: dir, resume: false}
-	if err := run(context.Background(), &out, &log, smallCfg(), opts, nil); err != nil {
+	if err := run(context.Background(), &out, &log, cfg, opts, nil); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(log.String(), "resumed") {
-		t.Fatalf("fresh run reused a stale checkpoint: %q", log.String())
+	summary := false
+	for _, line := range strings.Split(log.String(), "\n") {
+		if _, err := fmt.Sscanf(line, "# cache: %d hits, %d misses", &hits, &misses); err == nil {
+			summary = true
+		}
 	}
+	if !summary {
+		t.Fatalf("no cache summary logged: %q", log.String())
+	}
+	var kept []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if !strings.HasPrefix(line, "# total") {
+			kept = append(kept, line)
+		}
+	}
+	return strings.Join(kept, "\n"), hits, misses
 }
 
 // TestRunStopEmitsPartialTables: a stop requested before the first circuit

@@ -135,10 +135,29 @@ func (s *Store) Get(ctx context.Context, key Key, v any) bool {
 		return false
 	}
 	k := key.String()
-	data, err := os.ReadFile(s.path(k))
-	if err != nil {
+	data, ok := s.load(ctx, k, v)
+	if !ok {
 		s.miss(ctx, key)
 		return false
+	}
+	s.hits.Add(1)
+	o := obs.From(ctx)
+	o.Counter("cache.hits").Inc()
+	o.Counter("cache.hits." + key.stage).Inc()
+	o.Flight().Record(flight.Event{
+		Kind: flight.KindCache, Name: k, Stage: string(fmerr.StageCache),
+		Detail: "hit", Value: int64(len(data)),
+	})
+	return true
+}
+
+// load reads the entry for k and decodes it into v, returning the record
+// bytes. Any failure reports false; a corrupt entry is also removed and
+// counted. Hits and misses are left to the caller.
+func (s *Store) load(ctx context.Context, k string, v any) ([]byte, bool) {
+	data, err := os.ReadFile(s.path(k))
+	if err != nil {
+		return nil, false
 	}
 	// Chaos: model on-disk corruption surfacing at read time.
 	data, _ = chaos.Mutate(ctx, PointRead, data)
@@ -151,19 +170,10 @@ func (s *Store) Get(ctx context.Context, key Key, v any) bool {
 			Kind: flight.KindCache, Name: k, Stage: string(fmerr.StageCache),
 			Detail: "corrupt", Value: int64(len(data)),
 		})
-		s.miss(ctx, key)
-		return false
+		return nil, false
 	}
 	s.touch(k, int64(len(data)))
-	s.hits.Add(1)
-	o := obs.From(ctx)
-	o.Counter("cache.hits").Inc()
-	o.Counter("cache.hits." + key.stage).Inc()
-	o.Flight().Record(flight.Event{
-		Kind: flight.KindCache, Name: k, Stage: string(fmerr.StageCache),
-		Detail: "hit", Value: int64(len(data)),
-	})
-	return true
+	return data, true
 }
 
 func (s *Store) miss(ctx context.Context, key Key) {
@@ -353,7 +363,10 @@ func (s *Store) leave(key Key, c *call, data []byte, err error) {
 // Concurrent callers with the same key compute once (in-process
 // singleflight): the leader runs compute, waiters decode their own copy of
 // the marshalled result so no mutable state is shared across goroutines.
-// Compute errors are never cached. A nil store calls compute directly.
+// A caller that missed just before an earlier leader stored the value and
+// left finds the entry when it becomes leader itself, so it does not
+// compute again. Compute errors are never cached. A nil store calls
+// compute directly.
 func Memo[T any](ctx context.Context, s *Store, key Key, compute func(context.Context) (T, error)) (T, error) {
 	if s == nil {
 		return compute(ctx)
@@ -382,6 +395,14 @@ func Memo[T any](ctx context.Context, s *Store, key Key, compute func(context.Co
 		// The leader failed (or its result did not decode): compute
 		// independently rather than propagating someone else's error.
 		return compute(ctx)
+	}
+	// A leader that finished between our Get and join has already stored
+	// the value: serve it instead of computing twice. This call already
+	// counted its miss.
+	var stored T
+	if data, ok := s.load(ctx, key.String(), &stored); ok {
+		s.leave(key, c, data, nil)
+		return stored, nil
 	}
 	v, err := compute(ctx)
 	if err != nil {

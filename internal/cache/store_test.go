@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"fastmon/internal/chaos"
 	"fastmon/internal/obs"
+	"fastmon/internal/safeio"
 )
 
 type payload struct {
@@ -109,6 +111,66 @@ func TestStoreCorruptEntryIsMiss(t *testing.T) {
 	if s.Report().Corrupt != 4 {
 		t.Fatalf("corrupt count = %d, want 4", s.Report().Corrupt)
 	}
+}
+
+// FuzzStoreGet writes arbitrary bytes at one key's entry path and checks
+// the read contract: Get never panics; a miss removes the entry and counts
+// it corrupt; Memo then computes once, and the next Get returns the
+// computed value. Seeds cover the corruption classes: a valid record, its
+// two halves (torn writes), a one-bit flip, a version-skewed envelope,
+// naked JSON, an empty file and null.
+func FuzzStoreGet(f *testing.F) {
+	want := payload{Name: "x", Vals: []int{1, 2, 3}}
+	good, err := safeio.MarshalRecord(want)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add(good[len(good)/2:])
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)/3] ^= 0x10
+	f.Add(flipped)
+	f.Add([]byte(`{"v":99,"crc32":"00000000","payload":{}}`))
+	f.Add([]byte(`{"Name":"x","Vals":[1,2,3]}`))
+	f.Add([]byte(``))
+	f.Add([]byte(`null`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ctx := context.Background()
+		dir := t.TempDir()
+		k := NewHasher("fuzz").Str("id", "entry").Key()
+		path := filepath.Join(dir, k.String()+entrySuffix)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got payload
+		if s.Get(ctx, k, &got) {
+			return // an intact record is a hit
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("missed entry not removed: %v", err)
+		}
+		if n := s.Report().Corrupt; n != 1 {
+			t.Fatalf("corrupt count = %d, want 1", n)
+		}
+		computes := 0
+		v, err := Memo(ctx, s, k, func(context.Context) (payload, error) {
+			computes++
+			return want, nil
+		})
+		if err != nil || computes != 1 || !reflect.DeepEqual(v, want) {
+			t.Fatalf("Memo after a miss = %+v, %v after %d computes", v, err, computes)
+		}
+		var back payload
+		if !s.Get(ctx, k, &back) || !reflect.DeepEqual(back, want) {
+			t.Fatalf("Get after Memo = %+v, want %+v", back, want)
+		}
+	})
 }
 
 func TestStoreAdoptsExistingEntries(t *testing.T) {
@@ -214,6 +276,9 @@ func TestMemoSingleflight(t *testing.T) {
 
 	if n := computes.Load(); n != 1 {
 		t.Fatalf("compute ran %d times, want 1 (singleflight)", n)
+	}
+	if n := s.Report().Puts; n != 1 {
+		t.Fatalf("stored %d times, want 1 (singleflight)", n)
 	}
 	for i, v := range results {
 		if v.Name != "computed" || len(v.Vals) != 1 || v.Vals[0] != 42 {

@@ -1,11 +1,11 @@
 // Package chaos is the pipeline's deterministic fault injector. It
-// exists so the error paths built in earlier PRs — cancellation, panic
-// isolation, typed degradation, checkpoint/resume — are exercised
+// exists so the error paths — cancellation, panic isolation, typed
+// degradation, resume from the result cache — are exercised
 // systematically instead of only by hand-written unit tests, in the
 // spirit of FoundationDB-style simulation testing.
 //
-// Stages declare *named injection points* ("exper.checkpoint.write",
-// "ilp.node", …) by registering them at package init and consulting the
+// Stages declare *named injection points* ("cache.write", "ilp.node",
+// …) by registering them at package init and consulting the
 // injector at the point during execution. An *Injector travels in the
 // context.Context exactly like obs.Observer: a nil injector (no chaos
 // attached, the production default) is fully valid and every operation

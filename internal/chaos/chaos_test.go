@@ -221,7 +221,7 @@ func TestStageOfFallsBack(t *testing.T) {
 	if got := StageOf("some panic", fmerr.StageDetect); got != fmerr.StageDetect {
 		t.Fatalf("fallback stage = %q", got)
 	}
-	wrapped := fmerr.Wrap(fmerr.StageCheckpoint, "save",
+	wrapped := fmerr.Wrap(fmerr.StageCache, "put",
 		&Injected{Point: "p", Stage: fmerr.StageIO, Kind: KindError})
 	if got := StageOf(error(wrapped.(error)), fmerr.StageExper); got != fmerr.StageIO {
 		t.Fatalf("StageOf(wrapped error) = %q, want io", got)

@@ -23,11 +23,16 @@ func benchSuiteCfg() SuiteConfig {
 func benchSuiteOnce(b *testing.B, store *cache.Store) {
 	b.Helper()
 	ctx := cache.With(context.Background(), store)
-	runs, err := RunSuite(ctx, benchSuiteCfg())
+	cfg := benchSuiteCfg()
+	specs, err := cfg.Select()
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, r := range runs {
+	for _, spec := range specs {
+		r, err := RunCircuit(ctx, spec, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		TableI(r)
 		if _, _, err := TableII(ctx, r); err != nil {
 			b.Fatal(err)

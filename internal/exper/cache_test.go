@@ -34,25 +34,17 @@ func cacheCtx(t *testing.T, dir string) (context.Context, *cache.Store, *obs.Obs
 // to bytes — the exact artifacts tablegen emits, minus timing lines.
 func renderTables(ctx context.Context, t *testing.T, cfg SuiteConfig) []byte {
 	t.Helper()
-	runs, err := RunSuite(ctx, cfg)
+	results, err := RunSuite(ctx, cfg, TableRequest{T1: true, T2: true, T3: true}, nil, nil)
 	if err != nil {
 		t.Fatalf("RunSuite: %v", err)
 	}
 	var t1 []T1Row
 	var t2 []T2Row
 	var t3 []T3Row
-	for _, r := range runs {
-		t1 = append(t1, TableI(r))
-		row2, _, err := TableII(ctx, r)
-		if err != nil {
-			t.Fatalf("TableII(%s): %v", r.Spec.Name, err)
-		}
-		t2 = append(t2, row2)
-		row3, _, err := TableIII(ctx, r)
-		if err != nil {
-			t.Fatalf("TableIII(%s): %v", r.Spec.Name, err)
-		}
-		t3 = append(t3, row3)
+	for _, r := range results {
+		t1 = append(t1, *r.T1)
+		t2 = append(t2, *r.T2)
+		t3 = append(t3, *r.T3)
 	}
 	var buf bytes.Buffer
 	WriteTableI(&buf, t1)
@@ -256,7 +248,7 @@ func TestCacheCancelResume(t *testing.T) {
 		}
 	}
 	partCtx, _, _ := cacheCtx(t, dir)
-	partial, err := RunSuiteCheckpointed(partCtx, cfg, req, "", stop, progress)
+	partial, err := RunSuite(partCtx, cfg, req, stop, progress)
 	if err == nil {
 		t.Fatal("stopped run reported no partial-result error")
 	}

@@ -166,16 +166,16 @@ func TestRunSuiteSubset(t *testing.T) {
 		t.Skip("suite run in short mode")
 	}
 	cfg := SuiteConfig{Scale: 0.06, MaxFaults: 800, Names: []string{"s9234", "s13207"}}
-	runs, err := RunSuite(context.Background(), cfg)
+	results, err := RunSuite(context.Background(), cfg, TableRequest{T1: true}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runs) != 2 {
-		t.Fatalf("runs = %d", len(runs))
+	if len(results) != 2 {
+		t.Fatalf("results = %d", len(results))
 	}
-	for _, r := range runs {
-		if len(r.Flow.TargetData) == 0 {
-			t.Fatalf("%s: no target faults", r.Spec.Name)
+	for _, r := range results {
+		if r.T1.Target == 0 {
+			t.Fatalf("%s: no target faults", r.Name)
 		}
 	}
 }

@@ -110,10 +110,10 @@ func stripNondeterministic(res []*CircuitResult) []*CircuitResult {
 	return out
 }
 
-// TestSuiteParallelMatchesSerial runs the checkpointed suite loop itself
-// serially and with concurrent circuits; the ordered results (tables, Fig.
-// 3 points, degradation rungs) must be identical and progress events must
-// cover every circuit exactly once.
+// TestSuiteParallelMatchesSerial runs the suite driver serially and with
+// concurrent circuits; the ordered results (tables, Fig. 3 points,
+// degradation rungs) must be identical and progress events must cover
+// every circuit exactly once.
 func TestSuiteParallelMatchesSerial(t *testing.T) {
 	withProcs(t, 8)
 	cfg := smallCfg()
@@ -124,7 +124,7 @@ func TestSuiteParallelMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 
 	cfg.Workers = 1
-	serial, err := RunSuiteCheckpointed(ctx, cfg, req, "", nil, nil)
+	serial, err := RunSuite(ctx, cfg, req, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSuiteParallelMatchesSerial(t *testing.T) {
 		mu        sync.Mutex
 		completed []string
 	)
-	parallel, err := RunSuiteCheckpointed(ctx, cfg, req, "", nil, func(ev SuiteEvent) {
+	parallel, err := RunSuite(ctx, cfg, req, nil, func(ev SuiteEvent) {
 		if ev.Res == nil {
 			return
 		}

@@ -22,10 +22,10 @@ import (
 
 // The chaos soak: run the Fig.-4 pipeline end to end under randomized
 // deterministic fault injection across many seeds and assert the
-// invariant from the issue — every run ends in clean success, a typed
-// fmerr error with correct stage attribution, or a valid resumable
-// partial; never a hang, an unrecovered panic, a torn checkpoint served
-// on resume, or a silently wrong table.
+// invariant — every run ends in clean success, a typed fmerr error with
+// correct stage attribution, or a valid resumable partial; never a hang,
+// an unrecovered panic, a corrupt cache entry served on resume, or a
+// silently wrong table.
 //
 //	go test -run TestChaosSoak ./internal/exper -soak.seeds=100
 //	go test -run TestChaosSoak ./internal/exper -soak.seeds=8 -race
@@ -107,7 +107,7 @@ func TestChaosSoak(t *testing.T) {
 	// Reference: one uninjected run establishes the ground-truth tables
 	// every completing chaos run must reproduce exactly.
 	refStart := time.Now()
-	ref, err := RunSuiteCheckpointed(context.Background(), cfg, req, "", nil, nil)
+	ref, err := RunSuite(context.Background(), cfg, req, nil, nil)
 	if err != nil {
 		t.Fatalf("reference run failed: %v", err)
 	}
@@ -167,7 +167,6 @@ func TestChaosSoak(t *testing.T) {
 				}
 				t.Errorf(format, args...)
 			}
-			dir := t.TempDir()
 			in := chaos.New(soakProfile(seed, *soakRate))
 			o := obs.New(nil)
 			o.AttachFlight(rec)
@@ -184,7 +183,7 @@ func TestChaosSoak(t *testing.T) {
 
 			done := make(chan soakOutcome, 1)
 			go func() {
-				res, err := RunSuiteCheckpointed(cctx, cfg, req, dir, nil, nil)
+				res, err := RunSuite(cctx, cfg, req, nil, nil)
 				done <- soakOutcome{results: res, err: err}
 			}()
 			var out soakOutcome
@@ -203,8 +202,8 @@ func TestChaosSoak(t *testing.T) {
 
 			// Invariant 1: clean success or a typed, stage-attributed
 			// error. An untyped error means some path lost attribution; a
-			// panic escaping RunSuiteCheckpointed would have crashed the
-			// test process outright.
+			// panic escaping RunSuite would have crashed the test process
+			// outright.
 			if out.err != nil {
 				if stage := fmerr.StageOf(out.err); stage == "" {
 					fail("untyped error escaped the pipeline: %v", out.err)
@@ -219,8 +218,8 @@ func TestChaosSoak(t *testing.T) {
 			}
 
 			// Invariant 3: whatever state the chaos run left behind —
-			// complete, partial, torn, or bit-flipped checkpoints or cache
-			// entries — a chaos-free resume over the same directories must
+			// complete, partial, torn, or bit-flipped cache entries — a
+			// chaos-free resume over the same cache directory must
 			// converge to the reference tables. Corrupt entries must be
 			// recomputed, never served.
 			rstore, rserr := cache.Open(cdir, 0)
@@ -228,7 +227,7 @@ func TestChaosSoak(t *testing.T) {
 				t.Fatalf("cache reopen: %v", rserr)
 			}
 			rctx := cache.With(context.Background(), rstore)
-			resumed, rerr := RunSuiteCheckpointed(rctx, cfg, req, dir, nil, nil)
+			resumed, rerr := RunSuite(rctx, cfg, req, nil, nil)
 			if rerr != nil {
 				fail("resume after chaos failed: %v", rerr)
 				return
@@ -243,10 +242,10 @@ func TestChaosSoak(t *testing.T) {
 			cacheCorrupt += rr.Corrupt
 			mu.Unlock()
 			// Durability hygiene: no stray temp files survive any path.
-			ents, _ := os.ReadDir(dir)
+			ents, _ := os.ReadDir(cdir)
 			for _, e := range ents {
 				if strings.Contains(e.Name(), ".tmp") {
-					fail("stray temp file %s left in checkpoint dir", e.Name())
+					fail("stray temp file %s left in cache dir", e.Name())
 				}
 			}
 		})
@@ -274,7 +273,7 @@ func TestChaosSoakReplay(t *testing.T) {
 	run := func() (map[string]int64, error) {
 		in := chaos.New(chaos.Config{Seed: 7, Rate: 0.05})
 		ctx := chaos.With(context.Background(), in)
-		_, err := RunSuiteCheckpointed(ctx, cfg, req, t.TempDir(), nil, nil)
+		_, err := RunSuite(ctx, cfg, req, nil, nil)
 		return in.Snapshot(), err
 	}
 	snapA, errA := run()
@@ -284,37 +283,6 @@ func TestChaosSoakReplay(t *testing.T) {
 	}
 	if fmt.Sprint(snapA) != fmt.Sprint(snapB) {
 		t.Fatalf("same seed fired different faults:\n a: %v\n b: %v", snapA, snapB)
-	}
-}
-
-// TestCheckpointDirSurvivesTornWrite pins the durability contract at
-// the unit level: a short write torn into the final checkpoint path is
-// detected on load and the entry is treated as missing.
-func TestCheckpointDirSurvivesTornWrite(t *testing.T) {
-	dir := t.TempDir()
-	cfg := smallCfg()
-	res := fakeResult("s9234", cfg)
-	if err := SaveCheckpoint(context.Background(), dir, res); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the record in place, as a crash mid-write would.
-	path := checkpointPath(dir, "s9234")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	entries, skipped, err := LoadCheckpoints(context.Background(), dir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("torn checkpoint was served: %v", entries)
-	}
-	if len(skipped) != 1 {
-		t.Fatalf("torn checkpoint not reported: %v", skipped)
 	}
 }
 
@@ -336,7 +304,7 @@ func TestInjectedPanicDumpsFlight(t *testing.T) {
 	})
 	ctx = chaos.With(ctx, in)
 
-	_, err := RunSuiteCheckpointed(ctx, smallCfg(), TableRequest{T1: true}, "", nil, nil)
+	_, err := RunSuite(ctx, smallCfg(), TableRequest{T1: true}, nil, nil)
 	var pe *fmerr.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("injected panic did not surface as *fmerr.PanicError: %v", err)

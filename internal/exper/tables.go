@@ -53,23 +53,6 @@ func RunCircuit(ctx context.Context, spec Spec, cfg SuiteConfig) (*Run, error) {
 	return &Run{Spec: spec, Flow: flow}, nil
 }
 
-// RunSuite executes the configured subset of the suite.
-func RunSuite(ctx context.Context, cfg SuiteConfig) ([]*Run, error) {
-	specs, err := cfg.Defaults().Select()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Run, 0, len(specs))
-	for _, spec := range specs {
-		r, err := RunCircuit(ctx, spec, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("exper: %s: %w", spec.Name, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // T1Row is one line of Table I.
 type T1Row struct {
 	Name    string

@@ -33,14 +33,13 @@ type Stage string
 
 // The stages of the Fig.-4 flow plus the harness around it.
 const (
-	StageAnnotate   Stage = "annotate"
-	StageATPG       Stage = "atpg"
-	StageSim        Stage = "sim"
-	StageDetect     Stage = "detect"
-	StageSolve      Stage = "solve"
-	StageSchedule   Stage = "schedule"
-	StageExper      Stage = "exper"
-	StageCheckpoint Stage = "checkpoint"
+	StageAnnotate Stage = "annotate"
+	StageATPG     Stage = "atpg"
+	StageSim      Stage = "sim"
+	StageDetect   Stage = "detect"
+	StageSolve    Stage = "solve"
+	StageSchedule Stage = "schedule"
+	StageExper    Stage = "exper"
 	// StageIO marks failures of the durable-I/O layer (internal/safeio):
 	// atomic file replacement, fsync, record checksum verification and
 	// the retry machinery around them.
@@ -139,7 +138,7 @@ const (
 	// by the greedy heuristic — was returned instead of a proven optimum.
 	DegradeIncumbent
 	// DegradePartial: the run was interrupted and the result covers only
-	// part of the requested work (e.g. a suite checkpoint holding a
+	// part of the requested work (e.g. a stopped suite run holding a
 	// subset of the circuits).
 	DegradePartial
 )

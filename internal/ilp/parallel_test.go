@@ -53,7 +53,8 @@ func coverEqual(a, b []int) bool {
 
 // TestSetCoverParallelMatchesSerial is the ilp half of the differential
 // suite: across random instances, every worker count must return the
-// bit-identical Selected slice (the lexicographically smallest optimum).
+// bit-identical Selected slice — the same minimum cover, though not
+// necessarily the lexicographically smallest one.
 func TestSetCoverParallelMatchesSerial(t *testing.T) {
 	withProcs(t, 8)
 	for trial := int64(0); trial < 12; trial++ {

@@ -37,10 +37,12 @@ type Options struct {
 	// means one worker per CPU (par.ClampWorkers). Completed solves are
 	// deterministic for every worker count: incumbents go through a
 	// lexicographic tie-break and subtrees are pruned only when strictly
-	// worse than the incumbent, so the result is the lexicographically
-	// smallest optimum regardless of interleaving. Budget- or node-capped
-	// aborts return whichever incumbent was best at expiry and are the one
-	// place worker count can show through.
+	// worse than the incumbent, so every interleaving returns the same
+	// optimum. SetCover returns the same minimum cover for every worker
+	// count, but not necessarily the lexicographically smallest one:
+	// column-dominance presolve drops sets before the search. Budget- or
+	// node-capped aborts return whichever incumbent was best at expiry and
+	// are the one place worker count can show through.
 	Workers int
 }
 

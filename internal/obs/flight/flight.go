@@ -4,8 +4,8 @@
 // answers "how much" and spans answer "how long", the flight recorder
 // answers "what happened, in what order, right before it went wrong" —
 // the last few thousand span transitions, chaos injection decisions,
-// worker lifecycle changes, solver incumbent updates and checkpoint
-// writes, cheap enough to leave on for every run.
+// worker lifecycle changes, solver incumbent updates and result-cache
+// traffic, cheap enough to leave on for every run.
 //
 // The ring is a power-of-two slot array of atomic event pointers plus an
 // atomic head counter. Writers claim a sequence number with one atomic
@@ -59,9 +59,6 @@ const (
 	// KindIncumbent is a branch-and-bound incumbent improvement; Value is
 	// the new objective value (cover size).
 	KindIncumbent Kind = "incumbent"
-	// KindCheckpoint is a durable checkpoint write; Name is the circuit,
-	// Detail "ok" or the error.
-	KindCheckpoint Kind = "checkpoint"
 	// KindPanic is a recovered panic converted to a typed error; Detail
 	// carries the panic message.
 	KindPanic Kind = "panic"

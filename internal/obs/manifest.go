@@ -47,7 +47,7 @@ type Manifest struct {
 	Stages []StageTiming `json:"stages,omitempty"`
 
 	// Circuits is the tool-specific per-circuit payload (the harness
-	// stores its checkpoint records here).
+	// stores its per-circuit results here).
 	Circuits any `json:"circuits,omitempty"`
 
 	// Chaos summarizes deterministic fault injection when the run was

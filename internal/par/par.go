@@ -21,7 +21,7 @@ import (
 // down instead of oversubscribing the scheduler. This is the single
 // worker-count rule shared by fault simulation (detect.Run), schedule
 // construction (schedule.Build, ilp solvers) and the experiment suite
-// (exper.RunSuiteCheckpointed).
+// (exper.RunSuite).
 func ClampWorkers(w int) int {
 	max := runtime.GOMAXPROCS(0)
 	if w <= 0 || w > max {

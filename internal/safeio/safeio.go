@@ -4,7 +4,7 @@
 // *believable*, and a context-aware jittered-backoff retry for
 // transient failures.
 //
-// The durability contract, relied on by checkpoint/resume and the run
+// The durability contract, relied on by the result cache and the run
 // manifest:
 //
 //   - WriteFileAtomic never leaves a half-written file at the final
