@@ -14,14 +14,11 @@ func smallCfg() exper.SuiteConfig {
 	return exper.SuiteConfig{Scale: 0.05, MaxFaults: 600, Names: []string{"s9234"}}
 }
 
-// TestRunResumesFromCache drives run() three times on one cache
-// directory. A rerun with the same options reads every stage back and
-// prints the same tables. A rerun under another solver budget reuses the
-// pattern set and detection data, rebuilds the schedules, and prints the
-// tables of a fresh run at that budget.
-func TestRunResumesFromCache(t *testing.T) {
-	dir := t.TempDir()
-	opts := options{t1: true, t2: true, t3: true, cacheDir: dir}
+// TestRunResumeUsesCheckpoint: the cache directory is the run's
+// checkpoint. A rerun with the same options on the same -cache.dir reads
+// every stage back and prints the same tables.
+func TestRunResumeUsesCheckpoint(t *testing.T) {
+	opts := options{t1: true, t2: true, t3: true, cacheDir: t.TempDir()}
 	cfg := smallCfg()
 	cfg.SolverBudget = 10 * time.Millisecond
 
@@ -33,15 +30,27 @@ func TestRunResumesFromCache(t *testing.T) {
 	if second != first {
 		t.Fatalf("rerun tables differ\n--- first ---\n%s\n--- rerun ---\n%s", first, second)
 	}
+}
+
+// TestRunFreshClearsStaleCheckpoints: results computed under another
+// solver budget are not served again. A rerun at a new budget over a cache
+// filled at the old one reuses the pattern set and detection data,
+// rebuilds the schedules, and prints the tables of a fresh run at that
+// budget.
+func TestRunFreshClearsStaleCheckpoints(t *testing.T) {
+	opts := options{t1: true, t2: true, t3: true, cacheDir: t.TempDir()}
+	cfg := smallCfg()
+	cfg.SolverBudget = 10 * time.Millisecond
+	runTables(t, cfg, opts)
 
 	cfg.SolverBudget = time.Minute
-	third, hits, misses := runTables(t, cfg, opts)
+	rerun, hits, misses := runTables(t, cfg, opts)
 	if hits == 0 || misses == 0 {
 		t.Fatalf("new-budget rerun: %d hits, %d misses; want ATPG and detection read back and the schedules rebuilt", hits, misses)
 	}
 	opts.cacheDir = t.TempDir()
-	if fresh, _, _ := runTables(t, cfg, opts); third != fresh {
-		t.Fatalf("new-budget rerun differs from a fresh run\n--- rerun ---\n%s\n--- fresh ---\n%s", third, fresh)
+	if fresh, _, _ := runTables(t, cfg, opts); rerun != fresh {
+		t.Fatalf("new-budget rerun differs from a fresh run\n--- rerun ---\n%s\n--- fresh ---\n%s", rerun, fresh)
 	}
 }
 
