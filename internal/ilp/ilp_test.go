@@ -395,6 +395,9 @@ func TestPartialCoverMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !res.Optimal {
+			t.Fatalf("trial %d: not proven optimal", trial)
+		}
 		want := bruteForcePartial(sets, universe, quota)
 		if len(res.Selected) != want {
 			t.Fatalf("trial %d: got %d, brute force %d (quota %d)", trial, len(res.Selected), want, quota)
@@ -405,6 +408,14 @@ func TestPartialCoverMatchesBruteForce(t *testing.T) {
 		}
 		if cov.IntersectionCount(universe) < quota {
 			t.Fatalf("trial %d: quota missed", trial)
+		}
+		// Greedy is never better than the optimum.
+		g, err := GreedyPartialCover(sets, universe, quota)
+		if err != nil {
+			t.Fatalf("trial %d: greedy failed on a reachable quota: %v", trial, err)
+		}
+		if len(g) < want {
+			t.Fatalf("trial %d: greedy beat the optimum?!", trial)
 		}
 	}
 }
