@@ -20,7 +20,6 @@ import (
 	"fastmon/internal/dot"
 	"fastmon/internal/exper"
 	"fastmon/internal/fault"
-	"fastmon/internal/ilp"
 	"fastmon/internal/interval"
 	"fastmon/internal/logic"
 	"fastmon/internal/monitor"
@@ -30,8 +29,6 @@ import (
 	"fastmon/internal/tunit"
 	"fastmon/internal/verilog"
 	"math/rand"
-
-	"fastmon/internal/bitset"
 )
 
 func benchCfg() exper.SuiteConfig {
@@ -257,32 +254,6 @@ func BenchmarkDiscretize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if cands := dot.Discretize(ranges); len(cands) == 0 {
 			b.Fatal("no candidates")
-		}
-	}
-}
-
-// BenchmarkILPSetCover measures the exact covering solver on a random
-// schedule-shaped instance.
-func BenchmarkILPSetCover(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	nElem, nSets := 1500, 120
-	sets := make([]*bitset.Set, nSets)
-	universe := bitset.New(nElem)
-	for i := range sets {
-		s := bitset.New(nElem)
-		for e := 0; e < nElem; e++ {
-			if rng.Float64() < 0.06 {
-				s.Add(e)
-				universe.Add(e)
-			}
-		}
-		sets[i] = s
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := ilp.SetCover(context.Background(), sets, universe, ilp.Options{MaxNodes: 200000})
-		if err != nil || len(res.Selected) == 0 {
-			b.Fatalf("cover failed: %v", err)
 		}
 	}
 }

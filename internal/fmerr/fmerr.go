@@ -134,7 +134,7 @@ const (
 	// requested computation completed in full).
 	DegradeNone Degradation = iota
 	// DegradeIncumbent: an exact branch-and-bound search was aborted by
-	// its budget (deadline or node cap) and the best incumbent — seeded
+	// its budget (the solve deadline) and the best incumbent — seeded
 	// by the greedy heuristic — was returned instead of a proven optimum.
 	DegradeIncumbent
 	// DegradePartial: the run was interrupted and the result covers only

@@ -1,3 +1,11 @@
+// Package ilp solves the two zero-one covering programs of the
+// test-schedule optimization (Sec. IV-C): SetCover finds a minimum set
+// cover and PartialCover the fewest sets that cover a quota of the
+// universe. Both run branch-and-bound seeded with the greedy cover
+// (GreedyCover, GreedyPartialCover), which is also the heuristic of [17];
+// SetCover presolves with essential columns and column dominance. A
+// context deadline stands in for the commercial ILP tool the paper aborts
+// after a 1-hour timeout: the search then returns its best incumbent.
 package ilp
 
 import (
@@ -37,26 +45,10 @@ type CoverResult struct {
 // GreedyCover returns a feasible cover by repeatedly choosing the set with
 // the largest number of still-uncovered elements — the heuristic selection
 // of [17] that the paper's Table II compares against (column "heur.").
-// It returns a stage-attributed error if the universe is not coverable.
+// It is GreedyPartialCover with the quota |universe|, and returns its
+// stage-attributed error if the universe is not coverable.
 func GreedyCover(sets []*bitset.Set, universe *bitset.Set) ([]int, error) {
-	uncovered := universe.Clone()
-	var out []int
-	for !uncovered.Empty() {
-		best, bestGain := -1, 0
-		for i, s := range sets {
-			if g := s.IntersectionCount(uncovered); g > bestGain {
-				best, bestGain = i, g
-			}
-		}
-		if best < 0 {
-			return nil, fmerr.Errorf(fmerr.StageSolve, "greedy",
-				"universe not coverable: %d elements unreachable", uncovered.Count())
-		}
-		out = append(out, best)
-		uncovered.AndNot(sets[best])
-	}
-	sort.Ints(out)
-	return out, nil
+	return GreedyPartialCover(sets, universe, universe.Count())
 }
 
 // Coverable reports whether the universe is covered by the union of sets.
@@ -66,24 +58,6 @@ func Coverable(sets []*bitset.Set, universe *bitset.Set) bool {
 		u.AndNot(s)
 	}
 	return u.Empty()
-}
-
-// CoverModel builds the paper's zero-one program for a covering instance:
-// minimize Σ x_j subject to Σ_{j covers i} x_j ≥ 1 for every element i of
-// the universe. Exposed so that tests can cross-check the specialized
-// solver against the generic one.
-func CoverModel(sets []*bitset.Set, universe *bitset.Set) *Model {
-	m := NewModel(len(sets))
-	for _, e := range universe.Members(nil) {
-		var vars []int
-		for j, s := range sets {
-			if s.Has(e) {
-				vars = append(vars, j)
-			}
-		}
-		m.AddAtLeastOne(vars)
-	}
-	return m
 }
 
 // coverTask is one subproblem of the SetCover search: the elements still
@@ -313,7 +287,7 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 		// PartialCover twin for the determinism argument. Totals stay
 		// exact: the sub-window remainder is flushed when the worker exits.
 		poll := func() bool {
-			nn := nodes.Add(pollMask + 1)
+			nodes.Add(pollMask + 1)
 			if stop.get() != stopNone {
 				return false
 			}
@@ -323,11 +297,6 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 				return false
 			}
 			inj.Disturb(ctx, ptNode)
-			if opts.MaxNodes > 0 && nn > int64(opts.MaxNodes) {
-				stop.set(stopBudget)
-				fr.Abort()
-				return false
-			}
 			return true
 		}
 		// dead flips when poll observes an abort; it is a plain per-worker
@@ -459,8 +428,8 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 // needed: ⌈|U|/maxGain⌉, where U is the uncovered set and maxGain the
 // largest number of its elements any one set covers. It returns 1<<20 when
 // no set covers any of U, so the branch is pruned. The stronger
-// sum-of-shares bound Σ_{e∈U} 1/max_{S∋e}|S∩U| is not computed; it is
-// the open solver item in ROADMAP.md ("Prove the schedules optimal").
+// sum-of-shares bound Σ_{e∈U} 1/max_{S∋e}|S∩U| is not computed; a
+// stronger bound is the open solver item in ROADMAP.md ("Exact covering").
 func lowerBound(sub []*bitset.Set, unc *bitset.Set) int {
 	maxGain := 0
 	for _, s := range sub {
@@ -638,13 +607,13 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 		localNodes := int64(0)
 		// poll is the once-per-window slow path of node accounting: flush
 		// the local tally into the shared atomic, notice peer aborts, poll
-		// the context and the node budget. Stop reasons only arise on abort
-		// paths (cancellation, budget), so checking them per window instead
-		// of per node leaves the deterministic no-abort search untouched;
+		// the context. Stop reasons only arise on abort paths
+		// (cancellation, budget), so checking them per window instead of
+		// per node leaves the deterministic no-abort search untouched;
 		// node totals stay exact because the sub-window remainder is
 		// flushed when the worker exits.
 		poll := func() bool {
-			nn := nodes.Add(pollMask + 1)
+			nodes.Add(pollMask + 1)
 			if stop.get() != stopNone {
 				return false
 			}
@@ -654,11 +623,6 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 				return false
 			}
 			inj.Disturb(ctx, ptNode)
-			if opts.MaxNodes > 0 && nn > int64(opts.MaxNodes) {
-				stop.set(stopBudget)
-				fr.Abort()
-				return false
-			}
 			return true
 		}
 		// dead flips when poll observes an abort; it is a plain per-worker

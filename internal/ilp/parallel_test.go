@@ -3,7 +3,6 @@ package ilp
 import (
 	"context"
 	"errors"
-	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -108,36 +107,6 @@ func TestPartialCoverParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestSolveParallelMatchesSerial(t *testing.T) {
-	withProcs(t, 8)
-	for trial := int64(0); trial < 8; trial++ {
-		sets, universe := hardCoverInstance(trial+500, 30, 14, 0.25)
-		if !Coverable(sets, universe) || universe.Count() == 0 {
-			continue
-		}
-		m := CoverModel(sets, universe)
-		ref, err := Solve(context.Background(), m, Options{Workers: 1})
-		if err != nil || !ref.Optimal || !ref.Found {
-			t.Fatalf("trial %d: serial solve failed: %+v %v", trial, ref, err)
-		}
-		for _, w := range []int{2, 4, 8} {
-			sol, err := Solve(context.Background(), m, Options{Workers: w})
-			if err != nil || !sol.Optimal || !sol.Found {
-				t.Fatalf("trial %d workers=%d: %+v %v", trial, w, sol, err)
-			}
-			if math.Abs(sol.Value-ref.Value) > 1e-9 {
-				t.Fatalf("trial %d workers=%d: value %f != serial %f", trial, w, sol.Value, ref.Value)
-			}
-			for i := range sol.X {
-				if sol.X[i] != ref.X[i] {
-					t.Fatalf("trial %d workers=%d: X differs at %d: %v vs %v",
-						trial, w, i, sol.X, ref.X)
-				}
-			}
-		}
-	}
-}
-
 // TestSetCoverBudgetExpiryMidSearch walks the degradation ladder under
 // both engines: the budget trips at the first in-search poll, the solve
 // must return a feasible incumbent flagged DegradeIncumbent with a sane
@@ -221,30 +190,6 @@ func TestPartialCoverBudgetAndCancelParallel(t *testing.T) {
 		}
 		if res.Optimal || res.Degradation != fmerr.DegradeIncumbent {
 			t.Fatalf("workers=%d: cancelled solve must degrade: %+v", w, res)
-		}
-	}
-}
-
-func TestSolveParallelNodeCapDegrades(t *testing.T) {
-	withProcs(t, 4)
-	n := 20
-	m := NewModel(n)
-	for r := 0; r < 1500; r++ {
-		m.AddAtLeastOne([]int{r % n})
-	}
-	for _, w := range []int{1, 4} {
-		sol, err := Solve(context.Background(), m, Options{MaxNodes: 50000, Workers: w})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !sol.Found || sol.Value != float64(n) {
-			t.Fatalf("workers=%d: sol = %+v", w, sol)
-		}
-		if sol.Degradation != fmerr.DegradeIncumbent {
-			t.Fatalf("workers=%d: node-capped solve must report the incumbent rung: %+v", w, sol)
-		}
-		if !m.Feasible(sol.X) {
-			t.Fatalf("workers=%d: DFS solution infeasible", w)
 		}
 	}
 }

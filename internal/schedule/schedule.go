@@ -403,13 +403,8 @@ func build(ctx context.Context, data []detect.FaultData, opt Options) (*Schedule
 		selected, s.FreqOptimal = res.Selected, res.Optimal
 		s.Degradation = fmerr.Worse(s.Degradation, res.Degradation)
 		s.Solver.add(res)
-	case quota == coverable:
-		var err error
-		selected, err = ilp.GreedyCover(sets, universe)
-		if err != nil {
-			return nil, fmerr.Wrap(fmerr.StageSchedule, "frequency-selection", err)
-		}
 	default:
+		// Greedy; at full coverage the quota is the whole universe.
 		var err error
 		selected, err = ilp.GreedyPartialCover(sets, universe, quota)
 		if err != nil {
