@@ -428,8 +428,8 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 // needed: ⌈|U|/maxGain⌉, where U is the uncovered set and maxGain the
 // largest number of its elements any one set covers. It returns 1<<20 when
 // no set covers any of U, so the branch is pruned. The stronger
-// sum-of-shares bound Σ_{e∈U} 1/max_{S∋e}|S∩U| is not computed; a
-// stronger bound is the open solver item in ROADMAP.md ("Exact covering").
+// sum-of-shares bound Σ_{e∈U} 1/max_{S∋e}|S∩U| is not computed; stronger
+// bounds are step 3 of the open ROADMAP.md item "Exact covering".
 func lowerBound(sub []*bitset.Set, unc *bitset.Set) int {
 	maxGain := 0
 	for _, s := range sub {
