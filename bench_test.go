@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"fastmon/internal/atpg"
-	"fastmon/internal/bist"
 	"fastmon/internal/cell"
 	"fastmon/internal/circuit"
 	"fastmon/internal/detect"
@@ -311,19 +310,6 @@ func BenchmarkVerilogParse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := verilog.Parse("vp", strings.NewReader(src)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBISTSession measures an LFSR/MISR self-test session (256
-// pseudo-random patterns with coverage tracking).
-func BenchmarkBISTSession(b *testing.B) {
-	c := circuit.MustGenerate(circuit.GenSpec{Name: "bb", Gates: 400, FFs: 32, Inputs: 12, Outputs: 8, Depth: 14, Seed: 4})
-	faults := fault.Universe(c)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bist.Run(c, faults, 256, 64, 0xACE1); err != nil {
 			b.Fatal(err)
 		}
 	}

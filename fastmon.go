@@ -31,7 +31,6 @@ import (
 
 	"fastmon/internal/aging"
 	"fastmon/internal/atpg"
-	"fastmon/internal/bist"
 	"fastmon/internal/cache"
 	"fastmon/internal/cell"
 	"fastmon/internal/circuit"
@@ -50,7 +49,6 @@ import (
 	"fastmon/internal/sim"
 	"fastmon/internal/sta"
 	"fastmon/internal/tunit"
-	"fastmon/internal/vcd"
 	"fastmon/internal/verilog"
 )
 
@@ -291,24 +289,6 @@ func Diagnose(flow *Flow, candidates []Fault, observations []DiagnosisObservatio
 	e := sim.NewEngine(flow.Circuit, flow.Annot)
 	return diagnose.Run(e, flow.Placement, flow.Patterns, candidates, observations,
 		diagnose.Config{Delta: flow.Delta, Glitch: flow.DetectCfg.Glitch})
-}
-
-// BISTSession is one LFSR/MISR self-test run.
-type BISTSession = bist.Session
-
-// RunBIST executes a pseudo-random logic-BIST session: LFSR pattern pairs,
-// transition-fault coverage curve, MISR signature.
-func RunBIST(c *Circuit, faults []Fault, nPatterns, step int, seed uint64) (*BISTSession, error) {
-	return bist.Run(c, faults, nPatterns, step, seed)
-}
-
-// WriteVCD dumps named signals of a baseline simulation as a VCD file.
-func WriteVCD(w io.Writer, c *Circuit, wfs []Waveform, names []string, scope string) error {
-	sigs, err := vcd.FromBaseline(c, wfs, names)
-	if err != nil {
-		return err
-	}
-	return vcd.Write(w, scope, sigs)
 }
 
 // SimulatePattern runs the fault-free timing-accurate simulation of one

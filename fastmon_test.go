@@ -169,17 +169,6 @@ func TestFacadeDiagnose(t *testing.T) {
 	_ = cands // any result (incl. none) is valid for all-passing observations
 }
 
-func TestFacadeBIST(t *testing.T) {
-	c := MustParseBench("s27", S27)
-	s, err := RunBIST(c, FaultUniverse(c), 128, 32, 0xACE1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Coverage() <= 0 {
-		t.Fatal("BIST covered nothing")
-	}
-}
-
 func TestFacadeVCDAndSim(t *testing.T) {
 	c := MustParseBench("s27", S27)
 	a := Annotate(c, NanGate45())
@@ -192,11 +181,7 @@ func TestFacadeVCDAndSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteVCD(&buf, c, wfs, []string{"G17"}, "s27"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "$var wire 1 ! G17 $end") {
-		t.Fatal("VCD missing signal")
+	if len(wfs) != len(c.Gates) {
+		t.Fatalf("got %d waveforms for %d gates", len(wfs), len(c.Gates))
 	}
 }

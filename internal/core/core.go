@@ -21,7 +21,6 @@ import (
 	"fastmon/internal/interval"
 	"fastmon/internal/monitor"
 	"fastmon/internal/obs"
-	"fastmon/internal/par"
 	"fastmon/internal/schedule"
 	"fastmon/internal/sim"
 	"fastmon/internal/sta"
@@ -35,15 +34,6 @@ var (
 	ptClassify = chaos.Register("core.classify", fmerr.StageAnnotate)
 	ptExtract  = chaos.Register("core.extract", fmerr.StageDetect)
 )
-
-// ClampWorkers resolves a configured worker count to [1, GOMAXPROCS]:
-// zero and negative values mean "use every CPU", larger requests are cut
-// down instead of oversubscribing the scheduler. Every parallel stage —
-// fault simulation (detect), schedule construction (schedule/ilp) and the
-// experiment suite (exper) — applies this same rule; the implementation
-// lives in the dependency-order leaf package internal/par so those
-// packages can share it without importing core.
-func ClampWorkers(n int) int { return par.ClampWorkers(n) }
 
 // Config parameterizes a flow run. The zero value is completed with the
 // paper's evaluation setup by Defaults.
@@ -72,7 +62,7 @@ type Config struct {
 	// Workers bounds the goroutine pools of every parallel stage — the
 	// speculative ATPG phase, fault simulation, the Step-2 schedule
 	// fan-out and the branch-and-bound solvers (0 = GOMAXPROCS; see
-	// ClampWorkers).
+	// par.ClampWorkers).
 	Workers int
 	// SlowSim routes fault simulation through the naive full-resimulation
 	// reference engine instead of the event-driven fast path (differential

@@ -12,12 +12,9 @@ package detect
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"fastmon/internal/cache"
@@ -225,17 +222,19 @@ func shardFaults(faults []fault.Fault, workers int) []shardRange {
 //
 // The driver works in pattern chunks: each chunk's fault-free baselines
 // are computed once in parallel into pooled buffers, then the fault list —
-// sharded by injection site so workers keep cone locality and reuse one
-// scratch arena each — is swept over the cached baselines with the
-// event-driven simulator. Faults whose fanout cone reaches no observation
-// point are skipped outright (they cannot be detected); Config.SlowSim
-// routes everything through the naive reference engine instead and
-// disables that pruning.
+// sharded by injection site so workers keep cone locality, each with one
+// scratch arena for the whole run — is swept over the cached baselines
+// with the event-driven simulator. Both phases fan out with par.Each.
+// Faults whose fanout cone reaches no observation point are skipped
+// outright (they cannot be detected); Config.SlowSim routes everything
+// through the naive reference engine instead and disables that pruning.
 //
 // A panic in a worker is recovered and converted to a *fmerr.PanicError
 // naming the fault and pattern being simulated; it fails the run, not the
-// process. Cancelling ctx stops dispatch and returns the context error
-// wrapped with detect-stage attribution.
+// process. After a failure no new baseline or shard starts, the ones in
+// flight finish, and the error of the lowest failing item is returned.
+// Cancelling ctx stops the sweep and returns the context error wrapped
+// with detect-stage attribution.
 func Run(ctx context.Context, e *sim.Engine, placement *monitor.Placement, faults []fault.Fault,
 	patterns []sim.Pattern, cfg Config) ([]FaultData, error) {
 
@@ -352,6 +351,29 @@ func cacheKey(e *sim.Engine, placement *monitor.Placement, faults []fault.Fault,
 	return h.Key()
 }
 
+// tally counts one worker's share of a run's simulation work.
+type tally struct {
+	sims, hits, skipped, panics int64
+	st                          sim.Stats
+}
+
+func (t *tally) add(o *tally) {
+	t.sims += o.sims
+	t.hits += o.hits
+	t.skipped += o.skipped
+	t.panics += o.panics
+	t.st.Add(o.st)
+}
+
+// worker is the state one pool worker keeps for a whole run: its scratch
+// arena, its range accumulators and its tallies. Only the goroutine that
+// holds worker id w touches ws[w].
+type worker struct {
+	tally
+	sc           *sim.Scratch
+	ffAcc, srAcc interval.Accum
+}
+
 // run is the uncached body of Run.
 func run(ctx context.Context, e *sim.Engine, placement *monitor.Placement, faults []fault.Fault,
 	patterns []sim.Pattern, cfg Config) ([]FaultData, error) {
@@ -359,74 +381,60 @@ func run(ctx context.Context, e *sim.Engine, placement *monitor.Placement, fault
 	workers := par.ClampWorkersFor(cfg.Workers, len(faults))
 	horizon := cfg.Clk + 1
 
-	// Telemetry: per-run atomics (rolled into the shared registry at the
+	// Telemetry: per-run tallies (rolled into the shared registry at the
 	// end, so events/sec reflects this run, not the process lifetime).
-	// busyNs accumulates per-shard and per-baseline worker time;
-	// utilization is the busy fraction of the pool's wall-clock capacity.
+	// busy sums the pool's call time; utilization is the busy fraction of
+	// the pool's wall-clock capacity.
 	start := time.Now()
 	_, span := obs.StartSpan(ctx, "detect")
-	// The flight recorder journals worker lifecycle transitions (nil-safe
-	// no-op without one); hoisted out of the worker loops.
 	rec := obs.From(ctx).Flight()
-	var nSims, nDetections, nPanics, nSkipped, busyNs atomic.Int64
-	var simStats sim.Stats
-	var statsMu sync.Mutex
+	ws := make([]worker, workers)
+	var busy time.Duration
 	defer func() {
+		var t tally
+		for i := range ws {
+			t.add(&ws[i].tally)
+		}
 		o := obs.From(ctx)
 		wall := time.Since(start)
-		o.Counter("detect.sims").Add(nSims.Load())
-		o.Counter("detect.detections").Add(nDetections.Load())
-		o.Counter("detect.panics_recovered").Add(nPanics.Load())
-		o.Counter("detect.cone_skipped_pairs").Add(nSkipped.Load())
-		o.Counter("detect.sim_events").Add(simStats.Events)
-		o.Counter("detect.sim_converged").Add(simStats.Converged)
-		o.Counter("detect.sim_pruned_gates").Add(simStats.Pruned)
-		o.Counter("detect.sim_early_exits").Add(simStats.EarlyExits)
+		o.Counter("detect.sims").Add(t.sims)
+		o.Counter("detect.detections").Add(t.hits)
+		o.Counter("detect.panics_recovered").Add(t.panics)
+		o.Counter("detect.cone_skipped_pairs").Add(t.skipped)
+		o.Counter("detect.sim_events").Add(t.st.Events)
+		o.Counter("detect.sim_converged").Add(t.st.Converged)
+		o.Counter("detect.sim_pruned_gates").Add(t.st.Pruned)
+		o.Counter("detect.sim_early_exits").Add(t.st.EarlyExits)
 		if s := wall.Seconds(); s > 0 {
-			o.Gauge("detect.sims_per_sec").Set(float64(nSims.Load()) / s)
+			o.Gauge("detect.sims_per_sec").Set(float64(t.sims) / s)
 		}
 		if poolNs := int64(workers) * int64(wall); poolNs > 0 {
-			o.Gauge("detect.worker_utilization").Set(float64(busyNs.Load()) / float64(poolNs))
+			o.Gauge("detect.worker_utilization").Set(float64(busy) / float64(poolNs))
 		}
 		span.End(
 			slog.Int("faults", len(faults)),
 			slog.Int("patterns", len(patterns)),
 			slog.Int("workers", workers),
 			slog.Bool("slowsim", cfg.SlowSim),
-			slog.Int64("sims", nSims.Load()),
-			slog.Int64("detections", nDetections.Load()),
-			slog.Int64("events", simStats.Events),
-			slog.Int64("cone_skipped", nSkipped.Load()))
+			slog.Int64("sims", t.sims),
+			slog.Int64("detections", t.hits),
+			slog.Int64("events", t.st.Events),
+			slog.Int64("cone_skipped", t.skipped))
 	}()
+	// recovered turns a panic on worker w into a typed error naming the
+	// work item, and journals it.
+	recovered := func(w int, name, item string, r any) error {
+		ws[w].panics++
+		rec.Record(flight.Event{Kind: flight.KindPanic, Name: name, Stage: "detect",
+			Detail: fmt.Sprintf("%s: %v", item, r), Value: int64(w)})
+		return fmerr.NewPanic(fmerr.StageDetect, item, r)
+	}
 
-	// perFault[fi] is written by exactly one worker per chunk (shards
-	// partition the fault list) with chunks separated by wg.Wait, so the
-	// rows need no locking and come out in ascending pattern order.
+	// perFault[fi] is written only by the call that owns fi's shard, and
+	// chunks run one after another, so the rows need no locking and come
+	// out in ascending pattern order.
 	perFault := make([][]PatternRange, len(faults))
 	shards := shardFaults(faults, workers)
-
-	// Workers cancel the pool on first failure so their peers stop
-	// promptly instead of draining the remaining shards.
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var errMu sync.Mutex
-	var firstErr error
-	// A panicking worker cancels the pool, so its peers also report the
-	// (secondary) cancellation; keep the most informative error.
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil || (!isPanicErr(firstErr) && isPanicErr(err)) {
-			firstErr = err
-		}
-		errMu.Unlock()
-		cancel()
-	}
-	failed := func() bool {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return firstErr != nil
-	}
 
 	// Chunk size bounds baseline-cache memory (chunk × gates waveforms)
 	// while amortizing each baseline over every fault that sees it.
@@ -449,176 +457,108 @@ func run(ctx context.Context, e *sim.Engine, placement *monitor.Placement, fault
 		}
 	}()
 
-	for lo := 0; lo < len(patterns); lo += chunk {
-		if wctx.Err() != nil {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(patterns) {
-			hi = len(patterns)
-		}
+	for lo := 0; lo < len(patterns) && ctx.Err() == nil; lo += chunk {
+		hi := min(lo+chunk, len(patterns))
 
 		// Phase A: fault-free baselines for the chunk, in parallel, into
 		// pooled buffers reused across chunks.
-		var pcursor atomic.Int64
-		pcursor.Store(int64(lo))
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rec.Record(flight.Event{Kind: flight.KindWorker, Name: "detect.baseline", Stage: "detect", Detail: "start", Value: int64(w)})
-				defer rec.Record(flight.Event{Kind: flight.KindWorker, Name: "detect.baseline", Stage: "detect", Detail: "done", Value: int64(w)})
-				cur := -1
-				defer func() {
-					if r := recover(); r != nil {
-						nPanics.Add(1)
-						rec.Record(flight.Event{Kind: flight.KindPanic, Name: "detect.baseline", Stage: "detect",
-							Detail: fmt.Sprintf("baseline for pattern %d: %v", cur, r), Value: int64(w)})
-						fail(fmerr.NewPanic(fmerr.StageDetect,
-							fmt.Sprintf("baseline for pattern %d", cur), r))
-					}
-				}()
-				for {
-					pi := int(pcursor.Add(1)) - 1
-					if pi >= hi || wctx.Err() != nil {
-						return
-					}
-					cur = pi
-					if err := chaos.Point(wctx, ptBaseline); err != nil {
-						fail(fmerr.Wrap(fmerr.StageDetect, "baseline", err))
-						return
-					}
-					t0 := time.Now()
-					if baselines[pi-lo] == nil {
-						baselines[pi-lo] = e.AcquireBaseline()
-					}
-					if err := e.BaselineInto(wctx, patterns[pi], baselines[pi-lo]); err != nil {
-						fail(err)
-						return
-					}
-					busyNs.Add(int64(time.Since(t0)))
+		b, err := par.Each(workers, hi-lo, func(w, k int) (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = recovered(w, "detect.baseline", fmt.Sprintf("baseline for pattern %d", lo+k), r)
 				}
-			}(w)
-		}
-		wg.Wait()
-		if failed() {
-			break
+			}()
+			if err := chaos.Point(ctx, ptBaseline); err != nil {
+				return fmerr.Wrap(fmerr.StageDetect, "baseline", err)
+			}
+			if baselines[k] == nil {
+				baselines[k] = e.AcquireBaseline()
+			}
+			return e.BaselineInto(ctx, patterns[lo+k], baselines[k])
+		})
+		busy += b
+		if err != nil {
+			return nil, err
 		}
 
 		// Phase B: fault shards × chunk patterns over the cached
-		// baselines. Each worker owns one scratch arena and one Stats.
-		var scursor atomic.Int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rec.Record(flight.Event{Kind: flight.KindWorker, Name: "detect.shard", Stage: "detect", Detail: "start", Value: int64(w)})
-				defer rec.Record(flight.Event{Kind: flight.KindWorker, Name: "detect.shard", Stage: "detect", Detail: "done", Value: int64(w)})
-				// curFault/curPat track the work item for panic attribution.
-				curFault, curPat := -1, -1
-				defer func() {
-					if r := recover(); r != nil {
-						nPanics.Add(1)
-						item := fmt.Sprintf("pattern %d", curPat)
-						if curFault >= 0 {
-							item = fmt.Sprintf("fault %s under pattern %d",
-								faults[curFault].Injection(cfg.Delta), curPat)
-						}
-						rec.Record(flight.Event{Kind: flight.KindPanic, Name: "detect.shard", Stage: "detect",
-							Detail: fmt.Sprintf("%s: %v", item, r), Value: int64(w)})
-						fail(fmerr.NewPanic(fmerr.StageDetect, item, r))
+		// baselines.
+		b, err = par.Each(workers, len(shards), func(w, si int) (err error) {
+			wk := &ws[w]
+			// curFault/curPat track the work item for panic attribution.
+			curFault, curPat := -1, -1
+			defer func() {
+				if r := recover(); r != nil {
+					item := fmt.Sprintf("pattern %d", curPat)
+					if curFault >= 0 {
+						item = fmt.Sprintf("fault %s under pattern %d",
+							faults[curFault].Injection(cfg.Delta), curPat)
 					}
-				}()
-				sc := e.NewScratch()
-				// ffAcc/srAcc accumulate the per-pattern range unions into
-				// reused buffers; the per-detection Union used to allocate a
-				// fresh merge per tap.
-				var ffAcc, srAcc interval.Accum
-				var st sim.Stats
-				sims, hits, skipped := 0, 0, 0
-				defer func() {
-					nSims.Add(int64(sims))
-					nDetections.Add(int64(hits))
-					nSkipped.Add(int64(skipped))
-					statsMu.Lock()
-					simStats.Add(st)
-					statsMu.Unlock()
-				}()
-				pairs := 0
-				for {
-					si := int(scursor.Add(1)) - 1
-					if si >= len(shards) {
-						return
+					err = recovered(w, "detect.shard", item, r)
+				}
+			}()
+			if err := chaos.Point(ctx, ptShard); err != nil {
+				return fmerr.Wrap(fmerr.StageDetect, "shard", err)
+			}
+			if wk.sc == nil {
+				wk.sc = e.NewScratch()
+			}
+			sc, ffAcc, srAcc := wk.sc, &wk.ffAcc, &wk.srAcc
+			// The per-pair tallies stay local and reach the worker's
+			// totals once per shard.
+			var t tally
+			defer wk.add(&t)
+			for fi := shards[si].lo; fi < shards[si].hi; fi++ {
+				f := faults[fi]
+				curFault, curPat = fi, -1
+				if !cfg.SlowSim && !e.C.ReachesTap(f.Gate) {
+					t.skipped += int64(hi - lo)
+					continue
+				}
+				inj := f.Injection(cfg.Delta)
+				for pi := lo; pi < hi; pi++ {
+					if t.sims&63 == 0 && ctx.Err() != nil {
+						return fmerr.Wrap(fmerr.StageDetect, "run", ctx.Err())
 					}
-					if err := chaos.Point(wctx, ptShard); err != nil {
-						fail(fmerr.Wrap(fmerr.StageDetect, "shard", err))
-						return
+					curPat = pi
+					if testHookPanic != nil {
+						testHookPanic(f, pi)
 					}
-					t0 := time.Now()
-					for fi := shards[si].lo; fi < shards[si].hi; fi++ {
-						f := faults[fi]
-						curFault, curPat = fi, -1
-						if !cfg.SlowSim && !e.C.ReachesTap(f.Gate) {
-							skipped += hi - lo
+					t.sims++
+					var dets []sim.Detection
+					if cfg.SlowSim {
+						dets = e.FaultSimNaive(baselines[pi-lo], inj, horizon)
+					} else {
+						dets = e.FaultSimScratch(baselines[pi-lo], inj, horizon, sc, &t.st)
+					}
+					if len(dets) == 0 {
+						continue
+					}
+					ffAcc.Reset()
+					srAcc.Reset()
+					for _, d := range dets {
+						diff := d.Diff.FilterShort(cfg.Glitch)
+						if diff.Empty() {
 							continue
 						}
-						inj := f.Injection(cfg.Delta)
-						for pi := lo; pi < hi; pi++ {
-							if pairs&63 == 0 && wctx.Err() != nil {
-								fail(fmerr.Wrap(fmerr.StageDetect, "run", wctx.Err()))
-								busyNs.Add(int64(time.Since(t0)))
-								return
-							}
-							pairs++
-							curPat = pi
-							if testHookPanic != nil {
-								testHookPanic(f, pi)
-							}
-							sims++
-							var dets []sim.Detection
-							if cfg.SlowSim {
-								dets = e.FaultSimNaive(baselines[pi-lo], inj, horizon)
-							} else {
-								dets = e.FaultSimScratch(baselines[pi-lo], inj, horizon, sc, &st)
-							}
-							if len(dets) == 0 {
-								continue
-							}
-							ffAcc.Reset()
-							srAcc.Reset()
-							for _, d := range dets {
-								diff := d.Diff.FilterShort(cfg.Glitch)
-								if diff.Empty() {
-									continue
-								}
-								ffAcc.Add(diff)
-								if placement != nil && placement.Covers(d.Tap) {
-									srAcc.Add(diff)
-								}
-							}
-							if ffAcc.Empty() && srAcc.Empty() {
-								continue
-							}
-							perFault[fi] = append(perFault[fi], PatternRange{Pattern: pi, FF: ffAcc.Copy(), SR: srAcc.Copy()})
-							hits++
+						ffAcc.Add(diff)
+						if placement != nil && placement.Covers(d.Tap) {
+							srAcc.Add(diff)
 						}
 					}
-					busyNs.Add(int64(time.Since(t0)))
+					if ffAcc.Empty() && srAcc.Empty() {
+						continue
+					}
+					perFault[fi] = append(perFault[fi], PatternRange{Pattern: pi, FF: ffAcc.Copy(), SR: srAcc.Copy()})
+					t.hits++
 				}
-			}(w)
+			}
+			return nil
+		})
+		busy += b
+		if err != nil {
+			return nil, err
 		}
-		wg.Wait()
-		if failed() {
-			break
-		}
-	}
-
-	errMu.Lock()
-	err := firstErr
-	errMu.Unlock()
-	if err != nil {
-		return nil, err
 	}
 	// No worker failed; a cancelled parent context still aborts the run.
 	if err := ctx.Err(); err != nil {
@@ -630,9 +570,4 @@ func run(ctx context.Context, e *sim.Engine, placement *monitor.Placement, fault
 		out[fi] = FaultData{Fault: f, Per: perFault[fi]}
 	}
 	return out, nil
-}
-
-func isPanicErr(err error) bool {
-	var pe *fmerr.PanicError
-	return errors.As(err, &pe)
 }

@@ -244,7 +244,8 @@ func TestRunNoMonitors(t *testing.T) {
 
 // TestWorkerPanicIsolated proves the chaos hook: a worker panicking on one
 // specific fault yields a typed error naming that fault instead of
-// crashing the process.
+// crashing the process. With two panicking faults, the error names the
+// lower one at every worker count.
 func TestWorkerPanicIsolated(t *testing.T) {
 	e, placement, cfg, faults, pats := testbed(t)
 	victim := faults[len(faults)/2]
@@ -276,6 +277,48 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	}
 	if len(pe.Stack) == 0 {
 		t.Fatal("panic stack not captured")
+	}
+
+	// Two victims: the first fault that reaches a tap fails late, the
+	// last one fails at once. The run must name the first at every worker
+	// count, not whichever panic came first in time.
+	var first, last fault.Fault
+	found := false
+	for _, f := range faults {
+		if e.C.ReachesTap(f.Gate) {
+			if !found {
+				first, found = f, true
+			}
+			last = f
+		}
+	}
+	if !found || first == last {
+		t.Fatal("testbed needs two faults that reach a tap")
+	}
+	testHookPanic = func(f fault.Fault, pattern int) {
+		switch f {
+		case first:
+			time.Sleep(50 * time.Millisecond)
+			panic("chaos: injected late worker failure")
+		case last:
+			panic("chaos: injected early worker failure")
+		}
+	}
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	want = first.Injection(cfg.Delta).String()
+	for _, workers := range []int{1, 2, 4} {
+		cfg.Workers = workers
+		for run := 0; run < 5; run++ {
+			_, err := Run(context.Background(), e, placement, faults, pats, cfg)
+			if !errors.As(err, &pe) {
+				t.Fatalf("workers=%d run %d: error is not a PanicError: %v", workers, run, err)
+			}
+			if !strings.Contains(pe.Item, want) {
+				t.Fatalf("workers=%d run %d: item %q does not name the first failing fault %q",
+					workers, run, pe.Item, want)
+			}
+		}
 	}
 }
 

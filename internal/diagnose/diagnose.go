@@ -10,7 +10,6 @@ package diagnose
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"fastmon/internal/fault"
 	"fastmon/internal/monitor"
@@ -149,35 +148,24 @@ func Run(e *sim.Engine, placement *monitor.Placement, patterns []sim.Pattern,
 
 	workers := par.ClampWorkersFor(cfg.Workers, len(candidates))
 	results := make([]Candidate, len(candidates))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ci := range work {
-				f := candidates[ci]
-				cand := Candidate{Fault: f}
-				for oi, obs := range observations {
-					pred := predictedTaps(e, placement, baselines[obs.Pattern], f, obs, cfg, delays)
-					want := obsTaps[oi]
-					switch {
-					case sameInts(pred, want):
-						cand.Matched++
-					case intersects(pred, want):
-						cand.Partial++
-					}
-				}
-				cand.Score = (float64(cand.Matched) + 0.5*float64(cand.Partial)) / float64(len(observations))
-				results[ci] = cand
+	// The calls never fail; Each re-raises a panic on this goroutine.
+	_, _ = par.Each(workers, len(candidates), func(_, ci int) error {
+		f := candidates[ci]
+		cand := Candidate{Fault: f}
+		for oi, obs := range observations {
+			pred := predictedTaps(e, placement, baselines[obs.Pattern], f, obs, cfg, delays)
+			want := obsTaps[oi]
+			switch {
+			case sameInts(pred, want):
+				cand.Matched++
+			case intersects(pred, want):
+				cand.Partial++
 			}
-		}()
-	}
-	for ci := range candidates {
-		work <- ci
-	}
-	close(work)
-	wg.Wait()
+		}
+		cand.Score = (float64(cand.Matched) + 0.5*float64(cand.Partial)) / float64(len(observations))
+		results[ci] = cand
+		return nil
+	})
 
 	var out []Candidate
 	for _, c := range results {

@@ -208,22 +208,10 @@ func RunSuite(ctx context.Context, cfg SuiteConfig, req TableRequest,
 	workers := par.ClampWorkersFor(cfg.Workers, len(specs))
 	o := obs.From(ctx)
 	var (
-		mu       sync.Mutex // guards slots, firstErr/errIdx, progress calls
+		mu       sync.Mutex // guards slots and progress calls
 		slots    = make([]*CircuitResult, len(specs))
-		next     atomic.Int64
 		inflight atomic.Int64
-		halted   atomic.Bool // stop observed or a circuit failed: no new dispatch
-		firstErr error
-		errIdx   int
 	)
-	recordErr := func(i int, err error) {
-		mu.Lock()
-		if firstErr == nil || i < errIdx {
-			firstErr, errIdx = err, i
-		}
-		mu.Unlock()
-		halted.Store(true)
-	}
 	// runOne computes one circuit with panic isolation: a panic anywhere
 	// under the circuit — a worker pool re-raising a recovered worker
 	// panic, or a chaos-injected one — becomes a typed *fmerr.PanicError
@@ -248,46 +236,36 @@ func RunSuite(ctx context.Context, cfg SuiteConfig, req TableRequest,
 		}
 		return res, nil
 	}
-	par.Run(workers, func(w int) {
-		rec.Record(flight.Event{Kind: flight.KindWorker, Name: "exper.suite", Stage: "exper", Detail: "start", Value: int64(w)})
-		defer rec.Record(flight.Event{Kind: flight.KindWorker, Name: "exper.suite", Stage: "exper", Detail: "done", Value: int64(w)})
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(specs) || halted.Load() {
-				return
-			}
-			if stopped() {
-				halted.Store(true)
-				return
-			}
-			if err := ctx.Err(); err != nil {
-				recordErr(i, fmerr.Wrap(fmerr.StageExper, "suite", err))
-				return
-			}
-			spec := specs[i]
-			creq := req
-			if i > 0 {
-				creq.Fig3Steps = 0 // Fig. 3 is evaluated on the first circuit only
-			}
-			if progress != nil {
-				mu.Lock()
-				progress(SuiteEvent{Index: i, Total: len(specs), Spec: spec})
-				mu.Unlock()
-			}
-			o.Gauge("exper.circuits_inflight").Set(float64(inflight.Add(1)))
-			res, err := runOne(spec, creq)
-			o.Gauge("exper.circuits_inflight").Set(float64(inflight.Add(-1)))
-			if err != nil {
-				recordErr(i, err)
-				return
-			}
+	_, err = par.Each(workers, len(specs), func(_, i int) error {
+		if stopped() {
+			return nil // graceful stop: this circuit is never started
+		}
+		if err := ctx.Err(); err != nil {
+			return fmerr.Wrap(fmerr.StageExper, "suite", err)
+		}
+		spec := specs[i]
+		creq := req
+		if i > 0 {
+			creq.Fig3Steps = 0 // Fig. 3 is evaluated on the first circuit only
+		}
+		if progress != nil {
 			mu.Lock()
-			slots[i] = res
-			if progress != nil {
-				progress(SuiteEvent{Index: i, Total: len(specs), Spec: spec, Res: res})
-			}
+			progress(SuiteEvent{Index: i, Total: len(specs), Spec: spec})
 			mu.Unlock()
 		}
+		o.Gauge("exper.circuits_inflight").Set(float64(inflight.Add(1)))
+		res, err := runOne(spec, creq)
+		o.Gauge("exper.circuits_inflight").Set(float64(inflight.Add(-1)))
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		slots[i] = res
+		if progress != nil {
+			progress(SuiteEvent{Index: i, Total: len(specs), Spec: spec, Res: res})
+		}
+		mu.Unlock()
+		return nil
 	})
 	out := make([]*CircuitResult, 0, len(specs))
 	for _, r := range slots {
@@ -295,10 +273,10 @@ func RunSuite(ctx context.Context, cfg SuiteConfig, req TableRequest,
 			out = append(out, r)
 		}
 	}
-	if firstErr != nil {
-		return out, firstErr
+	if err != nil {
+		return out, err
 	}
-	if halted.Load() {
+	if len(out) < len(specs) {
 		return out, fmerr.Errorf(fmerr.StageExper, "suite",
 			"stopped after %d of %d circuits (results are partial)", len(out), len(specs))
 	}

@@ -115,7 +115,7 @@ func packInto(src1, src2 []uint64, patterns []sim.Pattern, start, nsrc int) ([]u
 //
 // A Batch may be reused across blocks via Load, which recycles every
 // internal buffer. The DetectTransition scratch makes a Batch unsafe for
-// concurrent use; all callers (the ATPG committer, compaction, BIST and
+// concurrent use; all callers (the ATPG committer, compaction and
 // coverage verification) probe faults serially.
 type Batch struct {
 	C      *circuit.Circuit

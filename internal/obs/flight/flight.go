@@ -53,9 +53,6 @@ const (
 	// injection point, Detail the fault kind, Value the per-point call
 	// sequence number that fired.
 	KindChaos Kind = "chaos"
-	// KindWorker is a worker-pool lifecycle transition; Name identifies
-	// the pool, Detail is "start"/"done", Value the worker index.
-	KindWorker Kind = "worker"
 	// KindIncumbent is a branch-and-bound incumbent improvement; Value is
 	// the new objective value (cover size).
 	KindIncumbent Kind = "incumbent"

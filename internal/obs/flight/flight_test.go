@@ -100,7 +100,7 @@ func TestConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				r.Record(Event{
-					Kind:   KindWorker,
+					Kind:   KindNote,
 					Name:   "pool",
 					Detail: "tick",
 					Value:  int64(w)<<32 | int64(i),
@@ -114,7 +114,7 @@ func TestConcurrentWriters(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 50; i++ {
 			for _, ev := range r.Snapshot() {
-				if ev.Kind != KindWorker || ev.Name != "pool" || ev.Detail != "tick" {
+				if ev.Kind != KindNote || ev.Name != "pool" || ev.Detail != "tick" {
 					t.Errorf("torn event observed: %+v", ev)
 					return
 				}

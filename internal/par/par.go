@@ -1,9 +1,10 @@
-// Package par holds the small shared-parallelism primitives every
-// parallel pipeline stage agrees on: the canonical worker-count clamp
-// (detect, schedule and exper all bound their pools by the same
-// [1, GOMAXPROCS] rule, re-exported as core.ClampWorkers for API users)
-// and a work-sharing frontier for the parallel branch-and-bound searches
-// of internal/ilp.
+// Package par holds the parallelism primitives shared by the pipeline
+// stages, and the worker-count clamp they all size their pools with:
+//
+//   - Run runs fn on a fixed number of goroutines and re-raises a panic.
+//   - Each fans n indexed items out to a pool; the lowest failed index wins.
+//   - OrderedCommit produces items speculatively and commits them in order.
+//   - Frontier is the work-sharing subproblem pool of the ilp searches.
 //
 // It sits below detect/schedule/ilp in the dependency order on purpose:
 // those packages cannot import core (core wires them together), yet all
@@ -14,6 +15,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // ClampWorkers resolves a configured worker count to [1, GOMAXPROCS]:
@@ -334,4 +336,47 @@ func Run(workers int, fn func(id int)) {
 	if r := panicked.Load(); r != nil {
 		panic(*r)
 	}
+}
+
+// Each calls fn(w, i) for every index i in [0, n) on min(workers, n)
+// goroutines, w being the worker id; a single worker runs inline, like a
+// plain loop. Indexes are handed out in ascending order. After a call has
+// failed no new index starts, but calls already running finish, so the
+// returned error is that of the lowest failed index: the one a serial
+// loop would stop at. A panic in fn also stops dispatch and is re-raised
+// on the caller, as Run does. busy sums the wall time of the calls, for
+// utilization gauges.
+func Each(workers, n int, fn func(w, i int) error) (busy time.Duration, err error) {
+	var (
+		next, busyNs atomic.Int64
+		failed       atomic.Bool
+	)
+	errs := make([]error, n)
+	Run(min(workers, n), func(w int) {
+		defer func() {
+			if r := recover(); r != nil {
+				failed.Store(true)
+				panic(r) // Run re-raises it on the caller
+			}
+		}()
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			t0 := time.Now()
+			errs[i] = fn(w, i)
+			busyNs.Add(int64(time.Since(t0)))
+			if errs[i] != nil {
+				failed.Store(true)
+			}
+		}
+	})
+	busy = time.Duration(busyNs.Load())
+	for _, err := range errs {
+		if err != nil {
+			return busy, err
+		}
+	}
+	return busy, nil
 }

@@ -1,10 +1,13 @@
 package par
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestClampWorkers(t *testing.T) {
@@ -237,4 +240,122 @@ func TestOrderedCommitProducePanic(t *testing.T) {
 		},
 		func(i, v int) bool { return true })
 	t.Fatal("panic not propagated")
+}
+
+// withProcs raises GOMAXPROCS for the duration of a test so that pools
+// really run several workers on single-CPU runners.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// TestEachRunsEveryIndexOnce checks that every index runs exactly once on
+// a worker id inside the pool, for empty, tiny and oversubscribed pools.
+func TestEachRunsEveryIndexOnce(t *testing.T) {
+	withProcs(t, 8)
+	for _, n := range []int{0, 1, 7, 100} {
+		for _, workers := range []int{1, 2, 4, 9} {
+			runs := make([]atomic.Int64, n)
+			_, err := Each(workers, n, func(w, i int) error {
+				if w < 0 || w >= min(workers, n) {
+					t.Errorf("n=%d workers=%d: worker id %d", n, workers, w)
+				}
+				runs[i].Add(1)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+			}
+			for i := range runs {
+				if got := runs[i].Load(); got != 1 {
+					t.Fatalf("n=%d workers=%d: index %d ran %d times", n, workers, i, got)
+				}
+			}
+		}
+	}
+}
+
+// TestEachSingleWorkerInline checks the serial path: calls run in
+// ascending order and the first failure ends the loop.
+func TestEachSingleWorkerInline(t *testing.T) {
+	var order []int // unguarded: a second goroutine would race under -race
+	_, err := Each(1, 10, func(w, i int) error {
+		if w != 0 {
+			t.Fatalf("worker id %d", w)
+		}
+		order = append(order, i)
+		if i == 3 {
+			return fmt.Errorf("fail %d", i)
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "fail 3" {
+		t.Fatalf("err = %v, want fail 3", err)
+	}
+	if fmt.Sprint(order) != "[0 1 2 3]" {
+		t.Fatalf("ran %v, want [0 1 2 3]", order)
+	}
+}
+
+// TestEachLowestFailedIndexWins checks the error rule at every worker
+// count: index 5 fails at once while index 2 is still sleeping before it
+// fails, and the error of index 2 must be returned all the same.
+func TestEachLowestFailedIndexWins(t *testing.T) {
+	withProcs(t, 8)
+	errSlow, errFast := errors.New("index 2"), errors.New("index 5")
+	for _, workers := range []int{1, 2, 4, 9} {
+		_, err := Each(workers, 20, func(w, i int) error {
+			switch i {
+			case 2:
+				time.Sleep(20 * time.Millisecond)
+				return errSlow
+			case 5:
+				return errFast
+			}
+			return nil
+		})
+		if err != errSlow {
+			t.Fatalf("workers=%d: err = %v, want %v", workers, err, errSlow)
+		}
+	}
+}
+
+// TestEachReraisesPanic checks that a panic in fn reaches the caller.
+func TestEachReraisesPanic(t *testing.T) {
+	withProcs(t, 8)
+	for _, workers := range []int{1, 4} {
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("workers=%d: recovered %v, want boom", workers, r)
+				}
+			}()
+			Each(workers, 50, func(w, i int) error {
+				if i == 17 {
+					panic("boom")
+				}
+				return nil
+			})
+			t.Fatalf("workers=%d: panic not propagated", workers)
+		}()
+	}
+}
+
+// TestEachBusySumsCalls checks that busy covers the time spent in fn.
+func TestEachBusySumsCalls(t *testing.T) {
+	withProcs(t, 8)
+	const n, nap = 6, 5 * time.Millisecond
+	for _, workers := range []int{1, 3} {
+		busy, err := Each(workers, n, func(w, i int) error {
+			time.Sleep(nap)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if busy < n*nap {
+			t.Fatalf("workers=%d: busy %v, want at least %v", workers, busy, n*nap)
+		}
+	}
 }

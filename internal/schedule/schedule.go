@@ -459,26 +459,16 @@ func build(ctx context.Context, data []detect.FaultData, opt Options) (*Schedule
 
 	// Step 2: per period, minimum pattern-configuration selection. The
 	// periods are independent after fault dropping, so the solves fan out
-	// across a bounded worker pool. Each worker owns the plans it pulls;
-	// the shared bookkeeping (CombosOptimal, Degradation, SolverStats)
-	// funnels through one mutex-guarded merge whose operations are all
+	// with par.Each, each call owning the plan it is handed. The shared
+	// bookkeeping (CombosOptimal, Degradation, SolverStats) funnels
+	// through one mutex-guarded merge whose operations are all
 	// commutative (AND, max, sums), so the resulting Schedule is
 	// bit-identical to the serial build.
 	s.CombosOptimal = true
-	workers := par.ClampWorkers(opt.Workers)
-	if workers > len(plans) {
-		workers = len(plans)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := par.ClampWorkersFor(opt.Workers, len(plans))
 	var (
-		mu       sync.Mutex
-		nextPlan atomic.Int64
-		errIdx   int
-		firstErr error
-		busyNs   atomic.Int64
-		hits     atomic.Int64
+		mu   sync.Mutex
+		hits atomic.Int64
 	)
 	step2Start := time.Now()
 	record := func(res ilp.CoverResult, isILP bool) {
@@ -494,45 +484,22 @@ func build(ctx context.Context, data []detect.FaultData, opt Options) (*Schedule
 		s.Degradation = fmerr.Worse(s.Degradation, res.Degradation)
 		s.Solver.add(res)
 	}
-	par.Run(workers, func(int) {
-		for {
-			pi := int(nextPlan.Add(1)) - 1
-			if pi >= len(plans) {
-				return
-			}
-			mu.Lock()
-			bail := firstErr != nil
-			mu.Unlock()
-			if bail {
-				return
-			}
-			var err error
-			if cerr := ctx.Err(); cerr != nil {
-				err = fmerr.Wrap(fmerr.StageSchedule, "combo-selection", cerr)
-			} else if cerr := chaos.Point(ctx, ptCombo); cerr != nil {
-				err = fmerr.Wrap(fmerr.StageSchedule, "combo-selection", cerr)
-			} else {
-				t0 := time.Now()
-				err = optimizeCombos(ctx, data, tbl, &plans[pi], opt, &hits, record)
-				busyNs.Add(int64(time.Since(t0)))
-			}
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil || pi < errIdx {
-					firstErr, errIdx = err, pi
-				}
-				mu.Unlock()
-				return
-			}
+	busy, err := par.Each(workers, len(plans), func(_, pi int) error {
+		if err := ctx.Err(); err != nil {
+			return fmerr.Wrap(fmerr.StageSchedule, "combo-selection", err)
 		}
+		if err := chaos.Point(ctx, ptCombo); err != nil {
+			return fmerr.Wrap(fmerr.StageSchedule, "combo-selection", err)
+		}
+		return optimizeCombos(ctx, data, tbl, &plans[pi], opt, &hits, record)
 	})
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 	o := obs.From(ctx)
 	o.Counter("schedule.range_memo_hits").Add(hits.Load())
 	if poolNs := int64(workers) * int64(time.Since(step2Start)); poolNs > 0 {
-		o.Gauge("schedule.worker_utilization").Set(float64(busyNs.Load()) / float64(poolNs))
+		o.Gauge("schedule.worker_utilization").Set(float64(busy) / float64(poolNs))
 	}
 	if workers > 1 {
 		o.Counter("schedule.parallel_combos").Add(int64(len(plans)))
