@@ -13,6 +13,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -25,42 +26,56 @@ import (
 )
 
 func main() {
-	var (
-		benchPath = flag.String("bench", "", "netlist to test (.bench format)")
-		vlogPath  = flag.String("verilog", "", "netlist to test (structural Verilog; hierarchies are flattened)")
-		topName   = flag.String("top", "", "top module for -verilog (default: inferred)")
-		sdfPath   = flag.String("sdf", "", "optional SDF delay annotation")
-		genName   = flag.String("gen", "", "generate a suite circuit instead of reading one (e.g. s9234)")
-		scale     = flag.Float64("scale", 0.1, "size scale for -gen (1.0 = paper size)")
-		method    = flag.String("method", "ilp", "schedule method: conv, heur or ilp")
-		coverage  = flag.Float64("coverage", 1.0, "target coverage of target HDFs (0..1]")
-		sample    = flag.Int("sample", 0, "fault sampling stride (0 = automatic)")
-		budget    = flag.Duration("budget", 10*time.Second, "time budget per exact covering solve")
-		seed      = flag.Int64("seed", 1, "ATPG seed")
-		workers   = flag.Int("workers", 0, "goroutines for every parallel stage: fault simulation and the covering solvers (0 = all CPUs)")
-		patsOut   = flag.String("write-patterns", "", "write the generated pattern set to this file")
-		verbose   = flag.Bool("v", false, "print per-period schedule details and stage spans")
-
-		jsonLogs   = flag.Bool("json-logs", false, "emit stage telemetry as JSON lines on stderr")
-		listen     = flag.String("listen", "", "serve live introspection (/metrics, /progress, /flight, pprof) on this address (empty disables)")
-		cacheDir   = flag.String("cache.dir", "", "content-addressed result-cache directory; re-runs reuse matching stage results (empty disables)")
-		cacheMax   = flag.Int64("cache.max", 512<<20, "result-cache size budget in bytes; least-recently-used entries are evicted (<= 0 = unlimited)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		traceOut   = flag.String("trace", "", "write a runtime execution trace to this file")
-	)
-	flag.Parse()
 	// Ctrl-C cancels the flow: the running stage returns promptly with a
 	// stage-attributed cancellation error instead of leaving a half-done
 	// run hanging.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	stopProf, err := fastmon.StartProfiles(*cpuprofile, *memprofile, *traceOut)
-	if err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "fastmon:", err)
 		os.Exit(1)
 	}
+}
+
+// run parses the command line args, runs the flow and writes its report
+// to stdout; logs and the cache summary go to stderr.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	var (
+		benchPath = fs.String("bench", "", "netlist to test (.bench format)")
+		vlogPath  = fs.String("verilog", "", "netlist to test (structural Verilog; hierarchies are flattened)")
+		topName   = fs.String("top", "", "top module for -verilog (default: inferred)")
+		sdfPath   = fs.String("sdf", "", "optional SDF delay annotation")
+		genName   = fs.String("gen", "", "generate a suite circuit instead of reading one (e.g. s9234)")
+		scale     = fs.Float64("scale", 0.1, "size scale for -gen (1.0 = paper size)")
+		method    = fs.String("method", "ilp", "schedule method: conv, heur or ilp")
+		coverage  = fs.Float64("coverage", 1.0, "target coverage of target HDFs (0..1]")
+		sample    = fs.Int("sample", 0, "fault sampling stride (0 = automatic)")
+		budget    = fs.Duration("budget", 10*time.Second, "time budget per exact covering solve")
+		seed      = fs.Int64("seed", 1, "ATPG seed")
+		workers   = fs.Int("workers", 0, "goroutines for every parallel stage: fault simulation and the covering solvers (0 = all CPUs)")
+		patsOut   = fs.String("write-patterns", "", "write the generated pattern set to this file")
+		verbose   = fs.Bool("v", false, "print per-period schedule details and stage spans")
+
+		jsonLogs   = fs.Bool("json-logs", false, "emit stage telemetry as JSON lines on stderr")
+		listen     = fs.String("listen", "", "serve live introspection (/metrics, /progress, /flight, pprof) on this address (empty disables)")
+		cacheDir   = fs.String("cache.dir", "", "content-addressed result-cache directory; re-runs reuse matching stage results (empty disables)")
+		cacheMax   = fs.Int64("cache.max", 512<<20, "result-cache size budget in bytes; least-recently-used entries are evicted (<= 0 = unlimited)")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		traceOut   = fs.String("trace", "", "write a runtime execution trace to this file")
+	)
+	fs.Parse(args) //nolint:errcheck // ExitOnError: a bad command line exits
+
+	stopProf, err := fastmon.StartProfiles(*cpuprofile, *memprofile, *traceOut)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProf(); err == nil {
+			err = perr
+		}
+	}()
 
 	// Telemetry: stage spans and counters are always collected (the final
 	// summary prints solver effort); log output needs -v or -json-logs.
@@ -70,23 +85,26 @@ func main() {
 	}
 	var logger *slog.Logger
 	if *jsonLogs {
-		logger = slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+		logger = slog.New(slog.NewJSONHandler(stderr, &slog.HandlerOptions{Level: level}))
 	} else if *verbose {
-		logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+		logger = slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: level}))
 	}
 	o := fastmon.NewObserver(logger)
 	ctx = fastmon.WithObserver(ctx, o)
 
 	// Result cache: -cache.dir memoizes ATPG, detection and scheduling so
 	// repeated flows on the same netlist reuse matching stage results.
-	var store *fastmon.CacheStore
 	if *cacheDir != "" {
-		store, err = fastmon.OpenCache(*cacheDir, *cacheMax)
+		store, err := fastmon.OpenCache(*cacheDir, *cacheMax)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fastmon:", err)
-			os.Exit(1)
+			return err
 		}
 		ctx = fastmon.WithCache(ctx, store)
+		defer func() {
+			r := store.Report()
+			fmt.Fprintf(stderr, "# cache: %d hits, %d misses (%d entries, %d bytes)\n",
+				r.Hits, r.Misses, r.Entries, r.Bytes)
+		}()
 	}
 
 	// Live introspection: -listen attaches a flight recorder to the
@@ -96,65 +114,42 @@ func main() {
 		o.AttachFlight(rec)
 		srv, err := obshttp.Start(ctx, *listen, obshttp.Options{Observer: o, Flight: rec})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fastmon:", err)
-			os.Exit(1)
+			return err
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "# introspection: http://%s/ (metrics, flight, debug/pprof)\n", srv.Addr())
+		fmt.Fprintf(stderr, "# introspection: http://%s/ (metrics, flight, debug/pprof)\n", srv.Addr())
 	}
-
-	code := 0
-	if err := run(ctx, *benchPath, *vlogPath, *topName, *sdfPath, *genName, *scale, *method, *coverage, *sample, *budget, *seed, *workers, *patsOut, *verbose); err != nil {
-		fmt.Fprintln(os.Stderr, "fastmon:", err)
-		code = 1
-	}
-	if store != nil {
-		// Printed here, not deferred: os.Exit below skips defers.
-		r := store.Report()
-		fmt.Fprintf(os.Stderr, "# cache: %d hits, %d misses (%d entries, %d bytes)\n",
-			r.Hits, r.Misses, r.Entries, r.Bytes)
-	}
-	// Flush profiles explicitly: os.Exit would skip a deferred stop.
-	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, "fastmon:", err)
-		code = 1
-	}
-	os.Exit(code)
-}
-
-func run(ctx context.Context, benchPath, vlogPath, topName, sdfPath, genName string, scale float64, methodName string,
-	coverage float64, sample int, budget time.Duration, seed int64, workers int, patsOut string, verbose bool) error {
 
 	lib := fastmon.NanGate45()
 	var c *fastmon.Circuit
 	switch {
-	case benchPath != "":
-		f, err := os.Open(benchPath)
+	case *benchPath != "":
+		f, err := os.Open(*benchPath)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		c, err = fastmon.ParseBench(benchPath, f)
+		c, err = fastmon.ParseBench(*benchPath, f)
 		if err != nil {
 			return err
 		}
-	case vlogPath != "":
-		f, err := os.Open(vlogPath)
+	case *vlogPath != "":
+		f, err := os.Open(*vlogPath)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		c, err = fastmon.ParseVerilogHierarchy(vlogPath, f, topName)
+		c, err = fastmon.ParseVerilogHierarchy(*vlogPath, f, *topName)
 		if err != nil {
 			return err
 		}
-	case genName != "":
-		spec, ok := exper.SpecByName(genName)
+	case *genName != "":
+		spec, ok := exper.SpecByName(*genName)
 		if !ok {
-			return fmt.Errorf("unknown suite circuit %q (try s9234..p141k)", genName)
+			return fmt.Errorf("unknown suite circuit %q (try s9234..p141k)", *genName)
 		}
 		var err error
-		c, err = spec.Build(scale)
+		c, err = spec.Build(*scale)
 		if err != nil {
 			return err
 		}
@@ -163,8 +158,8 @@ func run(ctx context.Context, benchPath, vlogPath, topName, sdfPath, genName str
 	}
 
 	var annot *fastmon.Annotation
-	if sdfPath != "" {
-		f, err := os.Open(sdfPath)
+	if *sdfPath != "" {
+		f, err := os.Open(*sdfPath)
 		if err != nil {
 			return err
 		}
@@ -177,7 +172,7 @@ func run(ctx context.Context, benchPath, vlogPath, topName, sdfPath, genName str
 	}
 
 	var m fastmon.Method
-	switch methodName {
+	switch *method {
 	case "conv":
 		m = fastmon.MethodConventional
 	case "heur":
@@ -185,10 +180,10 @@ func run(ctx context.Context, benchPath, vlogPath, topName, sdfPath, genName str
 	case "ilp":
 		m = fastmon.MethodILP
 	default:
-		return fmt.Errorf("unknown method %q", methodName)
+		return fmt.Errorf("unknown method %q", *method)
 	}
 
-	cfg := fastmon.Config{FaultSampleK: sample, ATPGSeed: seed, SolverBudget: budget, Workers: workers}
+	cfg := fastmon.Config{FaultSampleK: *sample, ATPGSeed: *seed, SolverBudget: *budget, Workers: *workers}
 	start := time.Now()
 	flow, err := fastmon.RunAnnotated(ctx, c, lib, annot, cfg)
 	if err != nil {
@@ -196,20 +191,20 @@ func run(ctx context.Context, benchPath, vlogPath, topName, sdfPath, genName str
 	}
 
 	st := c.Stats()
-	fmt.Printf("circuit   %s\n", st)
-	fmt.Printf("clocks    t_nom=%v (f_nom=%v)  t_min=%v (f_max=%v)\n",
+	fmt.Fprintf(stdout, "circuit   %s\n", st)
+	fmt.Fprintf(stdout, "clocks    t_nom=%v (f_nom=%v)  t_min=%v (f_max=%v)\n",
 		flow.Clk, fastmon.Freq(1e12/float64(flow.Clk)), flow.TMin, fastmon.Freq(1e12/float64(flow.TMin)))
-	fmt.Printf("faults    δ=%v, universe=%d (sampled), HDF candidates=%d\n",
+	fmt.Fprintf(stdout, "faults    δ=%v, universe=%d (sampled), HDF candidates=%d\n",
 		flow.Delta, len(flow.Universe), len(flow.HDFs))
-	fmt.Printf("monitors  %s, overhead %.0f GE (%.1f%% of the design)\n",
+	fmt.Fprintf(stdout, "monitors  %s, overhead %.0f GE (%.1f%% of the design)\n",
 		flow.Placement, flow.Placement.OverheadGE(), flow.Placement.RelativeOverhead(c)*100)
-	fmt.Printf("patterns  %d (ATPG coverage %.2f%%, %d untestable, %d aborted)\n",
+	fmt.Fprintf(stdout, "patterns  %d (ATPG coverage %.2f%%, %d untestable, %d aborted)\n",
 		len(flow.Patterns), flow.ATPGStats.Coverage()*100, flow.ATPGStats.Untestable, flow.ATPGStats.Aborted)
-	fmt.Printf("detected  conv=%d  prop=%d  at-speed-via-monitor=%d  targets=%d\n",
+	fmt.Fprintf(stdout, "detected  conv=%d  prop=%d  at-speed-via-monitor=%d  targets=%d\n",
 		len(flow.ConvDetected), len(flow.PropDetected), len(flow.AtSpeedMonitor), len(flow.TargetIdx))
 
-	if patsOut != "" {
-		f, err := os.Create(patsOut)
+	if *patsOut != "" {
+		f, err := os.Create(*patsOut)
 		if err != nil {
 			return err
 		}
@@ -220,32 +215,32 @@ func run(ctx context.Context, benchPath, vlogPath, topName, sdfPath, genName str
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("patterns  written to %s\n", patsOut)
+		fmt.Fprintf(stdout, "patterns  written to %s\n", *patsOut)
 	}
 
 	if len(flow.TargetData) == 0 {
-		fmt.Println("schedule  (no target faults: nothing to schedule)")
+		fmt.Fprintln(stdout, "schedule  (no target faults: nothing to schedule)")
 		return nil
 	}
-	s, err := flow.BuildSchedule(ctx, m, coverage)
+	s, err := flow.BuildSchedule(ctx, m, *coverage)
 	if err != nil {
 		return err
 	}
-	if err := fastmon.ValidateSchedule(flow.TargetData, s, flow.ScheduleOptions(m, coverage)); err != nil {
+	if err := fastmon.ValidateSchedule(flow.TargetData, s, flow.ScheduleOptions(m, *coverage)); err != nil {
 		return fmt.Errorf("schedule validation failed: %w", err)
 	}
-	fmt.Printf("schedule  method=%v coverage=%d/%d |F|=%d |S|=%d (freq-optimal=%v)\n",
+	fmt.Fprintf(stdout, "schedule  method=%v coverage=%d/%d |F|=%d |S|=%d (freq-optimal=%v)\n",
 		s.Method, s.Covered, s.Coverable, s.NumFrequencies(), s.Size(), s.FreqOptimal)
 	if s.Solver.Solves > 0 {
-		fmt.Printf("solver    %d exact solves, %d nodes, %d incumbents (max gap %.2f)\n",
+		fmt.Fprintf(stdout, "solver    %d exact solves, %d nodes, %d incumbents (max gap %.2f)\n",
 			s.Solver.Solves, s.Solver.Nodes, s.Solver.Incumbents, s.Solver.MaxGap)
 	}
-	if verbose {
+	if *verbose {
 		for _, p := range s.Periods {
-			fmt.Printf("  period %v (%v): %d faults, %d pattern-configs\n",
+			fmt.Fprintf(stdout, "  period %v (%v): %d faults, %d pattern-configs\n",
 				p.Period, fastmon.Freq(1e12/float64(p.Period)), len(p.Faults), len(p.Combos))
 		}
 	}
-	fmt.Printf("elapsed   %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "elapsed   %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
