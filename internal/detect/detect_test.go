@@ -418,8 +418,7 @@ func TestCombinedIntoMatchesAllocating(t *testing.T) {
 		t.Fatal(err)
 	}
 	var acc interval.Accum
-	scratch := interval.GetScratch()
-	defer interval.PutScratch(scratch)
+	scratch := new(interval.Set)
 	for fi := range data {
 		for _, pr := range data[fi].Per {
 			for _, d := range append([]tunit.Time{-1}, placement.Delays...) {

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"fastmon/internal/tunit"
 )
@@ -39,11 +38,6 @@ func (iv Interval) Contains(t tunit.Time) bool { return t >= iv.Lo && t < iv.Hi 
 
 // Mid returns the midpoint of the interval, rounded down.
 func (iv Interval) Mid() tunit.Time { return iv.Lo + (iv.Hi-iv.Lo)/2 }
-
-// Overlaps reports whether iv and o share at least one point.
-func (iv Interval) Overlaps(o Interval) bool {
-	return !iv.Empty() && !o.Empty() && iv.Lo < o.Hi && o.Lo < iv.Hi
-}
 
 func (iv Interval) String() string {
 	return fmt.Sprintf("[%s,%s)", iv.Lo, iv.Hi)
@@ -82,15 +76,6 @@ func New(ivs ...Interval) Set {
 	}
 	return s
 }
-
-// FromCanonical wraps an already-canonical interval slice — sorted by Lo,
-// non-empty, pairwise disjoint with strictly positive gaps — without
-// sorting, merging or copying. The Set aliases ivs; the caller must not
-// modify it afterwards. It is the no-validation fast path for data that
-// was produced by this package's own operations (decoded cache entries,
-// scratch results being frozen). Callers unsure about canonical form must
-// use New.
-func FromCanonical(ivs []Interval) Set { return Set{ivs: ivs} }
 
 // FromPoints builds the set from an alternating boundary list
 // lo1,hi1,lo2,hi2,... — a convenience for tests and table-driven data.
@@ -252,28 +237,6 @@ func (s Set) FilterShort(minLen tunit.Time) Set {
 	return Set{ivs: out}
 }
 
-// CloseGaps merges intervals separated by gaps smaller than maxGap. A gap
-// shorter than the pulse-filtering threshold means the *glitch between two
-// detection intervals* is filtered: the output stays faulty throughout, so
-// the two intervals act as one (the I1/I2 case of Fig. 1).
-func (s Set) CloseGaps(maxGap tunit.Time) Set {
-	if maxGap <= 0 || len(s.ivs) < 2 {
-		return s
-	}
-	out := []Interval{s.ivs[0]}
-	for _, iv := range s.ivs[1:] {
-		last := &out[len(out)-1]
-		if iv.Lo-last.Hi < maxGap {
-			if iv.Hi > last.Hi {
-				last.Hi = iv.Hi
-			}
-			continue
-		}
-		out = append(out, iv)
-	}
-	return Set{ivs: out}
-}
-
 // Equal reports structural equality (which, for canonical sets, is set
 // equality).
 func (s Set) Equal(o Set) bool {
@@ -394,65 +357,6 @@ func (s Set) UnionInto(o Set, dst *Set) {
 	dst.ivs = out
 }
 
-// IntersectInto sets *dst = s ∩ o, reusing dst's capacity.
-func (s Set) IntersectInto(o Set, dst *Set) {
-	out := dst.ivs[:0]
-	i, j := 0, 0
-	for i < len(s.ivs) && j < len(o.ivs) {
-		a, b := s.ivs[i], o.ivs[j]
-		lo := tunit.Max(a.Lo, b.Lo)
-		hi := tunit.Min(a.Hi, b.Hi)
-		if lo < hi {
-			out = append(out, Interval{lo, hi})
-		}
-		if a.Hi < b.Hi {
-			i++
-		} else {
-			j++
-		}
-	}
-	dst.ivs = out
-}
-
-// SubtractInto sets *dst = s \ o, reusing dst's capacity.
-func (s Set) SubtractInto(o Set, dst *Set) {
-	out := dst.ivs[:0]
-	j := 0
-	for _, a := range s.ivs {
-		lo := a.Lo
-		for j < len(o.ivs) && o.ivs[j].Hi <= lo {
-			j++
-		}
-		k := j
-		for k < len(o.ivs) && o.ivs[k].Lo < a.Hi {
-			b := o.ivs[k]
-			if b.Lo > lo {
-				out = append(out, Interval{lo, b.Lo})
-			}
-			if b.Hi > lo {
-				lo = b.Hi
-			}
-			if b.Hi >= a.Hi {
-				break
-			}
-			k++
-		}
-		if lo < a.Hi {
-			out = append(out, Interval{lo, a.Hi})
-		}
-	}
-	dst.ivs = out
-}
-
-// ShiftInto sets *dst = s + d, reusing dst's capacity.
-func (s Set) ShiftInto(d tunit.Time, dst *Set) {
-	out := dst.ivs[:0]
-	for _, iv := range s.ivs {
-		out = append(out, Interval{iv.Lo + d, iv.Hi + d})
-	}
-	dst.ivs = out
-}
-
 // ShiftClipInto sets *dst = (s + d) ∩ [lo, hi) in one pass, reusing dst's
 // capacity. It fuses the Shift+Clip pair of the monitor-window algebra
 // (I_SR + d clipped to the observation window), which the scheduling path
@@ -501,23 +405,6 @@ func (s Set) ClipInto(lo, hi tunit.Time, dst *Set) {
 	}
 	dst.ivs = out
 }
-
-// scratchPool recycles Set backing arrays across hot-path call sites (the
-// schedule range memo, detection-range accumulation). Get/Put pairs keep
-// the arrays warm so steady-state kernel work allocates nothing.
-var scratchPool = sync.Pool{New: func() any { return new(Set) }}
-
-// GetScratch returns an empty scratch set from the pool. The caller must
-// return it with PutScratch and must not let it (or any Set aliasing its
-// buffer) escape; freeze escaping results with Copy first.
-func GetScratch() *Set {
-	s := scratchPool.Get().(*Set)
-	s.ivs = s.ivs[:0]
-	return s
-}
-
-// PutScratch returns a scratch set obtained from GetScratch to the pool.
-func PutScratch(s *Set) { scratchPool.Put(s) }
 
 // Accum accumulates a running union without per-step allocation by
 // ping-ponging two grow-only buffers. The zero value is ready to use;

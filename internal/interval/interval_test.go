@@ -33,27 +33,6 @@ func TestIntervalBasics(t *testing.T) {
 	}
 }
 
-func TestIntervalOverlaps(t *testing.T) {
-	cases := []struct {
-		a, b Interval
-		want bool
-	}{
-		{Interval{0, 10}, Interval{5, 15}, true},
-		{Interval{0, 10}, Interval{10, 20}, false}, // touching, half-open
-		{Interval{0, 10}, Interval{12, 20}, false},
-		{Interval{0, 0}, Interval{0, 10}, false}, // empty never overlaps
-		{Interval{3, 4}, Interval{0, 10}, true},
-	}
-	for _, c := range cases {
-		if got := c.a.Overlaps(c.b); got != c.want {
-			t.Errorf("%v overlaps %v = %v, want %v", c.a, c.b, got, c.want)
-		}
-		if got := c.b.Overlaps(c.a); got != c.want {
-			t.Errorf("overlap not symmetric for %v,%v", c.a, c.b)
-		}
-	}
-}
-
 func TestNewCanonicalizes(t *testing.T) {
 	s := New(
 		Interval{30, 40},
@@ -160,22 +139,6 @@ func TestFilterShort(t *testing.T) {
 	}
 }
 
-// TestCloseGapsFig1 reproduces the Fig. 1 scenario: a small glitch between
-// I1 and I2 (gap below threshold) merges them; the larger gap between I2
-// and I3 keeps the intervals disjoint.
-func TestCloseGapsFig1(t *testing.T) {
-	i1i2gap := set(100, 200, 205, 300) // 5ps glitch
-	got := i1i2gap.CloseGaps(10)
-	if !got.Equal(set(100, 300)) {
-		t.Fatalf("glitch not merged: %v", got)
-	}
-	i2i3gap := set(100, 200, 250, 300) // 50ps real gap
-	got = i2i3gap.CloseGaps(10)
-	if !got.Equal(i2i3gap) {
-		t.Fatalf("real gap merged: %v", got)
-	}
-}
-
 func TestContains(t *testing.T) {
 	a := set(10, 20, 30, 40)
 	for _, tc := range []struct {
@@ -247,7 +210,7 @@ func TestPropCanonical(t *testing.T) {
 		a, b := randomSet(r), randomSet(r)
 		for _, s := range []Set{a.Union(b), a.Intersect(b), a.Subtract(b),
 			a.Shift(tunit.Time(r.Intn(200) - 100)), a.FilterShort(tunit.Time(r.Intn(20))),
-			a.CloseGaps(tunit.Time(r.Intn(20))), a.Clip(100, 800)} {
+			a.Clip(100, 800)} {
 			if !s.Canonical() {
 				return false
 			}

@@ -25,18 +25,6 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	if !dst.Equal(a.Union(b)) {
 		t.Fatalf("UnionInto = %v, want %v", dst, a.Union(b))
 	}
-	a.IntersectInto(b, &dst)
-	if !dst.Equal(a.Intersect(b)) {
-		t.Fatalf("IntersectInto = %v, want %v", dst, a.Intersect(b))
-	}
-	a.SubtractInto(b, &dst)
-	if !dst.Equal(a.Subtract(b)) {
-		t.Fatalf("SubtractInto = %v, want %v", dst, a.Subtract(b))
-	}
-	a.ShiftInto(7, &dst)
-	if !dst.Equal(a.Shift(7)) {
-		t.Fatalf("ShiftInto = %v, want %v", dst, a.Shift(7))
-	}
 	a.ClipInto(8, 42, &dst)
 	if !dst.Equal(a.Clip(8, 42)) {
 		t.Fatalf("ClipInto = %v, want %v", dst, a.Clip(8, 42))
@@ -80,20 +68,6 @@ func TestAccum(t *testing.T) {
 	}
 }
 
-func TestScratchPool(t *testing.T) {
-	s := GetScratch()
-	FromPoints(1, 5).UnionInto(FromPoints(3, 9), s)
-	if !s.Equal(FromPoints(1, 9)) {
-		t.Fatalf("scratch union = %v", s)
-	}
-	PutScratch(s)
-	s2 := GetScratch()
-	defer PutScratch(s2)
-	if !s2.Empty() {
-		t.Fatalf("reused scratch not empty: %v", s2)
-	}
-}
-
 // FuzzIntervalInto is the differential fuzz of the in-place kernel: every
 // *Into variant must produce the same set as its allocating counterpart
 // and a canonical representation, for arbitrary canonical inputs, shifts
@@ -118,12 +92,6 @@ func FuzzIntervalInto(f *testing.F) {
 		}
 		a.UnionInto(b, &dst)
 		check("UnionInto", a.Union(b))
-		a.IntersectInto(b, &dst)
-		check("IntersectInto", a.Intersect(b))
-		a.SubtractInto(b, &dst)
-		check("SubtractInto", a.Subtract(b))
-		a.ShiftInto(sh, &dst)
-		check("ShiftInto", a.Shift(sh))
 		a.ClipInto(wlo, whi, &dst)
 		check("ClipInto", a.Clip(wlo, whi))
 		a.ShiftClipInto(sh, wlo, whi, &dst)

@@ -301,8 +301,7 @@ func newRangeTable(ctx context.Context, data []detect.FaultData, opt Options, de
 		combined: make([]interval.Set, len(data)),
 	}
 	var acc, all interval.Accum
-	scratch := interval.GetScratch()
-	defer interval.PutScratch(scratch)
+	scratch := new(interval.Set)
 	entries := int64(0)
 	for fi := range data {
 		per := make([][]interval.Set, len(data[fi].Per))
