@@ -14,15 +14,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"os/signal"
 	"time"
 
 	"fastmon"
+	"fastmon/internal/cli"
 	"fastmon/internal/exper"
-	"fastmon/internal/obs/flight"
-	"fastmon/internal/obshttp"
 )
 
 func main() {
@@ -38,7 +36,7 @@ func main() {
 }
 
 // run parses the command line args, runs the flow and writes its report
-// to stdout; logs and the cache summary go to stderr.
+// to stdout; the runtime's logs and status lines go to stderr.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
@@ -55,70 +53,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		seed      = fs.Int64("seed", 1, "ATPG seed")
 		workers   = fs.Int("workers", 0, "goroutines for every parallel stage: fault simulation and the covering solvers (0 = all CPUs)")
 		patsOut   = fs.String("write-patterns", "", "write the generated pattern set to this file")
-		verbose   = fs.Bool("v", false, "print per-period schedule details and stage spans")
-
-		jsonLogs   = fs.Bool("json-logs", false, "emit stage telemetry as JSON lines on stderr")
-		listen     = fs.String("listen", "", "serve live introspection (/metrics, /progress, /flight, pprof) on this address (empty disables)")
-		cacheDir   = fs.String("cache.dir", "", "content-addressed result-cache directory; re-runs reuse matching stage results (empty disables)")
-		cacheMax   = fs.Int64("cache.max", 512<<20, "result-cache size budget in bytes; least-recently-used entries are evicted (<= 0 = unlimited)")
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		traceOut   = fs.String("trace", "", "write a runtime execution trace to this file")
 	)
+	var rt cli.Flags
+	rt.Register(fs)
 	fs.Parse(args) //nolint:errcheck // ExitOnError: a bad command line exits
 
-	stopProf, err := fastmon.StartProfiles(*cpuprofile, *memprofile, *traceOut)
+	ctx, env, err := rt.Start(ctx, stderr, nil)
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if perr := stopProf(); err == nil {
-			err = perr
+		if cerr := env.Close(); err == nil {
+			err = cerr
 		}
 	}()
-
-	// Telemetry: stage spans and counters are always collected (the final
-	// summary prints solver effort); log output needs -v or -json-logs.
-	level := slog.LevelWarn
-	if *verbose {
-		level = slog.LevelDebug
-	}
-	var logger *slog.Logger
-	if *jsonLogs {
-		logger = slog.New(slog.NewJSONHandler(stderr, &slog.HandlerOptions{Level: level}))
-	} else if *verbose {
-		logger = slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: level}))
-	}
-	o := fastmon.NewObserver(logger)
-	ctx = fastmon.WithObserver(ctx, o)
-
-	// Result cache: -cache.dir memoizes ATPG, detection and scheduling so
-	// repeated flows on the same netlist reuse matching stage results.
-	if *cacheDir != "" {
-		store, err := fastmon.OpenCache(*cacheDir, *cacheMax)
-		if err != nil {
-			return err
-		}
-		ctx = fastmon.WithCache(ctx, store)
-		defer func() {
-			r := store.Report()
-			fmt.Fprintf(stderr, "# cache: %d hits, %d misses (%d entries, %d bytes)\n",
-				r.Hits, r.Misses, r.Entries, r.Bytes)
-		}()
-	}
-
-	// Live introspection: -listen attaches a flight recorder to the
-	// observer and serves /metrics, /flight and pprof while the flow runs.
-	if *listen != "" {
-		rec := flight.New(flight.DefaultCapacity)
-		o.AttachFlight(rec)
-		srv, err := obshttp.Start(ctx, *listen, obshttp.Options{Observer: o, Flight: rec})
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "# introspection: http://%s/ (metrics, flight, debug/pprof)\n", srv.Addr())
-	}
 
 	lib := fastmon.NanGate45()
 	var c *fastmon.Circuit
@@ -235,7 +183,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		fmt.Fprintf(stdout, "solver    %d exact solves, %d nodes, %d incumbents (max gap %.2f)\n",
 			s.Solver.Solves, s.Solver.Nodes, s.Solver.Incumbents, s.Solver.MaxGap)
 	}
-	if *verbose {
+	if rt.Verbose {
 		for _, p := range s.Periods {
 			fmt.Fprintf(stdout, "  period %v (%v): %d faults, %d pattern-configs\n",
 				p.Period, fastmon.Freq(1e12/float64(p.Period)), len(p.Faults), len(p.Combos))

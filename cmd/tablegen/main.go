@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
@@ -32,10 +31,10 @@ import (
 	"fastmon/internal/aging"
 	"fastmon/internal/cache"
 	"fastmon/internal/chaos"
+	"fastmon/internal/cli"
 	"fastmon/internal/exper"
 	"fastmon/internal/obs"
 	"fastmon/internal/obs/flight"
-	"fastmon/internal/obshttp"
 	"fastmon/internal/schedule"
 )
 
@@ -47,13 +46,7 @@ type options struct {
 	lifetime   bool
 	steps      int
 
-	verbose  bool   // -v: per-stage span logging
-	jsonLogs bool   // -json-logs: structured JSON log lines
 	manifest string // -manifest: run.json output path ("" disables)
-	listen   string // -listen: live introspection server address ("" disables)
-
-	cacheDir string // -cache.dir: result-cache directory ("" disables)
-	cacheMax int64  // -cache.max: result-cache byte budget (<= 0 unlimited)
 
 	// chaosRate > 0 enables deterministic fault injection at every
 	// registered chaos point, driven by chaosSeed (see internal/chaos).
@@ -62,8 +55,10 @@ type options struct {
 
 	// rec is the flight recorder shared between main (SIGQUIT dumps) and
 	// the run (event recording, introspection server); nil when disabled
-	// with -flight "".
+	// with -flight "" (Start then creates one under -listen).
 	rec *flight.Recorder
+
+	cli.Flags
 }
 
 func main() {
@@ -81,25 +76,16 @@ func main() {
 		maxF     = flag.Int("maxfaults", 2500, "fault-sample budget per circuit")
 		budget   = flag.Duration("budget", 5*time.Second, "time budget per exact covering solve")
 		steps    = flag.Int("steps", 10, "sweep points for -fig3")
-		slowsim  = flag.Bool("slowsim", false, "use the naive full-resimulation fault simulator (differential debugging)")
 		workers  = flag.Int("workers", 0, "goroutines for every parallel stage: concurrent circuits, fault simulation and the covering solvers (0 = all CPUs)")
 
 		chaosSeed = flag.Int64("chaos.seed", 0, "seed for deterministic fault injection (same seed, same faults)")
 		chaosRate = flag.Float64("chaos.rate", 0, "per-point fault injection probability in [0,1] (0 disables chaos)")
 
-		cacheDir = flag.String("cache.dir", "", "content-addressed result-cache directory; re-runs reuse matching stage results (empty disables)")
-		cacheMax = flag.Int64("cache.max", 512<<20, "result-cache size budget in bytes; least-recently-used entries are evicted (<= 0 = unlimited)")
-
-		listen    = flag.String("listen", "", "serve live introspection (/metrics, /progress, /flight, pprof) on this address (empty disables)")
 		flightOut = flag.String("flight", "flight.jsonl", "flight-recorder dump path, written on panics/failures/SIGQUIT (empty disables the recorder)")
-
-		verbose    = flag.Bool("v", false, "log per-stage spans and telemetry to stderr")
-		jsonLogs   = flag.Bool("json-logs", false, "emit logs as JSON lines (machine-readable)")
-		manifest   = flag.String("manifest", "run.json", "write the run manifest here (empty disables)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		traceOut   = flag.String("trace", "", "write a runtime execution trace to this file")
+		manifest  = flag.String("manifest", "run.json", "write the run manifest here (empty disables)")
 	)
+	var rt cli.Flags
+	rt.Register(flag.CommandLine)
 	flag.Parse()
 	if !*t1 && !*t2 && !*t3 && !*fig3 && !*ablate && !*robust && !*lifetime {
 		*all = true
@@ -107,29 +93,22 @@ func main() {
 	if *all {
 		*t1, *t2, *t3, *fig3 = true, true, true, true
 	}
-	cfg := exper.SuiteConfig{Scale: *scale, MaxFaults: *maxF, SolverBudget: *budget, SlowSim: *slowsim, Workers: *workers}
+	cfg := exper.SuiteConfig{Scale: *scale, MaxFaults: *maxF, SolverBudget: *budget, Workers: *workers}
 	if *circuits != "" {
 		cfg.Names = strings.Split(*circuits, ",")
 	}
 	opts := options{
 		t1: *t1, t2: *t2, t3: *t3, fig3: *fig3,
 		ablate: *ablate, robust: *robust, lifetime: *lifetime, steps: *steps,
-		verbose: *verbose, jsonLogs: *jsonLogs, manifest: *manifest,
-		listen: *listen, chaosSeed: *chaosSeed, chaosRate: *chaosRate,
-		cacheDir: *cacheDir, cacheMax: *cacheMax,
+		manifest: *manifest, chaosSeed: *chaosSeed, chaosRate: *chaosRate,
+		Flags: rt,
 	}
 	// The flight recorder journals structured pipeline events into a
 	// fixed-size ring; it is dumped as JSONL on recovered panics, failed
 	// runs and SIGQUIT, and served live at /flight under -listen.
-	if *flightOut != "" || opts.listen != "" {
+	if *flightOut != "" {
 		opts.rec = flight.New(flight.DefaultCapacity)
 		opts.rec.DumpPath = *flightOut
-	}
-
-	stopProf, err := obs.StartProfiles(*cpuprofile, *memprofile, *traceOut)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tablegen:", err)
-		os.Exit(1)
 	}
 
 	// Two-stage interrupt handling: the first SIGINT requests a graceful
@@ -167,20 +146,13 @@ func main() {
 		}
 	}()
 
-	code := 0
 	if err := run(ctx, os.Stdout, os.Stderr, cfg, opts, stop); err != nil {
 		fmt.Fprintln(os.Stderr, "tablegen:", err)
-		code = 1
+		os.Exit(1)
 	}
-	// Flush profiles explicitly: os.Exit would skip a deferred stop.
-	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, "tablegen:", err)
-		code = 1
-	}
-	os.Exit(code)
 }
 
-func run(ctx context.Context, out, log io.Writer, cfg exper.SuiteConfig, opts options, stop <-chan struct{}) error {
+func run(ctx context.Context, out, log io.Writer, cfg exper.SuiteConfig, opts options, stop <-chan struct{}) (err error) {
 	start := time.Now()
 	cfg = cfg.Defaults()
 	req := exper.TableRequest{T1: opts.t1, T2: opts.t2, T3: opts.t3}
@@ -188,12 +160,20 @@ func run(ctx context.Context, out, log io.Writer, cfg exper.SuiteConfig, opts op
 		req.Fig3Steps = opts.steps
 	}
 
-	// Telemetry: spans and metrics are always collected (the manifest
-	// needs them); log output depends on -v / -json-logs. The flight
-	// recorder rides the observer so every stage can journal events.
-	o := obs.New(newLogger(log, opts))
-	o.AttachFlight(opts.rec)
-	ctx = obs.With(ctx, o)
+	// The shared runtime: profiles, telemetry (spans and metrics are
+	// always collected, the manifest needs them; log output depends on -v
+	// and -json-logs), the flight recorder riding the observer so every
+	// stage can journal events, the result cache and -listen.
+	ctx, env, err := opts.Start(ctx, log, opts.rec)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := env.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	o, rec := env.Observer, env.Flight
 
 	// Deterministic fault injection: -chaos.rate attaches an injector to
 	// the context, arming every registered chaos point in the pipeline.
@@ -206,7 +186,7 @@ func run(ctx context.Context, out, log io.Writer, cfg exper.SuiteConfig, opts op
 		inj = chaos.New(chaos.Config{Seed: opts.chaosSeed, Rate: opts.chaosRate,
 			OnFault: func(f chaos.Fault) {
 				o.Counter("chaos.fired." + f.Point).Add(1)
-				opts.rec.Record(flight.Event{Kind: flight.KindChaos, Name: f.Point,
+				rec.Record(flight.Event{Kind: flight.KindChaos, Name: f.Point,
 					Stage: string(f.Stage), Detail: f.Kind.String(), Value: int64(f.Seq)})
 			}})
 		ctx = chaos.With(ctx, inj)
@@ -214,41 +194,6 @@ func run(ctx context.Context, out, log io.Writer, cfg exper.SuiteConfig, opts op
 		defer func() {
 			fmt.Fprintf(log, "# chaos: %d faults injected %v\n", inj.Fired(), inj.Snapshot())
 		}()
-	}
-
-	// Result cache: -cache.dir attaches a content-addressed store to the
-	// context; every pipeline stage (ATPG, detection, schedule) memoizes
-	// through it, so a re-run with one changed knob recomputes only the
-	// stages downstream of the change, and an interrupted run resumes by
-	// rerunning it.
-	var store *cache.Store
-	if opts.cacheDir != "" {
-		var err error
-		store, err = cache.Open(opts.cacheDir, opts.cacheMax)
-		if err != nil {
-			return err
-		}
-		ctx = cache.With(ctx, store)
-		fmt.Fprintf(log, "# cache: %s (%d entries, %d bytes)\n",
-			opts.cacheDir, store.Len(), store.Bytes())
-		defer func() {
-			r := store.Report()
-			fmt.Fprintf(log, "# cache: %d hits, %d misses, %d evictions, %d corrupt (%d entries, %d bytes)\n",
-				r.Hits, r.Misses, r.Evictions, r.Corrupt, r.Entries, r.Bytes)
-		}()
-	}
-
-	// Live introspection: -listen serves /metrics, /progress (SSE),
-	// /flight and pprof for the duration of the run.
-	var srv *obshttp.Server
-	if opts.listen != "" {
-		var err error
-		srv, err = obshttp.Start(ctx, opts.listen, obshttp.Options{Observer: o, Flight: opts.rec})
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(log, "# introspection: http://%s/ (metrics, progress, flight, debug/pprof)\n", srv.Addr())
 	}
 
 	var results []*exper.CircuitResult
@@ -275,7 +220,7 @@ func run(ctx context.Context, out, log io.Writer, cfg exper.SuiteConfig, opts op
 	}
 
 	progress := func(ev exper.SuiteEvent) {
-		srv.Publish("progress", ev) // no-op without -listen
+		env.Server.Publish("progress", ev) // no-op without -listen
 		pos := fmt.Sprintf("[%d/%d]", ev.Index+1, ev.Total)
 		if ev.Res == nil {
 			fmt.Fprintf(log, "# %s %-8s computing...\n", pos, ev.Spec.Name)
@@ -289,7 +234,7 @@ func run(ctx context.Context, out, log io.Writer, cfg exper.SuiteConfig, opts op
 	if runErr != nil {
 		// Post-mortem: dump the flight ring alongside the failure so the
 		// event journal leading up to it is preserved.
-		if path, derr := opts.rec.AutoDump("suite error: " + runErr.Error()); derr != nil {
+		if path, derr := rec.AutoDump("suite error: " + runErr.Error()); derr != nil {
 			fmt.Fprintf(log, "# flight: dump failed: %v\n", derr)
 		} else if path != "" {
 			fmt.Fprintf(log, "# flight: dumped %s\n", path)
@@ -420,19 +365,4 @@ func runRobustness(ctx context.Context, out io.Writer, r *exper.Run) error {
 	exper.WriteRobustness(out, pts)
 	fmt.Fprintln(out)
 	return nil
-}
-
-// newLogger maps the logging flags to a slog logger: quiet by default
-// (warnings only), per-stage span lines with -v, JSON lines with
-// -json-logs (combinable with -v for debug-level JSON).
-func newLogger(w io.Writer, opts options) *slog.Logger {
-	level := slog.LevelWarn
-	if opts.verbose {
-		level = slog.LevelDebug
-	}
-	ho := &slog.HandlerOptions{Level: level}
-	if opts.jsonLogs {
-		return slog.New(slog.NewJSONHandler(w, ho))
-	}
-	return slog.New(slog.NewTextHandler(w, ho))
 }

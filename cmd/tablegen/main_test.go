@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"fastmon/internal/cli"
 	"fastmon/internal/exper"
 )
 
@@ -18,7 +19,7 @@ func smallCfg() exper.SuiteConfig {
 // checkpoint. A rerun with the same options on the same -cache.dir reads
 // every stage back and prints the same tables.
 func TestRunResumeUsesCheckpoint(t *testing.T) {
-	opts := options{t1: true, t2: true, t3: true, cacheDir: t.TempDir()}
+	opts := options{t1: true, t2: true, t3: true, Flags: cli.Flags{CacheDir: t.TempDir()}}
 	cfg := smallCfg()
 	cfg.SolverBudget = 10 * time.Millisecond
 
@@ -38,7 +39,7 @@ func TestRunResumeUsesCheckpoint(t *testing.T) {
 // rebuilds the schedules, and prints the tables of a fresh run at that
 // budget.
 func TestRunFreshClearsStaleCheckpoints(t *testing.T) {
-	opts := options{t1: true, t2: true, t3: true, cacheDir: t.TempDir()}
+	opts := options{t1: true, t2: true, t3: true, Flags: cli.Flags{CacheDir: t.TempDir()}}
 	cfg := smallCfg()
 	cfg.SolverBudget = 10 * time.Millisecond
 	runTables(t, cfg, opts)
@@ -48,7 +49,7 @@ func TestRunFreshClearsStaleCheckpoints(t *testing.T) {
 	if hits == 0 || misses == 0 {
 		t.Fatalf("new-budget rerun: %d hits, %d misses; want ATPG and detection read back and the schedules rebuilt", hits, misses)
 	}
-	opts.cacheDir = t.TempDir()
+	opts.CacheDir = t.TempDir()
 	if fresh, _, _ := runTables(t, cfg, opts); rerun != fresh {
 		t.Fatalf("new-budget rerun differs from a fresh run\n--- rerun ---\n%s\n--- fresh ---\n%s", rerun, fresh)
 	}

@@ -213,12 +213,6 @@ func WithCache(ctx context.Context, s *CacheStore) context.Context { return cach
 // disabled).
 func CacheFrom(ctx context.Context) *CacheStore { return cache.From(ctx) }
 
-// StartProfiles enables CPU/heap/trace profiling for any of the given
-// non-empty paths; the returned stop function flushes and closes them.
-func StartProfiles(cpuPath, memPath, tracePath string) (stop func() error, err error) {
-	return obs.StartProfiles(cpuPath, memPath, tracePath)
-}
-
 // FaultUniverse enumerates two small delay faults at every input and
 // output pin of every gate.
 func FaultUniverse(c *Circuit) []Fault { return fault.Universe(c) }

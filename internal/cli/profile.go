@@ -1,4 +1,4 @@
-package obs
+package cli
 
 import (
 	"fmt"
@@ -8,11 +8,11 @@ import (
 	"runtime/trace"
 )
 
-// StartProfiles enables the stdlib profilers selected by the non-empty
+// startProfiles enables the stdlib profilers selected by the non-empty
 // paths — a CPU profile, a heap profile (written at stop) and an
 // execution trace — and returns a stop function that flushes and closes
-// them. Both CLIs wire their -cpuprofile/-memprofile/-trace flags here.
-func StartProfiles(cpuPath, memPath, tracePath string) (stop func() error, err error) {
+// them. Flags.Start wires -cpuprofile/-memprofile/-trace here.
+func startProfiles(cpuPath, memPath, tracePath string) (stop func() error, err error) {
 	var cpuF, traceF *os.File
 	cleanup := func() {
 		if cpuF != nil {
@@ -27,24 +27,24 @@ func StartProfiles(cpuPath, memPath, tracePath string) (stop func() error, err e
 	if cpuPath != "" {
 		cpuF, err = os.Create(cpuPath)
 		if err != nil {
-			return nil, fmt.Errorf("obs: cpu profile: %w", err)
+			return nil, fmt.Errorf("cli: cpu profile: %w", err)
 		}
 		if err := pprof.StartCPUProfile(cpuF); err != nil {
 			cpuF.Close()
-			return nil, fmt.Errorf("obs: cpu profile: %w", err)
+			return nil, fmt.Errorf("cli: cpu profile: %w", err)
 		}
 	}
 	if tracePath != "" {
 		traceF, err = os.Create(tracePath)
 		if err != nil {
 			cleanup()
-			return nil, fmt.Errorf("obs: trace: %w", err)
+			return nil, fmt.Errorf("cli: trace: %w", err)
 		}
 		if err := trace.Start(traceF); err != nil {
 			traceF.Close()
 			traceF = nil
 			cleanup()
-			return nil, fmt.Errorf("obs: trace: %w", err)
+			return nil, fmt.Errorf("cli: trace: %w", err)
 		}
 	}
 	return func() error {

@@ -64,10 +64,6 @@ type Config struct {
 	// fan-out and the branch-and-bound solvers (0 = GOMAXPROCS; see
 	// par.ClampWorkers).
 	Workers int
-	// SlowSim routes fault simulation through the naive full-resimulation
-	// reference engine instead of the event-driven fast path (differential
-	// debugging escape hatch; see detect.Config.SlowSim).
-	SlowSim bool
 	// SolverBudget bounds each exact set-covering solve.
 	SolverBudget time.Duration
 }
@@ -201,7 +197,6 @@ func Run(ctx context.Context, c *circuit.Circuit, lib *cell.Library, annot *cell
 	f.DetectCfg = detect.Config{
 		Clk: f.Clk, TMin: f.TMin, Delta: f.Delta,
 		Glitch: lib.MinPulse().Scale(cfg.GlitchScale), Workers: cfg.Workers,
-		SlowSim: cfg.SlowSim,
 	}
 	e := sim.NewEngine(c, annot)
 	data, err := detect.Run(ctx, e, f.Placement, f.HDFs, f.Patterns, f.DetectCfg)

@@ -7,7 +7,6 @@ import (
 
 	"fastmon/internal/cell"
 	"fastmon/internal/core"
-	"fastmon/internal/fault"
 	"fastmon/internal/schedule"
 	"fastmon/internal/tunit"
 )
@@ -38,21 +37,11 @@ func AblateMonitorFraction(ctx context.Context, spec Spec, cfg SuiteConfig, frac
 		return nil, err
 	}
 	lib := cell.NanGate45()
-	sampleK := 1
-	if cfg.MaxFaults > 0 {
-		if n := len(fault.Universe(c)); n > cfg.MaxFaults {
-			sampleK = (n + cfg.MaxFaults - 1) / cfg.MaxFaults
-		}
-	}
+	fcfg := cfg.flowConfig(spec, c)
 	var rows []FractionRow
 	for _, fr := range fractions {
-		flow, err := core.Run(ctx, c, lib, nil, core.Config{
-			MonitorFraction: fr,
-			FaultSampleK:    sampleK,
-			ATPGSeed:        spec.Seed,
-			Workers:         cfg.Workers,
-			SolverBudget:    cfg.SolverBudget,
-		})
+		fcfg.MonitorFraction = fr
+		flow, err := core.Run(ctx, c, lib, nil, fcfg)
 		if err != nil {
 			return nil, fmt.Errorf("fraction %.2f: %w", fr, err)
 		}
@@ -179,21 +168,10 @@ func AblateGlitch(ctx context.Context, spec Spec, cfg SuiteConfig, scales []floa
 		return nil, err
 	}
 	lib := cell.NanGate45()
-	sampleK := 1
-	if cfg.MaxFaults > 0 {
-		if n := len(fault.Universe(c)); n > cfg.MaxFaults {
-			sampleK = (n + cfg.MaxFaults - 1) / cfg.MaxFaults
-		}
-	}
+	gcfg := cfg.flowConfig(spec, c)
 	var rows []GlitchRow
 	for _, sc := range scales {
-		gcfg := core.Config{
-			FaultSampleK: sampleK,
-			ATPGSeed:     spec.Seed,
-			Workers:      cfg.Workers,
-			SolverBudget: cfg.SolverBudget,
-			GlitchScale:  sc,
-		}
+		gcfg.GlitchScale = sc
 		if sc == 0 {
 			// Defaults() maps 0 to 1; use a tiny positive value for the
 			// "no filtering" point.

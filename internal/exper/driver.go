@@ -78,8 +78,7 @@ func ComputeCircuit(ctx context.Context, spec Spec, cfg SuiteConfig, req TableRe
 		return nil, err
 	}
 	res := &CircuitResult{Name: spec.Name, Scale: cfg.Scale, MaxFaults: cfg.MaxFaults}
-	worst := fmerr.DegradeNone
-	var solver schedule.SolverStats
+	var built []*schedule.Schedule
 	if req.T1 {
 		row := TableI(r)
 		res.T1 = &row
@@ -92,21 +91,31 @@ func ComputeCircuit(ctx context.Context, spec Spec, cfg SuiteConfig, req TableRe
 		}
 		res.T2 = &row
 		for _, s := range schedules {
-			worst = fmerr.Worse(worst, s.Degradation)
-			addSolver(&solver, s.Solver)
+			built = append(built, s)
 		}
 	}
 	if req.T3 {
-		row, t3solver, err := TableIII(cctx, r)
+		row, schedules, err := TableIII(cctx, r)
 		if err != nil {
 			span.End()
 			return nil, err
 		}
 		res.T3 = &row
-		addSolver(&solver, t3solver)
+		built = append(built, schedules...)
 	}
 	if req.Fig3Steps > 0 {
 		res.Fig3 = Fig3(r, req.Fig3Steps)
+	}
+	worst := fmerr.DegradeNone
+	var solver schedule.SolverStats
+	for _, s := range built {
+		worst = fmerr.Worse(worst, s.Degradation)
+		solver.Solves += s.Solver.Solves
+		solver.Nodes += s.Solver.Nodes
+		solver.Incumbents += s.Solver.Incumbents
+		if s.Solver.MaxGap > solver.MaxGap {
+			solver.MaxGap = s.Solver.MaxGap
+		}
 	}
 	res.Degradation = worst.String()
 	span.End()

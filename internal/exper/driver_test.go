@@ -97,3 +97,19 @@ func TestSuiteCanceled(t *testing.T) {
 		t.Fatalf("cancelled suite: %v", err)
 	}
 }
+
+// TestComputeCircuitReportsTableIIIDegradation: a budget too small for
+// any exact solve must show in the circuit's degradation rung when only
+// Table III is requested, not just when Table II is.
+func TestComputeCircuitReportsTableIIIDegradation(t *testing.T) {
+	cfg := SuiteConfig{Scale: 0.05, MaxFaults: 600, Workers: 1, SolverBudget: time.Nanosecond}
+	spec, _ := SpecByName("s9234")
+	res, err := ComputeCircuit(context.Background(), spec, cfg, TableRequest{T3: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Degradation != fmerr.DegradeIncumbent.String() {
+		t.Fatalf("T3-only degradation = %q (solver %+v), want %q",
+			res.Degradation, res.Solver, fmerr.DegradeIncumbent)
+	}
+}

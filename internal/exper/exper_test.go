@@ -103,14 +103,18 @@ func TestRunCircuitAndTables(t *testing.T) {
 		}
 	}
 
-	row3, solver3, err := TableIII(context.Background(), r)
+	row3, schedules3, err := TableIII(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(row3.Cells) != 4 {
-		t.Fatalf("T3 cells = %d", len(row3.Cells))
+	if len(row3.Cells) != 4 || len(schedules3) != 4 {
+		t.Fatalf("T3 cells = %d, schedules = %d", len(row3.Cells), len(schedules3))
 	}
-	if solver3.Solves == 0 {
+	solves := 0
+	for _, s := range schedules3 {
+		solves += s.Solver.Solves
+	}
+	if solves == 0 {
 		t.Fatal("TableIII reported no exact solves")
 	}
 	prevF, prevS := 1<<30, 1<<30

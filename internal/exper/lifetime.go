@@ -47,22 +47,12 @@ func LifetimeSweep(ctx context.Context, spec Spec, cfg SuiteConfig, model aging.
 	fresh := cell.Annotate(c, lib)
 	freshSTA := sta.Analyze(c, fresh)
 	freshClk := freshSTA.NominalClock(0.05)
-	sampleK := 1
-	if cfg.MaxFaults > 0 {
-		if n := len(fault.Universe(c)); n > cfg.MaxFaults {
-			sampleK = (n + cfg.MaxFaults - 1) / cfg.MaxFaults
-		}
-	}
+	fcfg := cfg.flowConfig(spec, c)
 
 	var out []LifetimePoint
 	for _, y := range years {
 		aged := aging.Degrade(fresh, model, y)
-		flow, err := core.Run(ctx, c, lib, aged, core.Config{
-			FaultSampleK: sampleK,
-			ATPGSeed:     spec.Seed,
-			Workers:      cfg.Workers,
-			SolverBudget: cfg.SolverBudget,
-		})
+		flow, err := core.Run(ctx, c, lib, aged, fcfg)
 		if err != nil {
 			return nil, fmt.Errorf("year %.1f: %w", y, err)
 		}

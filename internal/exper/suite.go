@@ -18,6 +18,8 @@ import (
 	"time"
 
 	"fastmon/internal/circuit"
+	"fastmon/internal/core"
+	"fastmon/internal/fault"
 )
 
 // Spec describes one suite circuit with the paper's full-scale statistics.
@@ -126,9 +128,6 @@ type SuiteConfig struct {
 	// circuits, fault-simulation goroutines, the Step-2 schedule fan-out
 	// and the branch-and-bound solvers (0 = GOMAXPROCS).
 	Workers int
-	// SlowSim forces the naive fault-simulation reference engine
-	// (differential debugging escape hatch; see detect.Config.SlowSim).
-	SlowSim bool
 	// Names restricts the suite (empty = all twelve circuits).
 	Names []string
 }
@@ -145,6 +144,19 @@ func (c SuiteConfig) Defaults() SuiteConfig {
 		c.SolverBudget = 5 * time.Second
 	}
 	return c
+}
+
+// flowConfig is the flow configuration for circ, the netlist built from
+// spec: the fault-sampling stride that keeps its universe within
+// MaxFaults, the spec's ATPG seed, the workers and the solver budget.
+func (c SuiteConfig) flowConfig(spec Spec, circ *circuit.Circuit) core.Config {
+	sampleK := 1
+	if c.MaxFaults > 0 {
+		if n := len(fault.Universe(circ)); n > c.MaxFaults {
+			sampleK = (n + c.MaxFaults - 1) / c.MaxFaults
+		}
+	}
+	return core.Config{FaultSampleK: sampleK, ATPGSeed: spec.Seed, Workers: c.Workers, SolverBudget: c.SolverBudget}
 }
 
 // Select resolves the configured subset of the suite.

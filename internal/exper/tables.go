@@ -8,7 +8,6 @@ import (
 
 	"fastmon/internal/cell"
 	"fastmon/internal/core"
-	"fastmon/internal/fault"
 	"fastmon/internal/obs"
 	"fastmon/internal/schedule"
 )
@@ -31,22 +30,7 @@ func RunCircuit(ctx context.Context, spec Spec, cfg SuiteConfig) (*Run, error) {
 	buildSpan.End(
 		slog.Int("gates", c.NumGates()),
 		slog.Int("ffs", c.NumFFs()))
-	lib := cell.NanGate45()
-	// Choose the sampling stride so the simulated universe stays within
-	// the budget.
-	sampleK := 1
-	if cfg.MaxFaults > 0 {
-		if n := len(fault.Universe(c)); n > cfg.MaxFaults {
-			sampleK = (n + cfg.MaxFaults - 1) / cfg.MaxFaults
-		}
-	}
-	flow, err := core.Run(ctx, c, lib, nil, core.Config{
-		FaultSampleK: sampleK,
-		ATPGSeed:     spec.Seed,
-		Workers:      cfg.Workers,
-		SlowSim:      cfg.SlowSim,
-		SolverBudget: cfg.SolverBudget,
-	})
+	flow, err := core.Run(ctx, c, cell.NanGate45(), nil, cfg.flowConfig(spec, c))
 	if err != nil {
 		return nil, err
 	}
@@ -152,17 +136,18 @@ type T3Row struct {
 var TableIIICoverages = []float64{0.99, 0.98, 0.95, 0.90}
 
 // TableIII builds ILP schedules for each partial-coverage target. The
-// second return value aggregates the exact-solver effort over all of them.
-func TableIII(ctx context.Context, r *Run) (T3Row, schedule.SolverStats, error) {
+// schedules themselves are returned for inspection, index-aligned with
+// TableIIICoverages.
+func TableIII(ctx context.Context, r *Run) (T3Row, []*schedule.Schedule, error) {
 	f := r.Flow
 	row := T3Row{Name: r.Spec.Name}
-	var solver schedule.SolverStats
+	var schedules []*schedule.Schedule
 	for _, cov := range TableIIICoverages {
 		s, err := f.BuildSchedule(ctx, schedule.ILP, cov)
 		if err != nil {
-			return T3Row{}, solver, fmt.Errorf("%s/cov%.2f: %w", r.Spec.Name, cov, err)
+			return T3Row{}, nil, fmt.Errorf("%s/cov%.2f: %w", r.Spec.Name, cov, err)
 		}
-		addSolver(&solver, s.Solver)
+		schedules = append(schedules, s)
 		cell := T3Cell{
 			Cov: cov,
 			F:   s.NumFrequencies(),
@@ -172,17 +157,7 @@ func TableIII(ctx context.Context, r *Run) (T3Row, schedule.SolverStats, error) 
 		cell.DeltaPct = schedule.ReductionPercent(cell.PC, cell.S)
 		row.Cells = append(row.Cells, cell)
 	}
-	return row, solver, nil
-}
-
-// addSolver accumulates per-schedule solver effort into a total.
-func addSolver(total *schedule.SolverStats, s schedule.SolverStats) {
-	total.Solves += s.Solves
-	total.Nodes += s.Nodes
-	total.Incumbents += s.Incumbents
-	if s.MaxGap > total.MaxGap {
-		total.MaxGap = s.MaxGap
-	}
+	return row, schedules, nil
 }
 
 // Fig3Point is one sweep point of Fig. 3.

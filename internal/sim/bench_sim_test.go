@@ -113,7 +113,7 @@ func BenchmarkFaultSim(b *testing.B) {
 
 // BenchmarkDetect measures the full detection-range pass (flow steps 2–4)
 // on the scaled p141k: every sampled fault under every pattern, through
-// the event-driven engine and the naive reference (-slowsim path).
+// the event-driven engine and the naive reference (detect.Config.SlowSim).
 func BenchmarkDetect(b *testing.B) {
 	bed := largestBed(b, 12, 6)
 	run := func(b *testing.B, slow bool) {

@@ -82,7 +82,7 @@ func diffHarness(t *testing.T, c *circuit.Circuit, nPatterns int, seed int64) {
 		}
 	}
 
-	// Level 2: the full detection-range driver with the -slowsim escape
+	// Level 2: the full detection-range driver with the SlowSim escape
 	// hatch flipped, asserting identical PatternRange sets.
 	fastCfg, slowCfg := cfg, cfg
 	slowCfg.SlowSim = true
