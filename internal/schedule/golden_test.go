@@ -19,14 +19,24 @@ var update = flag.Bool("update", false, "rewrite testdata/build_golden.json")
 
 const goldenPath = "testdata/build_golden.json"
 
-// TestBuildGolden pins which schedule Build returns: the sha256 of the
-// JSON of every schedule must match the recorded digest. The differential
-// tests call the same covering solvers on both sides, so only this test
-// sees a change in which optimum or which greedy cover is picked. The
-// instances are small enough that every ILP solve finishes within its
-// budget on any host; a budget-bound schedule would depend on host speed,
-// so the test fails on one. Rewrite the digests with -update only for a
-// deliberate change of the schedules.
+// buildDigests is the pin of one schedule: the sha256 of its JSON with
+// Solver zeroed, and the sha256 of the JSON of Solver alone. Keeping them
+// apart lets a change of the search effort (a stronger bound, a different
+// node order) re-pin Solver while showing that no schedule moved.
+type buildDigests struct {
+	Schedule string `json:"schedule"`
+	Solver   string `json:"solver"`
+}
+
+// TestBuildGolden pins which schedule Build returns and how much exact
+// search it took: both digests of every schedule must match the recorded
+// ones. The differential tests call the same covering solvers on both
+// sides, so only this test sees a change in which optimum or which greedy
+// cover is picked. The instances are small enough that every ILP solve
+// finishes within its budget on any host; a budget-bound schedule would
+// depend on host speed, so the test fails on one. Rewrite the digests with
+// -update only for a deliberate change of the schedules or of the solver
+// effort, and check in the diff which of the two moved.
 func TestBuildGolden(t *testing.T) {
 	type instance struct {
 		name string
@@ -42,7 +52,7 @@ func TestBuildGolden(t *testing.T) {
 		{"gen-nodelays", gen2, genOpt2},
 	}
 
-	got := map[string]string{}
+	got := map[string]buildDigests{}
 	for _, inst := range instances {
 		for _, m := range []Method{ILP, Heuristic, Conventional} {
 			for _, cov := range []float64{1.0, 0.99, 0.98, 0.95, 0.90} {
@@ -60,12 +70,9 @@ func TestBuildGolden(t *testing.T) {
 					if m == ILP && (s.Degradation != fmerr.DegradeNone || !s.FreqOptimal || !s.CombosOptimal) {
 						t.Fatalf("%s: ILP schedule is not exact (%v)", name, s.Degradation)
 					}
-					b, err := json.Marshal(s)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sum := sha256.Sum256(b)
-					got[name] = hex.EncodeToString(sum[:])
+					solver := s.Solver
+					s.Solver = SolverStats{}
+					got[name] = buildDigests{Schedule: digestJSON(t, s), Solver: digestJSON(t, solver)}
 				}
 			}
 		}
@@ -87,7 +94,7 @@ func TestBuildGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (record digests with -update)", err)
 	}
-	var want map[string]string
+	var want map[string]buildDigests
 	if err := json.Unmarshal(b, &want); err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +102,22 @@ func TestBuildGolden(t *testing.T) {
 		t.Fatalf("golden file has %d schedules, test builds %d", len(want), len(got))
 	}
 	for name, d := range got {
-		if d != want[name] {
-			t.Errorf("%s: Build digest %s, golden %s", name, d, want[name])
+		if d.Schedule != want[name].Schedule {
+			t.Errorf("%s: schedule digest %s, golden %s", name, d.Schedule, want[name].Schedule)
+		}
+		if d.Solver != want[name].Solver {
+			t.Errorf("%s: solver digest %s, golden %s", name, d.Solver, want[name].Solver)
 		}
 	}
+}
+
+// digestJSON returns the hex sha256 of v's JSON encoding.
+func digestJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
