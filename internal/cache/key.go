@@ -39,7 +39,11 @@ import (
 // Epoch 2: ATPG don't-care fill re-keyed per fault (splitmix64 on
 // (Seed, fault index)) for the speculative parallel deterministic phase —
 // pattern sets changed once for every seed.
-const SchemaVersion = 2
+//
+// Epoch 3: PartialCover bounds with marginal gains, and an aborted
+// covering solve never returns more sets than greedy less its redundant
+// sets — a budget-bound schedule under the same key can now differ.
+const SchemaVersion = 3
 
 // Key addresses one cached stage result. The zero Key is invalid.
 type Key struct {

@@ -81,7 +81,7 @@ func TestCircuitFingerprintSemantic(t *testing.T) {
 // the key derivation changed: if that is intentional, bump SchemaVersion
 // (so stale entries become unreachable) and update the constants.
 func TestGoldenKeys(t *testing.T) {
-	if SchemaVersion != 2 {
+	if SchemaVersion != 3 {
 		t.Fatalf("SchemaVersion = %d: update the golden values below for the new epoch", SchemaVersion)
 	}
 	if got := CircuitFingerprint(parse(t, circuit.S27)); got != goldenS27 {
@@ -112,7 +112,7 @@ func TestGoldenKeys(t *testing.T) {
 const (
 	goldenS27    = "297fc8d2a4f3b03222a97eb71c174b1d427bd3c67ad04ac615ba1ba93917a4c7"
 	goldenC17    = "e0c26edd8afaccc2fe7429ce03f30da4086d6b70acf91d513b9f8894d4a65e58"
-	goldenHasher = "stage-c67eddc0aea5cb6ff7f943fcccc0525b7b0e6036e41aac91440bd6f6e167a43f"
+	goldenHasher = "stage-39776c45480f7f091f2148187344329440260128654f95b321ffad1e976d64ed"
 )
 
 // kindsEqual reports whether two parsed circuits assign the same kind to

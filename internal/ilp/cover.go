@@ -2,10 +2,17 @@
 // test-schedule optimization (Sec. IV-C): SetCover finds a minimum set
 // cover and PartialCover the fewest sets that cover a quota of the
 // universe. Both run branch-and-bound seeded with the greedy cover
-// (GreedyCover, GreedyPartialCover), which is also the heuristic of [17];
-// SetCover presolves with essential columns and column dominance. A
+// (GreedyCover, GreedyPartialCover), which is also the heuristic of [17].
+// SetCover presolves with essential columns and column dominance and
+// bounds with ⌈|uncovered| / largest gain⌉. PartialCover bounds with
+// marginal gains: coverage is submodular, so no set adds more than its
+// gain |S ∖ covered|, and a node is pruned when the largest gains of the
+// sets still allowed can reach neither the quota with fewer sets than the
+// incumbent nor the incumbent's covered count with as many. A
 // context deadline stands in for the commercial ILP tool the paper aborts
-// after a 1-hour timeout: the search then returns its best incumbent.
+// after a 1-hour timeout: the search then returns its best incumbent, or
+// the heuristic's answer — greedy less its redundant sets — when that is
+// shorter.
 package ilp
 
 import (
@@ -35,7 +42,8 @@ type CoverResult struct {
 	// greedy seed is not counted).
 	Incumbents int
 	// Gap is the relative bound gap at exit: zero when optimality was
-	// proven, (|incumbent| - rootBound)/|incumbent| after an abort.
+	// proven, (|Selected| - rootBound)/|Selected| after an abort, and 1
+	// when the abort came before the search computed a bound.
 	Gap float64
 	// Degradation reports the result-quality rung: exact when optimality
 	// was proven, incumbent after a budget or cancellation abort.
@@ -78,7 +86,9 @@ type coverTask struct {
 // universe is not coverable. The context is polled at node granularity:
 // an expired deadline (the paper's solver timeout) returns the best
 // incumbent with a nil error; cancellation returns the incumbent together
-// with an error wrapping context.Canceled.
+// with an error wrapping context.Canceled. Either abort returns greedy
+// less its redundant sets (dropRedundant) instead when that is shorter,
+// so an aborted solve never reports more sets than the heuristic.
 func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opts Options) (CoverResult, error) {
 	if !Coverable(sets, universe) {
 		return CoverResult{}, fmerr.Errorf(fmerr.StageSolve, "setcover",
@@ -88,12 +98,13 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 		return CoverResult{}, fmerr.Wrap(fmerr.StageSolve, "setcover", err)
 	}
 	// Entry check: with the budget already spent (or the flow cancelled)
-	// the greedy cover is the whole result.
+	// the greedy cover, less its redundant sets, is the whole result.
 	if s := checkCtx(ctx); s != stopNone {
 		g, err := GreedyCover(sets, universe)
 		if err != nil {
 			return CoverResult{}, err
 		}
+		g = dropRedundant(sets, universe, universe.Count(), g)
 		res := CoverResult{Selected: g, Gap: 1, Degradation: fmerr.DegradeIncumbent}
 		recordSolve(ctx, 0, 0, false, 1)
 		if s == stopCanceled {
@@ -321,7 +332,7 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 				}
 				return
 			}
-			if len(cur)+lowerBound(sub, unc) > best.bound() {
+			if n, _ := best.bound(); len(cur)+lowerBound(sub, unc) > n {
 				return
 			}
 			// Pick the uncovered element with fewest alive covering sets.
@@ -408,14 +419,24 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 		sel = append(sel, aliveIdx[si])
 	}
 	sort.Ints(sel)
-	res.Selected = sel
 	res.Optimal = stopped == stopNone
 	if !res.Optimal {
+		// The search seeds with greedy on the presolved remainder and may
+		// stop before it beats the heuristic's answer, greedy on the whole
+		// instance less its redundant sets; return that when shorter.
+		g, err := GreedyCover(sets, universe)
+		if err != nil {
+			return CoverResult{}, err
+		}
+		if g = dropRedundant(sets, universe, universe.Count(), g); len(g) < len(sel) {
+			sel = g
+		}
 		res.Degradation = fmerr.DegradeIncumbent
 		if total := len(sel); total > rootLB && total > 0 {
 			res.Gap = float64(total-rootLB) / float64(total)
 		}
 	}
+	res.Selected = sel
 	recordSolve(ctx, res.Nodes, res.Incumbents, res.Optimal, res.Gap)
 	recordPool(ctx, workers, stolen.Load())
 	if stopped == stopCanceled {
@@ -452,6 +473,40 @@ func aliveList(alive []bool) []int {
 		}
 	}
 	return out
+}
+
+// dropRedundant returns the sets of the ascending cover sel that the
+// fault-dropping pass of schedule.Build keeps: it visits sel by decreasing
+// |S ∩ universe| (index ascending on ties), stops once quota elements are
+// covered, and keeps a set only if it covers an element of the universe
+// that the sets kept before it do not. The result is ascending and covers
+// as many elements as sel, up to the quota.
+func dropRedundant(sets []*bitset.Set, universe *bitset.Set, quota int, sel []int) []int {
+	masked := make([]*bitset.Set, len(sel))
+	for k, i := range sel {
+		masked[k] = sets[i].Clone()
+		masked[k].And(universe)
+	}
+	visit := make([]int, len(sel))
+	for k := range visit {
+		visit[k] = k
+	}
+	sort.SliceStable(visit, func(a, b int) bool {
+		return masked[visit[a]].Count() > masked[visit[b]].Count()
+	})
+	covered := bitset.New(universe.Len())
+	var kept []int
+	for _, k := range visit {
+		if covered.Count() >= quota {
+			break
+		}
+		if masked[k].AndNotCount(covered) > 0 {
+			covered.Or(masked[k])
+			kept = append(kept, sel[k])
+		}
+	}
+	sort.Ints(kept)
+	return kept
 }
 
 // coverPool recycles the masked-set scratch of GreedyPartialCover across
@@ -508,11 +563,16 @@ type partialTask struct {
 
 // PartialCover finds a minimum number of sets covering at least quota
 // elements of the universe (the Table III "cov ≥ x%" selection). Solved by
-// include/exclude branch-and-bound with a sum-of-largest-sets bound, run
-// on the same work-sharing frontier and deterministic incumbent
-// discipline as SetCover (Options.Workers; identical Selected for every
-// worker count). The context contract matches SetCover: deadline = soft
-// budget, cancellation = incumbent plus error.
+// include/exclude branch-and-bound over the sets in decreasing size order,
+// with a marginal-gain bound: a node whose covered set is C and that may
+// still add k sets before it is longer than the incumbent is pruned when
+// the k−1 largest gains |S ∖ C| over the sets not yet decided cannot
+// reach the quota and the k largest cannot reach the incumbent's covered
+// count. It runs on the same work-sharing frontier and
+// deterministic incumbent discipline as SetCover (Options.Workers; the
+// bestList winner, so identical Selected for every worker count). The
+// context contract matches SetCover, including the heuristic fallback:
+// deadline = soft budget, cancellation = incumbent plus error.
 func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, quota int, opts Options) (CoverResult, error) {
 	res := CoverResult{}
 	if quota <= 0 {
@@ -528,7 +588,7 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 	}
 	// Entry check: see SetCover.
 	if s := checkCtx(ctx); s != stopNone {
-		res.Selected = incumbent
+		res.Selected = dropRedundant(sets, universe, quota, incumbent)
 		res.Gap = 1
 		res.Degradation = fmerr.DegradeIncumbent
 		recordSolve(ctx, 0, 0, false, 1)
@@ -538,8 +598,8 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 		return res, nil
 	}
 
-	// Restrict sets to the universe once; sizes are static afterwards, so
-	// they are computed once here instead of per node in the bound.
+	// Restrict sets to the universe once; their sizes fix the branching
+	// order and the root bound.
 	sub := make([]*bitset.Set, len(sets))
 	size := make([]int, len(sets))
 	for i, s := range sets {
@@ -548,7 +608,7 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 		sub[i] = c
 		size[i] = c.Count()
 	}
-	// Order sets by decreasing size for the bound and the branching.
+	// Order sets by decreasing size for the branching.
 	order := make([]int, len(sub))
 	for i := range order {
 		order[i] = i
@@ -560,13 +620,6 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 		}
 		return order[a] < order[b]
 	})
-	// prefix[i] is the total size of the i largest sets: the per-node
-	// sum-of-largest-sets bound becomes a binary search over these sums
-	// instead of a popcount loop.
-	prefix := make([]int64, len(order)+1)
-	for i, oi := range order {
-		prefix[i+1] = prefix[i] + int64(size[oi])
-	}
 
 	workers := par.ClampWorkers(opts.Workers)
 	seedCov := bitset.New(universe.Len())
@@ -595,14 +648,26 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 		// Per-depth scratch: include children at selection depth d always
 		// finish before the parent includes again at the same depth, so one
 		// covered set per depth replaces the per-node Clone that dominated
-		// the allocation profile. Values are identical to the cloning
-		// version; only the storage is reused.
-		var covScratch []*bitset.Set
+		// the allocation profile, and one gain and two top-sum arrays per
+		// depth hold the bound of the frame at that depth.
+		var (
+			covScratch                           []*bitset.Set
+			gainScratch, topScratch, top1Scratch [][]int
+			buf                                  []int
+		)
 		covAt := func(d int) *bitset.Set {
 			for len(covScratch) <= d {
 				covScratch = append(covScratch, bitset.New(universe.Len()))
 			}
 			return covScratch[d]
+		}
+		boundAt := func(d int) (gain, top, top1 []int) {
+			for len(gainScratch) <= d {
+				gainScratch = append(gainScratch, make([]int, len(order)))
+				topScratch = append(topScratch, make([]int, len(order)+1))
+				top1Scratch = append(top1Scratch, make([]int, len(order)+1))
+			}
+			return gainScratch[d], topScratch[d], top1Scratch[d]
 		}
 		localNodes := int64(0)
 		// poll is the once-per-window slow path of node accounting: flush
@@ -634,15 +699,26 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 		// include branch recurses when "take order[pos]" has a positive
 		// marginal gain — an optimal selection never contains a
 		// zero-marginal set (dropping it would shrink the solution), so the
-		// filter cannot hide an optimum from the tie-break.
+		// filter cannot hide an optimum from the tie-break — and the bound
+		// does not rule the child out. Both prune only subtrees whose every
+		// selection loses to the incumbent.
 		var dfs func(pos int, cur []int, covered *bitset.Set, cnt int)
 		dfs = func(pos int, cur []int, covered *bitset.Set, cnt int) {
-			// m tracks the bound's prefix-sum crossing point. Along the
-			// exclude chain the deficit is constant and prefix[pos] grows,
-			// so the crossing point only moves right: advancing it linearly
-			// from the previous node costs O(1) amortized per node where a
-			// fresh search would pay O(log) every time.
-			m := pos + 1
+			// The bound: with covered fixed, no set adds more than its
+			// marginal gain (coverage is submodular), so a completion with
+			// at most k more sets covers at most cnt plus the k largest
+			// gains over order[pos:]. A node that may add k sets before it
+			// is longer than the incumbent is pruned when the k-1 largest
+			// gains cannot reach the quota (no shorter selection) and the k
+			// largest cannot reach the incumbent's covered count (no equal
+			// one that wins the tie-break). The covered set is constant
+			// along the exclude chain, so the gains and the suffix sums of
+			// their k and k-1 largest (top, top1) are computed once per
+			// frame; k only shrinks, when the incumbent improves, and the
+			// sums are then recomputed.
+			d := len(cur)
+			gain, top, top1 := boundAt(d)
+			k := 0 // the k the sums hold; 0 until the frame's first node
 			for {
 				if dead {
 					return
@@ -660,27 +736,32 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 					}
 					return
 				}
-				bnd := best.bound()
-				if len(cur)+1 > bnd { // any completion costs ≥ len(cur)+1
+				// Sets a completion may still add without being longer than
+				// the incumbent.
+				bnd, score := best.bound()
+				allowed := bnd - d
+				if allowed < 1 || pos >= len(order) {
 					return
 				}
-				if pos >= len(order) {
-					return
+				if k == 0 {
+					for j := pos; j < len(order); j++ {
+						gain[j] = sub[order[j]].AndNotCount(covered)
+					}
 				}
-				// Bound: adding the k largest remaining sets gains at most
-				// the sum of their sizes; m-pos is the smallest k whose size
-				// prefix reaches the deficit.
-				target := prefix[pos] + int64(quota-cnt)
-				for m < len(order) && prefix[m] < target {
-					m++
+				if k == 0 || allowed < k {
+					k = allowed
+					buf = topSums(gain, pos, k, top, top1, buf)
 				}
-				if prefix[m] < target {
-					return // even taking every remaining set falls short
+				if top1[pos] < quota-cnt && top[pos] < score-cnt {
+					return // the sums shrink with pos: the chain ends here
 				}
-				if len(cur)+(m-pos) > bnd {
-					return
-				}
-				si := order[pos]
+				// Including order[pos] leaves k-1 sets whose gains over the
+				// grown covered set are at most gain[pos+1:]; the child can
+				// beat or tie the incumbent only if marginal + top1 reaches
+				// the deficit (score ≥ quota), so it is pruned here otherwise,
+				// which skips its gain sweep.
+				si, marginal := order[pos], gain[pos]
+				include := marginal > 0 && marginal+top1[pos+1] >= quota-cnt
 				if workers > 1 && fr.Hungry() {
 					// Offload the exclude subtree, recurse include locally
 					// (serial order is include first).
@@ -690,15 +771,15 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 						covered: covered.Clone(),
 						cnt:     cnt,
 					})
-					if marginal := sub[si].AndNotCount(covered); marginal > 0 {
-						nc := covAt(len(cur))
+					if include {
+						nc := covAt(d)
 						nc.SetOr(covered, sub[si])
 						dfs(pos+1, append(cur, si), nc, cnt+marginal)
 					}
 					return
 				}
-				if marginal := sub[si].AndNotCount(covered); marginal > 0 {
-					nc := covAt(len(cur))
+				if include {
+					nc := covAt(d)
 					nc.SetOr(covered, sub[si])
 					cur = append(cur, si)
 					dfs(pos+1, cur, nc, cnt+marginal)
@@ -724,7 +805,7 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 	// many sets as the largest-first size prefix reaching it.
 	rootLB, gain := 0, 0
 	for i := 0; i < len(order) && gain < quota; i++ {
-		gain += sub[order[i]].Count()
+		gain += size[order[i]]
 		rootLB++
 	}
 	res.Nodes = int(nodes.Load())
@@ -732,6 +813,10 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 	res.Selected = best.snapshot()
 	res.Optimal = stopped == stopNone
 	if !res.Optimal {
+		// As in SetCover: never return more sets than the heuristic.
+		if g := dropRedundant(sets, universe, quota, incumbent); len(g) < len(res.Selected) {
+			res.Selected = g
+		}
 		res.Degradation = fmerr.DegradeIncumbent
 		if total := len(res.Selected); total > rootLB && total > 0 {
 			res.Gap = float64(total-rootLB) / float64(total)
@@ -743,4 +828,41 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 		return res, fmerr.Wrap(fmerr.StageSolve, "partialcover", ctx.Err())
 	}
 	return res, nil
+}
+
+// topSums sets top[j] and top1[j], for every j in [pos, len(gain)], to the
+// sums of the k and of the k-1 largest values of gain[j:] (of all of them
+// when fewer remain; both are 0 at j = len(gain)). It sweeps j downwards
+// keeping the k largest values seen in an ascending buffer, so one call
+// costs O((len(gain)-pos)·k). buf is that buffer's storage; the grown
+// slice is returned for reuse.
+func topSums(gain []int, pos, k int, top, top1, buf []int) []int {
+	h := buf[:0]
+	sum := 0
+	top[len(gain)], top1[len(gain)] = 0, 0
+	for j := len(gain) - 1; j >= pos; j-- {
+		g := gain[j]
+		switch {
+		case len(h) < k:
+			h = append(h, g)
+			i := len(h) - 1
+			for ; i > 0 && h[i-1] > g; i-- {
+				h[i] = h[i-1]
+			}
+			h[i] = g
+			sum += g
+		case g > h[0]:
+			sum += g - h[0]
+			i := 0
+			for ; i+1 < len(h) && h[i+1] < g; i++ {
+				h[i] = h[i+1]
+			}
+			h[i] = g
+		}
+		top[j], top1[j] = sum, sum
+		if len(h) == k {
+			top1[j] = sum - h[0]
+		}
+	}
+	return h
 }

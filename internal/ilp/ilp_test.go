@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -225,36 +226,55 @@ func TestSetCoverAsyncCancelPromptReturn(t *testing.T) {
 	}
 }
 
-// bruteForcePartial finds the true minimum number of sets covering ≥ quota.
-func bruteForcePartial(sets []*bitset.Set, universe *bitset.Set, quota int) int {
-	n := len(sets)
-	best := n + 1
-	for mask := 0; mask < 1<<uint(n); mask++ {
+// bruteForcePartial returns the selection PartialCover must return: among
+// every selection covering at least quota elements of the universe, the
+// one the bestList order ranks first — fewest sets, then most elements
+// covered, then the lexicographically smallest ascending index list. It
+// returns nil when no selection reaches the quota.
+func bruteForcePartial(sets []*bitset.Set, universe *bitset.Set, quota int) []int {
+	var best []int
+	bestCov := -1
+	for mask := 0; mask < 1<<uint(len(sets)); mask++ {
 		cov := bitset.New(universe.Len())
-		cnt := 0
-		for j := 0; j < n; j++ {
+		var sel []int
+		for j := range sets {
 			if mask>>uint(j)&1 == 1 {
 				cov.Or(sets[j])
-				cnt++
+				sel = append(sel, j)
 			}
 		}
-		if cov.IntersectionCount(universe) >= quota && cnt < best {
-			best = cnt
+		c := cov.IntersectionCount(universe)
+		switch {
+		case c < quota:
+			continue
+		case bestCov < 0, len(sel) < len(best):
+		case len(sel) > len(best), c < bestCov:
+			continue
+		case c == bestCov && !lexLess(sel, best):
+			continue
 		}
+		best, bestCov = sel, c
 	}
 	return best
 }
 
+// TestPartialCoverMatchesBruteForce compares PartialCover with the
+// brute-force tie-break winner on small random instances of varied
+// density. A bound that cuts a subtree holding a shorter selection, or an
+// equal one that wins the tie-break, shows here as a different Selected;
+// such instances are rare, hence the many trials.
 func TestPartialCoverMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 60; trial++ {
-		nElem := 5 + rng.Intn(8)
-		nSets := 3 + rng.Intn(8)
+	withProcs(t, 2)
+	for trial := 0; trial < 1500; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		nElem := 5 + rng.Intn(12)
+		nSets := 3 + rng.Intn(9)
+		p := 0.2 + 0.4*rng.Float64()
 		sets := make([]*bitset.Set, nSets)
 		for i := range sets {
 			s := bitset.New(nElem)
 			for e := 0; e < nElem; e++ {
-				if rng.Float64() < 0.4 {
+				if rng.Float64() < p {
 					s.Add(e)
 				}
 			}
@@ -270,33 +290,149 @@ func TestPartialCoverMatchesBruteForce(t *testing.T) {
 			continue
 		}
 		quota := 1 + rng.Intn(maxCov)
-		res, err := PartialCover(context.Background(), sets, universe, quota, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Optimal {
-			t.Fatalf("trial %d: not proven optimal", trial)
-		}
 		want := bruteForcePartial(sets, universe, quota)
-		if len(res.Selected) != want {
-			t.Fatalf("trial %d: got %d, brute force %d (quota %d)", trial, len(res.Selected), want, quota)
-		}
-		cov := bitset.New(nElem)
-		for _, j := range res.Selected {
-			cov.Or(sets[j])
-		}
-		if cov.IntersectionCount(universe) < quota {
-			t.Fatalf("trial %d: quota missed", trial)
+		for _, w := range []int{1, 2} {
+			res, err := PartialCover(context.Background(), sets, universe, quota, Options{Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Optimal {
+				t.Fatalf("trial %d workers=%d: not proven optimal", trial, w)
+			}
+			if !coverEqual(res.Selected, want) {
+				t.Fatalf("trial %d workers=%d: got %v, brute force %v (quota %d)", trial, w, res.Selected, want, quota)
+			}
 		}
 		// Greedy is never better than the optimum.
 		g, err := GreedyPartialCover(sets, universe, quota)
 		if err != nil {
 			t.Fatalf("trial %d: greedy failed on a reachable quota: %v", trial, err)
 		}
-		if len(g) < want {
+		if len(g) < len(want) {
 			t.Fatalf("trial %d: greedy beat the optimum?!", trial)
 		}
 	}
+}
+
+// TestPartialCoverBoundIsValid checks PartialCover's bound on random
+// search states of small instances: a covered set from some of the first
+// pos sets of the size order, the rest still allowed. The bound — the
+// fewest r whose r largest marginal gains over the allowed sets reach the
+// deficit, read from topSums — must never exceed the brute-force number of
+// allowed sets that completes the quota, and never fall below the
+// size-prefix bound, the fewest r whose r largest set sizes reach it.
+// topSums' two suffix sums are checked against sorting at every position.
+func TestPartialCoverBoundIsValid(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const inf = 1 << 20
+	states, stronger := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		nElem := 6 + rng.Intn(14)
+		nSets := 3 + rng.Intn(9)
+		sets := make([]*bitset.Set, nSets)
+		size := make([]int, nSets)
+		for i := range sets {
+			sets[i] = bitset.New(nElem)
+			for e := 0; e < nElem; e++ {
+				if rng.Float64() < 0.3 {
+					sets[i].Add(e)
+				}
+			}
+			size[i] = sets[i].Count()
+		}
+		order := make([]int, nSets)
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(a, b int) bool {
+			if size[order[a]] != size[order[b]] {
+				return size[order[a]] > size[order[b]]
+			}
+			return order[a] < order[b]
+		})
+		pos := rng.Intn(nSets + 1)
+		covered := bitset.New(nElem)
+		for _, si := range order[:pos] {
+			if rng.Intn(2) == 0 {
+				covered.Or(sets[si])
+			}
+		}
+		quota := covered.Count() + 1 + rng.Intn(nElem-covered.Count()+1)
+		if quota > nElem {
+			continue
+		}
+		deficit := quota - covered.Count()
+		states++
+
+		gain := make([]int, nSets)
+		for j := pos; j < nSets; j++ {
+			gain[j] = sets[order[j]].AndNotCount(covered)
+		}
+		top := make([]int, nSets+1)
+		top1 := make([]int, nSets+1)
+		bound := inf
+		for k := 1; k <= nSets-pos; k++ {
+			topSums(gain, pos, k, top, top1, nil)
+			for j := pos; j <= nSets; j++ {
+				desc := append([]int(nil), gain[j:]...)
+				sort.Sort(sort.Reverse(sort.IntSlice(desc)))
+				if want := sumFirst(desc, k); top[j] != want {
+					t.Fatalf("trial %d: top[%d] for k=%d is %d, want %d", trial, j, k, top[j], want)
+				}
+				if want := sumFirst(desc, k-1); top1[j] != want {
+					t.Fatalf("trial %d: top1[%d] for k=%d is %d, want %d", trial, j, k, top1[j], want)
+				}
+			}
+			if bound == inf && top[pos] >= deficit {
+				bound = k
+			}
+		}
+
+		prefix := inf
+		for r, sum := 0, 0; pos+r < nSets; r++ {
+			sum += size[order[pos+r]]
+			if sum >= deficit {
+				prefix = r + 1
+				break
+			}
+		}
+		opt := inf
+		rest := order[pos:]
+		for mask := 1; mask < 1<<uint(len(rest)); mask++ {
+			cov := covered.Clone()
+			n := 0
+			for j, si := range rest {
+				if mask>>uint(j)&1 == 1 {
+					cov.Or(sets[si])
+					n++
+				}
+			}
+			if cov.Count() >= quota && n < opt {
+				opt = n
+			}
+		}
+		if bound > opt {
+			t.Fatalf("trial %d: bound %d exceeds the optimum %d", trial, bound, opt)
+		}
+		if bound < prefix {
+			t.Fatalf("trial %d: bound %d below the size-prefix bound %d", trial, bound, prefix)
+		}
+		if bound > prefix {
+			stronger++
+		}
+	}
+	if states < 100 || stronger == 0 {
+		t.Fatalf("%d search states checked, %d with a bound above the size-prefix bound", states, stronger)
+	}
+}
+
+// sumFirst sums the first k values of xs (all of them when fewer).
+func sumFirst(xs []int, k int) int {
+	sum := 0
+	for i := 0; i < k && i < len(xs); i++ {
+		sum += xs[i]
+	}
+	return sum
 }
 
 func TestPartialCoverQuotaUnreachable(t *testing.T) {

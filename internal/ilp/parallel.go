@@ -24,8 +24,9 @@ func (s *stopFlag) get() stopReason  { return stopReason(s.v.Load()) }
 // count, so equal-size selections that cover more of the universe win;
 // full covers pass a constant), and remaining ties fall back to
 // lexicographic comparison of the sorted index lists. Because pruning only
-// discards subtrees that are strictly worse than the incumbent by length,
-// every minimum-size selection is offered eventually and the final winner
+// discards subtrees whose every selection is strictly worse than the
+// incumbent — by length, and for PartialCover by length then score —
+// every selection that can win is offered eventually and the final winner
 // is the same for every worker count and interleaving.
 type bestList struct {
 	mu      sync.Mutex
@@ -45,9 +46,14 @@ func newBestList(seed []int, score int) *bestList {
 	return b
 }
 
-// bound returns the current incumbent length. A stale (larger) read only
-// weakens pruning; it never changes the final result.
-func (b *bestList) bound() int { return int(b.ns.Load() >> 32) }
+// bound returns the current incumbent length and score from one atomic
+// read. A stale pair ranks no better than the current incumbent, so
+// pruning against it only weakens the pruning; it never changes the final
+// result.
+func (b *bestList) bound() (n, score int) {
+	ns := b.ns.Load()
+	return int(ns >> 32), int(int32(uint32(ns)))
+}
 
 // offer publishes a candidate selection (any order; offer sorts a reused
 // scratch copy under the mutex, so the caller's slice is never retained).

@@ -3,6 +3,7 @@ package ilp
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -132,6 +133,75 @@ func TestSetCoverBudgetExpiryMidSearch(t *testing.T) {
 		}
 		if !u.Empty() {
 			t.Fatalf("workers=%d: budget incumbent does not cover", w)
+		}
+	}
+}
+
+// TestAbortNeverWorseThanHeuristic trips the budget of both solvers on
+// instances whose greedy cover holds a redundant set, at entry and at the
+// first in-search poll. The heuristic answer is greedy less the sets the
+// schedule's fault dropping skips; an aborted solve must never return more
+// sets than that, and its Gap must be computed from the cover it returns.
+func TestAbortNeverWorseThanHeuristic(t *testing.T) {
+	withProcs(t, 2)
+	// Greedy takes 0, 1, 2, 3 (gains 6, 4, 1, 1); 1 adds nothing once the
+	// larger 2 and 3 are kept, and {2, 3} is the optimum.
+	gadget := []*bitset.Set{
+		mkset(12, 0, 1, 2, 3, 4, 5),
+		mkset(12, 6, 7, 8, 9),
+		mkset(12, 0, 1, 2, 6, 7, 10),
+		mkset(12, 3, 4, 5, 8, 9, 11),
+	}
+	hardSets, hardUniv := hardCoverInstance(74, 80, 30, 0.12)
+	partSets, partUniv := hardCoverInstance(172, 80, 30, 0.12)
+	cases := []struct {
+		name        string
+		sets        []*bitset.Set
+		universe    *bitset.Set
+		quota       int // 0: full cover
+		after       int64
+		greedy, max int
+	}{
+		{"setcover/entry", gadget, full(12), 0, 0, 4, 3},
+		{"setcover/mid-search", hardSets, hardUniv, 0, 2, 17, 16},
+		{"partial/entry", gadget, full(12), 12, 0, 4, 3},
+		{"partial/mid-search", partSets, partUniv, partUniv.Count() * 9 / 10, 2, 10, 9},
+	}
+	for _, c := range cases {
+		quota := c.quota
+		if quota == 0 {
+			quota = c.universe.Count()
+		}
+		g, err := GreedyPartialCover(c.sets, c.universe, quota)
+		if err != nil || len(g) != c.greedy {
+			t.Fatalf("%s: greedy %v (%v), want %d sets", c.name, g, err, c.greedy)
+		}
+		for _, w := range []int{1, 2} {
+			ctx := &trippingCtx{Context: context.Background(), after: c.after, err: context.DeadlineExceeded}
+			var res CoverResult
+			if c.quota == 0 {
+				res, err = SetCover(ctx, c.sets, c.universe, Options{Workers: w})
+			} else {
+				res, err = PartialCover(ctx, c.sets, c.universe, quota, Options{Workers: w})
+			}
+			if err != nil || res.Optimal || res.Degradation != fmerr.DegradeIncumbent {
+				t.Fatalf("%s workers=%d: want a budget-aborted solve, got %+v %v", c.name, w, res, err)
+			}
+			if len(res.Selected) > c.max {
+				t.Errorf("%s workers=%d: %d sets, the heuristic's answer has %d", c.name, w, len(res.Selected), c.max)
+			}
+			cov := bitset.New(c.universe.Len())
+			for _, j := range res.Selected {
+				cov.Or(c.sets[j])
+			}
+			if cov.IntersectionCount(c.universe) < quota {
+				t.Errorf("%s workers=%d: %v misses the quota", c.name, w, res.Selected)
+			}
+			// Gap = (n - rootBound)/n with an integer bound in [0, n).
+			n := float64(len(res.Selected))
+			if lb := n * (1 - res.Gap); res.Gap <= 0 || res.Gap > 1 || math.Abs(lb-math.Round(lb)) > 1e-9 {
+				t.Errorf("%s workers=%d: gap %v is not computed from %d sets", c.name, w, res.Gap, len(res.Selected))
+			}
 		}
 	}
 }

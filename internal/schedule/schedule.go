@@ -87,9 +87,11 @@ type Options struct {
 	SolverBudget time.Duration
 	// Workers bounds the Step-2 fan-out across periods and the worker
 	// pool inside each exact covering solve; zero or negative means one
-	// worker per CPU (par.ClampWorkers). Completed builds are
-	// bit-identical for every worker count: the per-period solves are
-	// independent and their bookkeeping merge is commutative.
+	// worker per CPU (par.ClampWorkers). Completed builds return the same
+	// schedule for every worker count: the per-period solves are
+	// independent and their bookkeeping merge is commutative. The effort
+	// counters in Schedule.Solver are not: a parallel search expands nodes
+	// and finds incumbents in a racy order.
 	Workers int
 }
 
@@ -223,7 +225,10 @@ func Build(ctx context.Context, data []detect.FaultData, opt Options) (*Schedule
 // Step-1 frequency cover and the Step-2 combo covers are both functions of
 // it), the delay elements, the method, the coverage target, and the solver
 // budget (a different budget can settle on a different incumbent). Worker
-// count is excluded: builds are bit-identical for any parallelism.
+// count is excluded: a completed build returns the same schedule for any
+// parallelism. Its effort counters are not identical — at Workers 2,
+// Solver.Nodes and Solver.Incumbents differ from run to run — so a cache
+// hit carries those of the run that filled the entry.
 func cacheKey(data []detect.FaultData, opt Options) cache.Key {
 	h := cache.NewHasher("schedule")
 	h.Int("faults", int64(len(data)))
@@ -413,6 +418,9 @@ func build(ctx context.Context, data []detect.FaultData, opt Options) (*Schedule
 
 	// Fault dropping: process the selected periods by decreasing fault
 	// count; each fault is assigned to the first period that detects it.
+	// The covering solvers' abort fallback (ilp.dropRedundant) drops
+	// periods in this same order, which is what keeps an aborted ILP
+	// selection from ending with more periods than the heuristic's.
 	cnt := make([]int, len(cands))
 	for _, ci := range selected {
 		cnt[ci] = cands[ci].Faults.Count()
@@ -461,8 +469,8 @@ func build(ctx context.Context, data []detect.FaultData, opt Options) (*Schedule
 	// with par.Each, each call owning the plan it is handed. The shared
 	// bookkeeping (CombosOptimal, Degradation, SolverStats) funnels
 	// through one mutex-guarded merge whose operations are all
-	// commutative (AND, max, sums), so the resulting Schedule is
-	// bit-identical to the serial build.
+	// commutative (AND, max, sums), so the merge order cannot change the
+	// Schedule; it equals the serial build's up to the effort counters.
 	s.CombosOptimal = true
 	workers := par.ClampWorkersFor(opt.Workers, len(plans))
 	var (
