@@ -297,7 +297,7 @@ func run(out string) error {
 	}
 	// File output goes through the durable-I/O layer: CRC-stamped record,
 	// atomic fsync-then-rename replacement, transient-failure retry.
-	data, err := safeio.MarshalRecord(rep)
+	data, err := safeio.MarshalRecordIndent(rep)
 	if err != nil {
 		return err
 	}

@@ -21,10 +21,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"hash"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"fastmon/internal/circuit"
@@ -64,56 +64,68 @@ func (k Key) String() string {
 // Hasher accumulates labelled key components into a SHA-256 fingerprint.
 // Every Write* method frames its input with the label and a length prefix so
 // that distinct component sequences can never collide by concatenation.
+//
+// Frames are appended to one pending buffer and handed to SHA-256 in blocks
+// of at least flushSize bytes. The digest reads the same byte stream as if
+// every piece were written on its own, so the buffering changes no key.
 type Hasher struct {
 	h         hash.Hash
+	buf       []byte
 	stageName string
 }
+
+// flushSize is the pending-buffer length at which frames are hashed.
+const flushSize = 4 << 10
 
 // NewHasher starts a key for one pipeline stage. The schema epoch and the
 // stage name are the first components of every key.
 func NewHasher(stage string) *Hasher {
-	h := &Hasher{h: sha256.New(), stageName: stage}
+	h := &Hasher{h: sha256.New(), buf: make([]byte, 0, 2*flushSize), stageName: stage}
 	h.Int("schema", SchemaVersion)
 	h.Str("stage", stage)
 	return h
 }
 
-// frame writes label and payload length before the payload itself.
+// frame appends label and payload length before the payload itself.
 func (h *Hasher) frame(label string, n int) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(label)))
-	h.h.Write(buf[:4])
-	h.h.Write([]byte(label))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(n))
-	h.h.Write(buf[:4])
+	h.buf = binary.LittleEndian.AppendUint32(h.buf, uint32(len(label)))
+	h.buf = append(h.buf, label...)
+	h.buf = binary.LittleEndian.AppendUint32(h.buf, uint32(n))
+}
+
+// flushFull hashes the pending frames once they fill a block.
+func (h *Hasher) flushFull() *Hasher {
+	if len(h.buf) >= flushSize {
+		h.h.Write(h.buf)
+		h.buf = h.buf[:0]
+	}
+	return h
 }
 
 // Str hashes a labelled string component.
 func (h *Hasher) Str(label, s string) *Hasher {
 	h.frame(label, len(s))
-	h.h.Write([]byte(s))
-	return h
+	h.buf = append(h.buf, s...)
+	return h.flushFull()
 }
 
 // Bytes hashes a labelled raw byte component.
 func (h *Hasher) Bytes(label string, b []byte) *Hasher {
 	h.frame(label, len(b))
-	h.h.Write(b)
-	return h
+	h.buf = append(h.buf, b...)
+	return h.flushFull()
 }
 
 // Int hashes a labelled integer component.
 func (h *Hasher) Int(label string, v int64) *Hasher {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	return h.Bytes(label, buf[:])
+	h.frame(label, 8)
+	h.buf = binary.LittleEndian.AppendUint64(h.buf, uint64(v))
+	return h.flushFull()
 }
 
 // F64 hashes a labelled float component by its exact bit pattern.
 func (h *Hasher) F64(label string, v float64) *Hasher {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	return h.Bytes(label, buf[:])
+	return h.Int(label, int64(math.Float64bits(v)))
 }
 
 // Bool hashes a labelled boolean component.
@@ -131,35 +143,52 @@ func (h *Hasher) Time(label string, t tunit.Time) *Hasher {
 
 // Times hashes a labelled tunit.Time slice, order-sensitive.
 func (h *Hasher) Times(label string, ts []tunit.Time) *Hasher {
-	h.Int(label+".len", int64(len(ts)))
-	for i, t := range ts {
-		h.Int(fmt.Sprintf("%s[%d]", label, i), int64(t))
-	}
-	return h
+	return hashSeq(h, label, ts)
 }
 
 // Bools hashes a labelled bit vector, order-sensitive.
 func (h *Hasher) Bools(label string, vs []bool) *Hasher {
-	b := make([]byte, len(vs))
-	for i, v := range vs {
+	h.frame(label, len(vs))
+	for _, v := range vs {
+		var b byte
 		if v {
-			b[i] = 1
+			b = 1
 		}
+		h.buf = append(h.buf, b)
 	}
-	return h.Bytes(label, b)
+	return h.flushFull()
 }
 
 // Ints hashes a labelled int slice, order-sensitive.
 func (h *Hasher) Ints(label string, vs []int) *Hasher {
-	h.Int(label+".len", int64(len(vs)))
+	return hashSeq(h, label, vs)
+}
+
+// hashSeq frames a slice as Int(label+".len") followed by one Int per
+// element labelled "label[i]". The indexed label is built in place: its
+// length prefix is patched once the decimal index has been appended.
+func hashSeq[T ~int | ~int64](h *Hasher, label string, vs []T) *Hasher {
+	h.buf = binary.LittleEndian.AppendUint32(h.buf, uint32(len(label)+len(".len")))
+	h.buf = append(append(h.buf, label...), ".len"...)
+	h.buf = binary.LittleEndian.AppendUint32(h.buf, 8)
+	h.buf = binary.LittleEndian.AppendUint64(h.buf, uint64(len(vs)))
 	for i, v := range vs {
-		h.Int(fmt.Sprintf("%s[%d]", label, i), int64(v))
+		at := len(h.buf)
+		h.buf = append(h.buf, 0, 0, 0, 0)
+		h.buf = append(append(h.buf, label...), '[')
+		h.buf = append(strconv.AppendInt(h.buf, int64(i), 10), ']')
+		binary.LittleEndian.PutUint32(h.buf[at:], uint32(len(h.buf)-at-4))
+		h.buf = binary.LittleEndian.AppendUint32(h.buf, 8)
+		h.buf = binary.LittleEndian.AppendUint64(h.buf, uint64(v))
+		h.flushFull()
 	}
-	return h
+	return h.flushFull()
 }
 
 // Key finalizes the digest.
 func (h *Hasher) Key() Key {
+	h.h.Write(h.buf)
+	h.buf = h.buf[:0]
 	k := Key{stage: h.stageName}
 	h.h.Sum(k.sum[:0])
 	return k

@@ -1,6 +1,12 @@
 package cache
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -114,6 +120,199 @@ const (
 	goldenC17    = "e0c26edd8afaccc2fe7429ce03f30da4086d6b70acf91d513b9f8894d4a65e58"
 	goldenHasher = "stage-39776c45480f7f091f2148187344329440260128654f95b321ffad1e976d64ed"
 )
+
+// refHasher is the key framing written piece by piece: one Write per
+// length prefix, label and payload, and fmt.Sprintf("%s[%d]") index labels.
+// The buffered Hasher must feed SHA-256 the same byte stream.
+type refHasher struct{ h hash.Hash }
+
+func newRefHasher(stage string) *refHasher {
+	r := &refHasher{h: sha256.New()}
+	r.Int("schema", SchemaVersion)
+	r.Str("stage", stage)
+	return r
+}
+
+func (r *refHasher) frame(label string, n int) {
+	var buf [4]byte
+	binary.LittleEndian.PutUint32(buf[:], uint32(len(label)))
+	r.h.Write(buf[:])
+	r.h.Write([]byte(label))
+	binary.LittleEndian.PutUint32(buf[:], uint32(n))
+	r.h.Write(buf[:])
+}
+
+func (r *refHasher) Bytes(label string, b []byte) {
+	r.frame(label, len(b))
+	r.h.Write(b)
+}
+
+func (r *refHasher) Str(label, s string) {
+	r.frame(label, len(s))
+	r.h.Write([]byte(s))
+}
+
+func (r *refHasher) Int(label string, v int64) {
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], uint64(v))
+	r.Bytes(label, buf[:])
+}
+
+func (r *refHasher) F64(label string, v float64) {
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+	r.Bytes(label, buf[:])
+}
+
+func (r *refHasher) Bool(label string, v bool) {
+	if v {
+		r.Int(label, 1)
+	} else {
+		r.Int(label, 0)
+	}
+}
+
+func (r *refHasher) Times(label string, ts []tunit.Time) {
+	r.Int(label+".len", int64(len(ts)))
+	for i, t := range ts {
+		r.Int(fmt.Sprintf("%s[%d]", label, i), int64(t))
+	}
+}
+
+func (r *refHasher) Ints(label string, vs []int) {
+	r.Int(label+".len", int64(len(vs)))
+	for i, v := range vs {
+		r.Int(fmt.Sprintf("%s[%d]", label, i), int64(v))
+	}
+}
+
+func (r *refHasher) Bools(label string, vs []bool) {
+	b := make([]byte, len(vs))
+	for i, v := range vs {
+		if v {
+			b[i] = 1
+		}
+	}
+	r.Bytes(label, b)
+}
+
+func (r *refHasher) Key(stage string) Key {
+	k := Key{stage: stage}
+	r.h.Sum(k.sum[:0])
+	return k
+}
+
+// TestHasherMatchesReferenceFraming feeds random component sequences to
+// the buffered Hasher and to refHasher: every key must be equal. Slices
+// run to 1,001 elements so index labels reach four digits, values go
+// negative, string and byte payloads reach several flush blocks, and a
+// sweep places the pending total on every side of flushSize.
+func TestHasherMatchesReferenceFraming(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	lens := []int{0, 1, 10, 11, 101, 1001}
+	text := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(rng.Intn(256))
+		}
+		return string(b)
+	}
+	size := func() int { // mostly short, sometimes several flush blocks
+		if rng.Intn(4) == 0 {
+			return flushSize + rng.Intn(3*flushSize)
+		}
+		return rng.Intn(40)
+	}
+	value := func() int64 {
+		switch rng.Intn(4) {
+		case 0:
+			return -rng.Int63()
+		case 1:
+			return int64(rng.Intn(2001) - 1000)
+		}
+		return rng.Int63()
+	}
+	type step func(h *Hasher, r *refHasher)
+	randomStep := func() step {
+		label := text(rng.Intn(12))
+		switch rng.Intn(9) {
+		case 0:
+			s := text(size())
+			return func(h *Hasher, r *refHasher) { h.Str(label, s); r.Str(label, s) }
+		case 1:
+			b := []byte(text(size()))
+			return func(h *Hasher, r *refHasher) { h.Bytes(label, b); r.Bytes(label, b) }
+		case 2:
+			v := value()
+			return func(h *Hasher, r *refHasher) { h.Int(label, v); r.Int(label, v) }
+		case 3:
+			v := math.Float64frombits(uint64(value()))
+			return func(h *Hasher, r *refHasher) { h.F64(label, v); r.F64(label, v) }
+		case 4:
+			v := rng.Intn(2) == 1
+			return func(h *Hasher, r *refHasher) { h.Bool(label, v); r.Bool(label, v) }
+		case 5:
+			v := tunit.Time(value())
+			return func(h *Hasher, r *refHasher) { h.Time(label, v); r.Int(label, int64(v)) }
+		case 6:
+			ts := make([]tunit.Time, lens[rng.Intn(len(lens))])
+			for i := range ts {
+				ts[i] = tunit.Time(value())
+			}
+			return func(h *Hasher, r *refHasher) { h.Times(label, ts); r.Times(label, ts) }
+		case 7:
+			vs := make([]int, lens[rng.Intn(len(lens))])
+			for i := range vs {
+				vs[i] = int(value())
+			}
+			return func(h *Hasher, r *refHasher) { h.Ints(label, vs); r.Ints(label, vs) }
+		default:
+			vs := make([]bool, size())
+			for i := range vs {
+				vs[i] = rng.Intn(2) == 1
+			}
+			return func(h *Hasher, r *refHasher) { h.Bools(label, vs); r.Bools(label, vs) }
+		}
+	}
+	check := func(what, stage string, steps []step) {
+		t.Helper()
+		h, r := NewHasher(stage), newRefHasher(stage)
+		for _, s := range steps {
+			s(h, r)
+		}
+		if got, want := h.Key(), r.Key(stage); got != want {
+			t.Fatalf("%s: buffered key %s, reference %s", what, got, want)
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		steps := make([]step, rng.Intn(30))
+		for i := range steps {
+			steps[i] = randomStep()
+		}
+		check(fmt.Sprintf("trial %d", trial), text(rng.Intn(10)), steps)
+	}
+
+	// A pad that leaves the pending total one frame short of, at, or just
+	// past flushSize, then a slice whose frames cross the next flushes.
+	ts := make([]tunit.Time, 1001)
+	for i := range ts {
+		ts[i] = tunit.Time(value())
+	}
+	for d := -3; d <= 3; d++ {
+		head := len(NewHasher("straddle").buf)
+		pad := make([]byte, flushSize-head-len("pad")-8+d)
+		h := NewHasher("straddle").Bytes("pad", pad)
+		if total := head + len("pad") + 8 + len(pad); total < flushSize && len(h.buf) != total ||
+			total >= flushSize && len(h.buf) != 0 {
+			t.Fatalf("pad %+d: %d bytes pending of %d written", d, len(h.buf), total)
+		}
+		check(fmt.Sprintf("pad %+d", d), "straddle", []step{
+			func(h *Hasher, r *refHasher) { h.Bytes("pad", pad); r.Bytes("pad", pad) },
+			func(h *Hasher, r *refHasher) { h.Int("i", -1); r.Int("i", -1) },
+			func(h *Hasher, r *refHasher) { h.Times("ts", ts); r.Times("ts", ts) },
+		})
+	}
+}
 
 // kindsEqual reports whether two parsed circuits assign the same kind to
 // every gate name — the structural check FuzzCacheKey uses to tell a real

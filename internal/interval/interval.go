@@ -9,9 +9,11 @@
 package interval
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"fastmon/internal/tunit"
@@ -251,15 +253,14 @@ func (s Set) Equal(o Set) bool {
 	return true
 }
 
-// Boundaries returns the sorted list of all interval endpoints. The
-// observation-time discretization (Fig. 5) cuts the time axis at these
-// points.
-func (s Set) Boundaries() []tunit.Time {
-	out := make([]tunit.Time, 0, 2*len(s.ivs))
+// AppendBoundaries appends the sorted interval endpoints lo1,hi1,lo2,hi2,...
+// to dst and returns the extended slice, so a caller can reuse one buffer
+// across many sets.
+func (s Set) AppendBoundaries(dst []tunit.Time) []tunit.Time {
 	for _, iv := range s.ivs {
-		out = append(out, iv.Lo, iv.Hi)
+		dst = append(dst, iv.Lo, iv.Hi)
 	}
-	return out
+	return dst
 }
 
 // Canonical reports whether the internal representation satisfies the Set
@@ -277,17 +278,38 @@ func (s Set) Canonical() bool {
 }
 
 // MarshalJSON encodes the set as a flat boundary list [lo1,hi1,lo2,hi2,...]
-// (the FromPoints shape). The representation is canonical, so marshalling
+// (the FromPoints shape), byte for byte what json.Marshal writes for that
+// list as a []tunit.Time. The representation is canonical, so marshalling
 // round-trips bit-exactly — the result cache relies on this to hand back
 // detection ranges identical to the ones it stored.
 func (s Set) MarshalJSON() ([]byte, error) {
-	return json.Marshal(s.Boundaries())
+	b := make([]byte, 0, 2+len(s.ivs)*16)
+	b = append(b, '[')
+	for i, iv := range s.ivs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(iv.Lo), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(iv.Hi), 10)
+	}
+	return append(b, ']'), nil
 }
 
 // UnmarshalJSON decodes a boundary list and re-canonicalizes. Odd-length
 // boundary lists are rejected so a truncated payload cannot decode into a
-// plausible but wrong set.
+// plausible but wrong set. A flat list of integers is parsed directly and,
+// when it is already canonical (every list MarshalJSON writes), kept as is;
+// any other input takes the encoding/json path, with the same result.
 func (s *Set) UnmarshalJSON(data []byte) error {
+	if ivs, ok := parsePairs(data); ok {
+		if c := (Set{ivs: ivs}); c.Canonical() {
+			*s = c
+		} else {
+			*s = New(ivs...)
+		}
+		return nil
+	}
 	var pts []tunit.Time
 	if err := json.Unmarshal(data, &pts); err != nil {
 		return err
@@ -297,6 +319,82 @@ func (s *Set) UnmarshalJSON(data []byte) error {
 	}
 	*s = FromPoints(pts...)
 	return nil
+}
+
+// parsePairs reads a JSON array of an even number of integers as
+// consecutive [lo, hi) pairs. It reports false for anything else — odd
+// lengths, null, fractions, exponents, leading zeros, integers of more
+// than 18 digits, malformed JSON — leaving those to encoding/json.
+func parsePairs(data []byte) ([]Interval, bool) {
+	i := skipSpace(data, 0)
+	if i == len(data) || data[i] != '[' {
+		return nil, false
+	}
+	i = skipSpace(data, i+1)
+	if i < len(data) && data[i] == ']' {
+		return nil, skipSpace(data, i+1) == len(data)
+	}
+	ivs := make([]Interval, 0, (bytes.Count(data[i:], []byte{','})+1)/2)
+	var lo tunit.Time
+	for n := 0; ; n++ {
+		v, j, ok := parseInt(data, i)
+		if !ok {
+			return nil, false
+		}
+		if n%2 == 0 {
+			lo = v
+		} else {
+			ivs = append(ivs, Interval{lo, v})
+		}
+		i = skipSpace(data, j)
+		if i == len(data) {
+			return nil, false
+		}
+		switch data[i] {
+		case ',':
+			i = skipSpace(data, i+1)
+		case ']':
+			return ivs, n%2 == 1 && skipSpace(data, i+1) == len(data)
+		default:
+			return nil, false
+		}
+	}
+}
+
+// parseInt reads a JSON integer -?(0|[1-9][0-9]*) of at most 18 digits
+// (so it cannot overflow) at data[i:], returning it and the index after it.
+func parseInt(data []byte, i int) (tunit.Time, int, bool) {
+	neg := i < len(data) && data[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var v int64
+	for ; i < len(data) && data[i] >= '0' && data[i] <= '9'; i++ {
+		v = v*10 + int64(data[i]-'0')
+	}
+	n := i - start
+	if n == 0 || n > 18 || (n > 1 && data[start] == '0') {
+		return 0, 0, false
+	}
+	if neg {
+		v = -v
+	}
+	return tunit.Time(v), i, true
+}
+
+// skipSpace returns the index of the first non-whitespace byte at or
+// after data[i:], by JSON's definition of whitespace.
+func skipSpace(data []byte, i int) int {
+	for i < len(data) {
+		switch data[i] {
+		case ' ', '\t', '\n', '\r':
+			i++
+		default:
+			return i
+		}
+	}
+	return i
 }
 
 func (s Set) String() string {

@@ -1,8 +1,12 @@
 package interval
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -172,15 +176,10 @@ func TestMinMaxMeasure(t *testing.T) {
 
 func TestBoundaries(t *testing.T) {
 	a := set(10, 20, 30, 40)
-	b := a.Boundaries()
-	want := []tunit.Time{10, 20, 30, 40}
-	if len(b) != len(want) {
-		t.Fatalf("Boundaries = %v", b)
-	}
-	for i := range b {
-		if b[i] != want[i] {
-			t.Fatalf("Boundaries = %v, want %v", b, want)
-		}
+	b := a.AppendBoundaries([]tunit.Time{1, 2})
+	want := []tunit.Time{1, 2, 10, 20, 30, 40}
+	if !slices.Equal(b, want) {
+		t.Fatalf("AppendBoundaries = %v, want %v", b, want)
 	}
 }
 
@@ -387,4 +386,83 @@ func TestJSONRejectsOddBoundaries(t *testing.T) {
 	if err := json.Unmarshal([]byte(`"nope"`), &s); err == nil {
 		t.Fatal("non-array accepted")
 	}
+}
+
+// wideSet is a random canonical set over the whole int64 range: sorted
+// distinct boundaries, so the values run to 19 digits and both signs.
+func wideSet(r *rand.Rand) Set {
+	pts := make([]tunit.Time, 2*r.Intn(6))
+	for i := range pts {
+		pts[i] = tunit.Time(r.Int63() - r.Int63())
+	}
+	slices.Sort(pts)
+	if len(slices.Compact(pts)) != len(pts) {
+		return Set{}
+	}
+	return FromPoints(pts...)
+}
+
+// TestJSONMatchesBoundaries pins MarshalJSON to the bytes encoding/json
+// writes for the boundary list, and checks the round trip, on random
+// canonical sets: small and shifted below zero, spread over the int64
+// range, at its ends, and empty.
+func TestJSONMatchesBoundaries(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	sets := []Set{{}, FromPoints(math.MinInt64, math.MinInt64+1, -1, 0, math.MaxInt64-1, math.MaxInt64)}
+	for i := 0; i < 500; i++ {
+		sets = append(sets, randomSet(r).Shift(tunit.Time(r.Intn(2000)-1000)), wideSet(r))
+	}
+	for _, s := range sets {
+		got, err := s.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(s.AppendBoundaries([]tunit.Time{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("MarshalJSON(%v) = %s, json.Marshal of the boundaries = %s", s, got, want)
+		}
+		var back Set
+		if err := json.Unmarshal(got, &back); err != nil {
+			t.Fatalf("unmarshal %s: %v", got, err)
+		}
+		if !back.Equal(s) || !back.Canonical() {
+			t.Fatalf("round trip %v -> %s -> %v", s, got, back)
+		}
+	}
+}
+
+// FuzzIntervalJSON checks the direct decoder against the reference path,
+// json.Unmarshal into []tunit.Time and then FromPoints, on arbitrary
+// input: both give the same canonical set, or both fail.
+func FuzzIntervalJSON(f *testing.F) {
+	for _, seed := range []string{
+		`[]`, `[1,2]`, `[0,3,10,20,30,31]`, `[1,2,3]`, `null`, ` [ 1 ,\t2 ]\n`,
+		`[5,1]`, `[1,5,3,8]`, `[1,2,2,3]`, `[4,4,-3,-1]`, `[1.5,2]`, `[1e3,2000]`,
+		`[01,2]`, `[-0,1]`, `[-,1]`, `[null,1]`, `[1,2]x`, `[1,2,]`, `[,1]`, `[1 2]`,
+		`"nope"`, `{}`, `[[1,2]]`, `[123456789012345678,123456789012345679]`,
+		`[-9223372036854775808,9223372036854775807]`, `[9223372036854775808,1]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got Set
+		err := got.UnmarshalJSON(data)
+		var pts []tunit.Time
+		refErr := json.Unmarshal(data, &pts)
+		if refErr == nil && len(pts)%2 != 0 {
+			refErr = errors.New("odd boundary list")
+		}
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("%q: direct error %v, reference error %v", data, err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		if want := FromPoints(pts...); !got.Equal(want) || !got.Canonical() {
+			t.Fatalf("%q: direct %v, reference %v", data, got, want)
+		}
+	})
 }

@@ -132,7 +132,7 @@ func (m *Manifest) Finish(o *Observer) {
 // a torn or missing run.json behind a completed run. Transient failures
 // are retried with backoff under ctx.
 func (m *Manifest) WriteFile(ctx context.Context, path string) error {
-	data, err := safeio.MarshalRecord(m)
+	data, err := safeio.MarshalRecordIndent(m)
 	if err != nil {
 		return fmt.Errorf("obs: marshal manifest: %w", err)
 	}

@@ -132,23 +132,56 @@ type envelope struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// MarshalRecord encodes v as JSON and wraps it in a version-1 envelope
-// stamped with the CRC32-C of the compact payload bytes.
+// Record layout. MarshalRecord writes exactly
+//
+//	{"v":1,"crc32":"<8 lowercase hex digits>","payload":<payload>}\n
+//
+// — json.Marshal's encoding of the envelope — with the payload as
+// json.Marshal wrote it, so the stored payload bytes are the compact bytes
+// the CRC covers.
+const (
+	recordHead  = `{"v":1,"crc32":"`
+	payloadHead = `","payload":`
+)
+
+// MarshalRecord encodes v as JSON and wraps it in a compact version-1
+// envelope stamped with the CRC32-C of the compact payload bytes.
 func MarshalRecord(v any) ([]byte, error) {
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return nil, fmerr.Wrap(fmerr.StageIO, "marshal-record", err)
 	}
-	env := envelope{
-		V:       recordVersion,
-		CRC32:   fmt.Sprintf("%08x", crc32.Checksum(payload, castagnoli)),
-		Payload: payload,
-	}
-	out, err := json.MarshalIndent(env, "", "  ")
+	out := make([]byte, 0, len(recordHead)+8+len(payloadHead)+len(payload)+2)
+	out = append(out, recordHead...)
+	out = appendCRC(out, payload)
+	out = append(out, payloadHead...)
+	out = append(out, payload...)
+	return append(out, "}\n"...), nil
+}
+
+// MarshalRecordIndent is MarshalRecord indented by two spaces per level,
+// for records people read: the run manifest and benchmark reports. The CRC
+// covers the compact payload, so both layouts verify alike.
+func MarshalRecordIndent(v any) ([]byte, error) {
+	rec, err := MarshalRecord(v)
 	if err != nil {
+		return nil, err
+	}
+	var out bytes.Buffer
+	if err := json.Indent(&out, rec, "", "  "); err != nil {
 		return nil, fmerr.Wrap(fmerr.StageIO, "marshal-record", err)
 	}
-	return append(out, '\n'), nil
+	return out.Bytes(), nil
+}
+
+// appendCRC appends the CRC32-C of payload as 8 lowercase hex digits.
+func appendCRC(dst, payload []byte) []byte {
+	const digits = "0123456789abcdef"
+	sum := crc32.Checksum(payload, castagnoli)
+	for shift := 28; shift >= 0; shift -= 4 {
+		dst = append(dst, digits[sum>>shift&0xf])
+	}
+	return dst
 }
 
 // UnmarshalRecord verifies data's envelope and decodes its payload into
@@ -157,7 +190,24 @@ func MarshalRecord(v any) ([]byte, error) {
 // does not verify or the version is unknown. The CRC is computed over
 // the *compacted* payload bytes, so re-indenting a record on disk does
 // not invalidate it.
+//
+// A record in MarshalRecord's compact layout whose stamp matches its
+// payload bytes as stored is decoded in one pass. Every other input —
+// indented or re-indented records, other versions, checksum mismatches,
+// payloads that fail to decode — takes the full verifying path, which
+// parses the envelope, compacts the payload and checks it before
+// decoding. Neither path decodes bytes whose checksum failed.
 func UnmarshalRecord(data []byte, v any) error {
+	if payload, ok := compactPayload(data); ok && json.Unmarshal(payload, v) == nil {
+		return nil
+	}
+	return unmarshalVerified(data, v)
+}
+
+// unmarshalVerified is UnmarshalRecord for any layout: it parses the
+// envelope, checks its version, compacts the payload, checks the CRC and
+// only then decodes the payload into v.
+func unmarshalVerified(data []byte, v any) error {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return fmt.Errorf("%w: %v", ErrNotRecord, err)
@@ -183,6 +233,27 @@ func UnmarshalRecord(data []byte, v any) error {
 		return fmt.Errorf("%w: payload decode: %v", ErrCorrupt, err)
 	}
 	return nil
+}
+
+// compactPayload returns the payload of a record laid out exactly as
+// MarshalRecord writes it (the trailing newline optional), and whether its
+// stamp equals the CRC32-C of those payload bytes.
+func compactPayload(data []byte) ([]byte, bool) {
+	rest, ok := bytes.CutPrefix(data, []byte(recordHead))
+	if !ok || len(rest) < 8 {
+		return nil, false
+	}
+	stamp := rest[:8]
+	rest, ok = bytes.CutPrefix(rest[8:], []byte(payloadHead))
+	if !ok {
+		return nil, false
+	}
+	payload, ok := bytes.CutSuffix(bytes.TrimSuffix(rest, []byte("\n")), []byte("}"))
+	if !ok || len(payload) == 0 {
+		return nil, false
+	}
+	var sum [8]byte
+	return payload, bytes.Equal(appendCRC(sum[:0], payload), stamp)
 }
 
 // --- retry ------------------------------------------------------------------

@@ -232,13 +232,16 @@ func Build(ctx context.Context, data []detect.FaultData, opt Options) (*Schedule
 func cacheKey(data []detect.FaultData, opt Options) cache.Key {
 	h := cache.NewHasher("schedule")
 	h.Int("faults", int64(len(data)))
+	var pts []tunit.Time // one boundary buffer for every range
 	for i := range data {
 		fd := &data[i]
 		h.Int("fd.per", int64(len(fd.Per)))
 		for _, pr := range fd.Per {
 			h.Int("pr.pattern", int64(pr.Pattern))
-			h.Times("pr.ff", pr.FF.Boundaries())
-			h.Times("pr.sr", pr.SR.Boundaries())
+			pts = pr.FF.AppendBoundaries(pts[:0])
+			h.Times("pr.ff", pts)
+			pts = pr.SR.AppendBoundaries(pts[:0])
+			h.Times("pr.sr", pts)
 		}
 	}
 	h.Time("cfg.clk", opt.Cfg.Clk)
