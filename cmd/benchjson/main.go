@@ -28,9 +28,11 @@
 //	go test -run '^$' -bench BenchmarkDetect -json ./internal/sim |
 //	    benchjson -compare BENCH_detect.json -threshold 0.25
 //
-// prints a per-benchmark ns/op delta table and exits non-zero when any
-// shared benchmark is more than -threshold slower than its committed
-// number — a cheap local regression gate before updating the BENCH files.
+// prints a per-benchmark ns/op and allocs/op delta table and exits
+// non-zero when any shared benchmark is more than -threshold slower than
+// its committed number, or allocates more than -threshold beyond its
+// committed allocs/op — a cheap local regression gate before updating
+// the BENCH files.
 package main
 
 import (
@@ -445,7 +447,7 @@ func runCompare(w io.Writer, in io.Reader, basePath string, threshold float64) e
 func main() {
 	out := flag.String("o", "BENCH_detect.json", "output path (- for stdout)")
 	compare := flag.String("compare", "", "diff the fresh run on stdin against this committed report instead of writing -o; exit 1 on regression")
-	threshold := flag.Float64("threshold", 0.25, "relative ns/op slowdown that fails -compare (0.25 = 25%)")
+	threshold := flag.Float64("threshold", 0.25, "relative ns/op slowdown or allocs/op growth that fails -compare (0.25 = 25%)")
 	flag.Parse()
 	var err error
 	if *compare != "" {

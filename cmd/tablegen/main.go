@@ -54,14 +54,15 @@ type options struct {
 	chaosRate float64
 
 	// rec is the flight recorder shared between main (SIGQUIT dumps) and
-	// the run (event recording, introspection server); nil when disabled
-	// with -flight "" (Start then creates one under -listen).
+	// the run (event recording, failure dumps); nil when disabled with
+	// -flight "".
 	rec *flight.Recorder
 
 	cli.Flags
 }
 
 func main() {
+	def := exper.SuiteConfig{}.Defaults()
 	var (
 		t1       = flag.Bool("table1", false, "regenerate Table I")
 		t2       = flag.Bool("table2", false, "regenerate Table II")
@@ -71,10 +72,10 @@ func main() {
 		robust   = flag.Bool("robust", false, "run the variation-robustness study (first selected circuit)")
 		lifetime = flag.Bool("lifetime", false, "run the aging lifetime sweep (first selected circuit)")
 		all      = flag.Bool("all", false, "regenerate everything")
-		scale    = flag.Float64("scale", 0.08, "circuit size scale (1.0 = paper sizes)")
+		scale    = flag.Float64("scale", def.Scale, "circuit size scale (1.0 = paper sizes)")
 		circuits = flag.String("circuits", "", "comma-separated subset (default: all twelve)")
-		maxF     = flag.Int("maxfaults", 2500, "fault-sample budget per circuit")
-		budget   = flag.Duration("budget", 5*time.Second, "time budget per exact covering solve")
+		maxF     = flag.Int("maxfaults", def.MaxFaults, "fault-sample budget per circuit")
+		budget   = flag.Duration("budget", def.SolverBudget, "time budget per exact covering solve")
 		steps    = flag.Int("steps", 10, "sweep points for -fig3")
 		workers  = flag.Int("workers", 0, "goroutines for every parallel stage: concurrent circuits, fault simulation and the covering solvers (0 = all CPUs)")
 
@@ -105,7 +106,7 @@ func main() {
 	}
 	// The flight recorder journals structured pipeline events into a
 	// fixed-size ring; it is dumped as JSONL on recovered panics, failed
-	// runs and SIGQUIT, and served live at /flight under -listen.
+	// runs and SIGQUIT.
 	if *flightOut != "" {
 		opts.rec = flight.New(flight.DefaultCapacity)
 		opts.rec.DumpPath = *flightOut
@@ -163,7 +164,7 @@ func run(ctx context.Context, out, log io.Writer, cfg exper.SuiteConfig, opts op
 	// The shared runtime: profiles, telemetry (spans and metrics are
 	// always collected, the manifest needs them; log output depends on -v
 	// and -json-logs), the flight recorder riding the observer so every
-	// stage can journal events, the result cache and -listen.
+	// stage can journal events, and the result cache.
 	ctx, env, err := opts.Start(ctx, log, opts.rec)
 	if err != nil {
 		return err
@@ -173,7 +174,7 @@ func run(ctx context.Context, out, log io.Writer, cfg exper.SuiteConfig, opts op
 			err = cerr
 		}
 	}()
-	o, rec := env.Observer, env.Flight
+	o, rec := env.Observer, opts.rec
 
 	// Deterministic fault injection: -chaos.rate attaches an injector to
 	// the context, arming every registered chaos point in the pipeline.
@@ -220,7 +221,6 @@ func run(ctx context.Context, out, log io.Writer, cfg exper.SuiteConfig, opts op
 	}
 
 	progress := func(ev exper.SuiteEvent) {
-		env.Server.Publish("progress", ev) // no-op without -listen
 		pos := fmt.Sprintf("[%d/%d]", ev.Index+1, ev.Total)
 		if ev.Res == nil {
 			fmt.Fprintf(log, "# %s %-8s computing...\n", pos, ev.Spec.Name)

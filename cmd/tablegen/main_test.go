@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"strings"
 	"testing"
@@ -72,13 +73,36 @@ func runTables(t *testing.T, cfg exper.SuiteConfig, opts options) (tables string
 	if !summary {
 		t.Fatalf("no cache summary logged: %q", log.String())
 	}
+	return withoutTotal(out.String()), hits, misses
+}
+
+// withoutTotal drops the wall-clock "# total" line from run's output.
+func withoutTotal(out string) string {
 	var kept []string
-	for _, line := range strings.Split(out.String(), "\n") {
+	for _, line := range strings.Split(out, "\n") {
 		if !strings.HasPrefix(line, "# total") {
 			kept = append(kept, line)
 		}
 	}
-	return strings.Join(kept, "\n"), hits, misses
+	return strings.Join(kept, "\n")
+}
+
+var defaultRun = flag.Bool("default-run", false, "run TestDefaultRunTableI, the default suite's Table I (about 35 s at 2 workers)")
+
+// TestDefaultRunTableI pins the default run's Table I: run with the
+// default suite configuration, -table1 and -workers 2 must print
+// testdata/default_table1.golden, apart from the "# total" line. Table I
+// is the same at every worker count. The run takes about half a minute,
+// so the test needs -default-run.
+func TestDefaultRunTableI(t *testing.T) {
+	if !*defaultRun {
+		t.Skip("pass -default-run to pin the default run's Table I")
+	}
+	var out, log strings.Builder
+	if err := run(context.Background(), &out, &log, exper.SuiteConfig{Workers: 2}, options{t1: true}, nil); err != nil {
+		t.Fatalf("%v\n%s", err, log.String())
+	}
+	checkGolden(t, "default_table1.golden", []byte(withoutTotal(out.String())))
 }
 
 // TestRunStopEmitsPartialTables: a stop requested before the first circuit

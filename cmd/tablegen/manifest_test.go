@@ -12,7 +12,7 @@ import (
 	"fastmon/internal/obs"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden manifest shape")
+var update = flag.Bool("update", false, "rewrite the goldens in testdata")
 
 // runWithManifest drives run() once with telemetry enabled and returns the
 // parsed manifest.
@@ -100,13 +100,15 @@ func TestManifestGoldenShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = append(got, '\n')
+	checkGolden(t, "run_golden.json", append(got, '\n'))
+}
 
-	golden := filepath.Join("testdata", "run_golden.json")
+// checkGolden compares got with testdata/name, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +119,7 @@ func TestManifestGoldenShape(t *testing.T) {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
 	if string(got) != string(want) {
-		t.Fatalf("manifest shape drifted from %s (regenerate with -update if intended)\n--- got ---\n%s--- want ---\n%s",
+		t.Fatalf("output drifted from %s (regenerate with -update if intended)\n--- got ---\n%s--- want ---\n%s",
 			golden, got, want)
 	}
 }

@@ -1,7 +1,7 @@
 // Package cli is the runtime the fastmon commands share: the flags for
-// logging, the result cache, live introspection and profiling, and the
-// start-up and shut-down they drive. A command registers Flags next to
-// its own flags, calls Start before its work and Close after it.
+// logging, the result cache and profiling, and the start-up and
+// shut-down they drive. A command registers Flags next to its own flags,
+// calls Start before its work and Close after it.
 package cli
 
 import (
@@ -14,14 +14,12 @@ import (
 	"fastmon/internal/cache"
 	"fastmon/internal/obs"
 	"fastmon/internal/obs/flight"
-	"fastmon/internal/obshttp"
 )
 
 // Flags are the runtime flags every command registers.
 type Flags struct {
 	Verbose  bool   // -v: debug-level logs (per-stage spans)
 	JSONLogs bool   // -json-logs: logs as JSON lines
-	Listen   string // -listen: introspection server address ("" disables)
 	CacheDir string // -cache.dir: result-cache directory ("" disables)
 	CacheMax int64  // -cache.max: result-cache byte budget (<= 0 unlimited)
 
@@ -33,7 +31,6 @@ type Flags struct {
 func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.Verbose, "v", false, "verbose: log per-stage spans and telemetry to stderr (fastmon also prints per-period schedule details)")
 	fs.BoolVar(&f.JSONLogs, "json-logs", false, "emit logs as JSON lines on stderr (machine-readable)")
-	fs.StringVar(&f.Listen, "listen", "", "serve live introspection (/metrics, /progress, /flight, pprof) on this address (empty disables)")
 	fs.StringVar(&f.CacheDir, "cache.dir", "", "content-addressed result-cache directory; re-runs reuse matching stage results (empty disables)")
 	fs.Int64Var(&f.CacheMax, "cache.max", 512<<20, "result-cache size budget in bytes; least-recently-used entries are evicted (<= 0 = unlimited)")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -43,9 +40,7 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 
 // Env is a started runtime; Close ends it.
 type Env struct {
-	Observer *obs.Observer    // spans and metrics, logging through the flags' logger
-	Flight   *flight.Recorder // the recorder attached to Observer, or nil
-	Server   *obshttp.Server  // nil without -listen (Publish on nil is a no-op)
+	Observer *obs.Observer // spans and metrics, logging through the flags' logger
 
 	log      io.Writer
 	store    *cache.Store
@@ -54,11 +49,10 @@ type Env struct {
 
 // Start brings the runtime up in this order: the profilers; the logger
 // (text at warning level, debug level under -v, JSON under -json-logs)
-// and the observer; the flight recorder rec, or a new one under -listen
-// when rec is nil; the result cache; the introspection server. The
-// returned context carries the observer and the cache. The logs and the
-// runtime's "# ..." status lines go to log. On error nothing is left
-// running.
+// and the observer, with the flight recorder rec (nil for none) attached;
+// the result cache. The returned context carries the observer and the
+// cache. The logs and the runtime's "# ..." status lines go to log. On
+// error nothing is left running.
 func (f Flags) Start(ctx context.Context, log io.Writer, rec *flight.Recorder) (context.Context, *Env, error) {
 	stopProf, err := startProfiles(f.CPUProfile, f.MemProfile, f.Trace)
 	if err != nil {
@@ -73,10 +67,7 @@ func (f Flags) Start(ctx context.Context, log io.Writer, rec *flight.Recorder) (
 	if f.JSONLogs {
 		h = slog.NewJSONHandler(log, ho)
 	}
-	if rec == nil && f.Listen != "" {
-		rec = flight.New(flight.DefaultCapacity)
-	}
-	e := &Env{Observer: obs.New(slog.New(h)), Flight: rec, log: log, stopProf: stopProf}
+	e := &Env{Observer: obs.New(slog.New(h)), log: log, stopProf: stopProf}
 	e.Observer.AttachFlight(rec)
 	ctx = obs.With(ctx, e.Observer)
 
@@ -88,24 +79,15 @@ func (f Flags) Start(ctx context.Context, log io.Writer, rec *flight.Recorder) (
 		ctx = cache.With(ctx, e.store)
 		fmt.Fprintf(log, "# cache: %s (%d entries, %d bytes)\n", f.CacheDir, e.store.Len(), e.store.Bytes())
 	}
-	if f.Listen != "" {
-		if e.Server, err = obshttp.Start(ctx, f.Listen, obshttp.Options{Observer: e.Observer, Flight: rec}); err != nil {
-			stopProf() //nolint:errcheck // the listen error is the one to report
-			return ctx, nil, err
-		}
-		fmt.Fprintf(log, "# introspection: http://%s/ (metrics, progress, flight, debug/pprof)\n", e.Server.Addr())
-	}
 	return ctx, e, nil
 }
 
-// Close prints the result cache's traffic summary, stops the
-// introspection server and flushes the profiles, returning the first
-// profile error.
+// Close prints the result cache's traffic summary and flushes the
+// profiles, returning the first profile error.
 func (e *Env) Close() error {
 	if r := e.store.Report(); r != nil {
 		fmt.Fprintf(e.log, "# cache: %d hits, %d misses, %d evictions, %d corrupt (%d entries, %d bytes)\n",
 			r.Hits, r.Misses, r.Evictions, r.Corrupt, r.Entries, r.Bytes)
 	}
-	e.Server.Close() //nolint:errcheck // a shutdown error leaves nothing to recover
 	return e.stopProf()
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"flag"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,16 +11,17 @@ import (
 
 	"fastmon/internal/cache"
 	"fastmon/internal/obs"
+	"fastmon/internal/obs/flight"
 )
 
 // TestRegisterDefinesRuntimeFlags pins the runtime flag surface: exactly
-// these eight flags, with these defaults.
+// these seven flags, with these defaults.
 func TestRegisterDefinesRuntimeFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	var f Flags
 	f.Register(fs)
 	want := map[string]string{
-		"v": "false", "json-logs": "false", "listen": "",
+		"v": "false", "json-logs": "false",
 		"cache.dir": "", "cache.max": "536870912",
 		"cpuprofile": "", "memprofile": "", "trace": "",
 	}
@@ -44,11 +44,13 @@ func TestRegisterDefinesRuntimeFlags(t *testing.T) {
 }
 
 // TestStartAttachesCacheAndReportsIt: -cache.dir puts the store on the
-// context, and Close prints the traffic summary.
+// context, the given flight recorder rides the observer, and Close
+// prints the traffic summary.
 func TestStartAttachesCacheAndReportsIt(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
+	rec := flight.New(16)
 	var log strings.Builder
-	ctx, env, err := Flags{CacheDir: dir}.Start(context.Background(), &log, nil)
+	ctx, env, err := Flags{CacheDir: dir}.Start(context.Background(), &log, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +60,8 @@ func TestStartAttachesCacheAndReportsIt(t *testing.T) {
 	if obs.From(ctx) != env.Observer || env.Observer == nil {
 		t.Fatal("observer not on the context")
 	}
-	if env.Flight != nil || env.Server != nil {
-		t.Fatalf("recorder %v, server %v without -listen", env.Flight, env.Server)
+	if env.Observer.Flight() != rec {
+		t.Fatal("the given flight recorder is not attached to the observer")
 	}
 	if err := env.Close(); err != nil {
 		t.Fatal(err)
@@ -70,32 +72,6 @@ func TestStartAttachesCacheAndReportsIt(t *testing.T) {
 	}
 	if got := strings.Split(strings.TrimSpace(log.String()), "\n"); strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("log = %q, want %q", got, want)
-	}
-}
-
-// TestStartServesIntrospection: -listen starts the server with a flight
-// recorder of its own and prints its address.
-func TestStartServesIntrospection(t *testing.T) {
-	var log strings.Builder
-	_, env, err := Flags{Listen: "127.0.0.1:0"}.Start(context.Background(), &log, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer env.Close()
-	if env.Flight == nil || env.Observer.Flight() != env.Flight {
-		t.Fatal("-listen did not attach a flight recorder")
-	}
-	if !strings.Contains(log.String(), "# introspection: http://"+env.Server.Addr()+"/") {
-		t.Fatalf("log = %q", log.String())
-	}
-	resp, err := http.Get("http://" + env.Server.Addr() + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body)) != "ok" {
-		t.Fatalf("/healthz = %d %q", resp.StatusCode, body)
 	}
 }
 

@@ -4,17 +4,17 @@
 // answers "how much" and spans answer "how long", the flight recorder
 // answers "what happened, in what order, right before it went wrong" —
 // the last few thousand span transitions, chaos injection decisions,
-// worker lifecycle changes, solver incumbent updates and result-cache
-// traffic, cheap enough to leave on for every run.
+// solver incumbent updates and result-cache traffic, cheap enough to
+// leave on for every run.
 //
 // The ring is a power-of-two slot array of atomic event pointers plus an
 // atomic head counter. Writers claim a sequence number with one atomic
 // add and publish a fully-built immutable event with one atomic pointer
 // store — no locks, no coordination with readers, and wraparound simply
-// overwrites the oldest slot. Readers (the /flight endpoint, the
-// post-mortem dump) snapshot the slots, order by sequence number, and
-// tolerate the races inherent in reading a live ring: a snapshot is the
-// recorder's best recollection, not a transaction.
+// overwrites the oldest slot. A reader (the post-mortem dump) snapshots
+// the slots, orders them by sequence number, and tolerates the races
+// inherent in reading a live ring: a snapshot is the recorder's best
+// recollection, not a transaction.
 //
 // A nil *Recorder is fully valid and every operation on it is a no-op,
 // mirroring obs.Observer and chaos.Injector, so instrumented code never
@@ -65,7 +65,7 @@ const (
 	// KindCache marks result-cache traffic; Name is the stage key,
 	// Detail "hit"/"miss"/"put"/"evict"/"corrupt", Value the entry size.
 	KindCache Kind = "cache"
-	// KindNote is a free-form annotation (CLI lifecycle, signals).
+	// KindNote is a free-form annotation.
 	KindNote Kind = "note"
 )
 
@@ -78,17 +78,17 @@ type Event struct {
 	Seq  uint64    `json:"seq"`
 	Time time.Time `json:"t"`
 	Kind Kind      `json:"kind"`
-	// Name locates the event: a span path, chaos point, worker-pool name,
+	// Name locates the event: a span path, chaos point, cache key,
 	// circuit, or solver label.
 	Name string `json:"name,omitempty"`
 	// Stage is the fmerr pipeline stage the event attributes to, when one
 	// applies ("detect", "solve", "exper", ...).
 	Stage string `json:"stage,omitempty"`
 	// Detail is free-form context: a fault kind, an error message, a
-	// lifecycle verb.
+	// cache outcome.
 	Detail string `json:"detail,omitempty"`
 	// Value is the kind-specific number: duration in nanoseconds for span
-	// ends, the chaos call sequence, a worker index, an incumbent cost.
+	// ends, the chaos call sequence, a cache entry size, an incumbent cost.
 	Value int64 `json:"value,omitempty"`
 }
 
@@ -149,12 +149,6 @@ func (r *Recorder) Record(ev Event) {
 		ev.Time = time.Now()
 	}
 	r.slots[seq&r.mask].Store(&ev)
-}
-
-// Note records a KindNote annotation (convenience for CLI lifecycle
-// breadcrumbs).
-func (r *Recorder) Note(name, detail string) {
-	r.Record(Event{Kind: KindNote, Name: name, Detail: detail})
 }
 
 // Snapshot returns the ring's surviving events in sequence order. Under

@@ -3,7 +3,6 @@ package obs
 import (
 	"math"
 	"math/bits"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -169,14 +168,6 @@ type HistogramSnapshot struct {
 	Buckets map[string]int64 `json:"buckets,omitempty"`
 }
 
-// Mean returns the average observed value (zero when empty).
-func (h HistogramSnapshot) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
 // Snapshot is a point-in-time copy of a whole registry, shaped for JSON
 // (the manifest embeds it).
 type Snapshot struct {
@@ -235,15 +226,4 @@ func bucketLabel(i int) string {
 	default:
 		return strconv.FormatUint(1<<uint(i-1), 10)
 	}
-}
-
-// SortedKeys returns the snapshot's counter names in sorted order —
-// convenience for deterministic rendering.
-func (s Snapshot) SortedKeys() []string {
-	keys := make([]string, 0, len(s.Counters))
-	for k := range s.Counters {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
