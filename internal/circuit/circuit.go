@@ -122,6 +122,33 @@ func (k Kind) Eval(in []bool) bool {
 	panic("circuit: Eval on non-combinational kind " + k.String())
 }
 
+// EvalCount computes the same function as Eval from the gate's arity n and
+// the number of its inputs that are 1: every combinational kind is
+// symmetric in its inputs, so the count decides the output. Buf and Not
+// have arity 1. An event-driven evaluator keeps a running count as pins
+// toggle instead of rescanning a []bool. It panics for Input and DFF.
+func (k Kind) EvalCount(n, ones int) bool {
+	switch k {
+	case Buf:
+		return ones != 0
+	case Not:
+		return ones == 0
+	case And:
+		return ones == n
+	case Nand:
+		return ones != n
+	case Or:
+		return ones != 0
+	case Nor:
+		return ones == 0
+	case Xor:
+		return ones&1 == 1
+	case Xnor:
+		return ones&1 == 0
+	}
+	panic("circuit: EvalCount on non-combinational kind " + k.String())
+}
+
 // Gate is a single node of the netlist. Gates are identified by their index
 // in Circuit.Gates.
 type Gate struct {

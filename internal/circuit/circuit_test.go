@@ -70,6 +70,43 @@ func TestKindEval(t *testing.T) {
 	}
 }
 
+// TestKindEvalCountMatchesEval checks the count form of every
+// combinational kind against Eval on every input vector up to arity 6
+// (Buf and Not only at their arity, 1).
+func TestKindEvalCountMatchesEval(t *testing.T) {
+	for k := Buf; k < DFF; k++ {
+		maxN := 6
+		if k == Buf || k == Not {
+			maxN = 1
+		}
+		for n := 1; n <= maxN; n++ {
+			in := make([]bool, n)
+			for bits := 0; bits < 1<<n; bits++ {
+				ones := 0
+				for i := range in {
+					in[i] = bits>>i&1 == 1
+					if in[i] {
+						ones++
+					}
+				}
+				if got, want := k.EvalCount(n, ones), k.Eval(in); got != want {
+					t.Errorf("%v.EvalCount(%d, %d) = %v, Eval%v = %v", k, n, ones, got, in, want)
+				}
+			}
+		}
+	}
+	for _, k := range []Kind{Input, DFF} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v.EvalCount did not panic", k)
+				}
+			}()
+			k.EvalCount(1, 0)
+		}()
+	}
+}
+
 func TestKindInverting(t *testing.T) {
 	inv := map[Kind]bool{Not: true, Nand: true, Nor: true, Xnor: true}
 	for k := Buf; k < DFF; k++ {

@@ -448,7 +448,7 @@ func run(ctx context.Context, e *sim.Engine, placement *monitor.Placement, fault
 	if chunk > len(patterns) {
 		chunk = len(patterns)
 	}
-	baselines := make([][]sim.Waveform, chunk)
+	baselines := make([]*sim.BaselineBuf, chunk)
 	defer func() {
 		for _, b := range baselines {
 			if b != nil {
@@ -527,9 +527,9 @@ func run(ctx context.Context, e *sim.Engine, placement *monitor.Placement, fault
 					t.sims++
 					var dets []sim.Detection
 					if cfg.SlowSim {
-						dets = e.FaultSimNaive(baselines[pi-lo], inj, horizon)
+						dets = e.FaultSimNaive(baselines[pi-lo].W, inj, horizon)
 					} else {
-						dets = e.FaultSimScratch(baselines[pi-lo], inj, horizon, sc, &t.st)
+						dets = e.FaultSimScratch(baselines[pi-lo].W, inj, horizon, sc, &t.st)
 					}
 					if len(dets) == 0 {
 						continue

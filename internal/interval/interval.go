@@ -79,6 +79,14 @@ func New(ivs ...Interval) Set {
 	return s
 }
 
+// FromCanonical wraps intervals that are already canonical — sorted by Lo,
+// non-empty, pairwise disjoint with strictly positive gaps — without
+// sorting, merging or copying. The Set aliases ivs; the caller must not
+// modify it afterwards. It is for producers whose own walk guarantees the
+// form, such as the waveform XOR of the fault simulator; anything else
+// goes through New.
+func FromCanonical(ivs []Interval) Set { return Set{ivs: ivs} }
+
 // FromPoints builds the set from an alternating boundary list
 // lo1,hi1,lo2,hi2,... — a convenience for tests and table-driven data.
 func FromPoints(pts ...tunit.Time) Set {

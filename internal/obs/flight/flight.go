@@ -65,8 +65,6 @@ const (
 	// KindCache marks result-cache traffic; Name is the stage key,
 	// Detail "hit"/"miss"/"put"/"evict"/"corrupt", Value the entry size.
 	KindCache Kind = "cache"
-	// KindNote is a free-form annotation.
-	KindNote Kind = "note"
 )
 
 // Event is one flight-recorder entry. Events are immutable once

@@ -12,7 +12,7 @@ import (
 
 func TestNilRecorderIsNoop(t *testing.T) {
 	var r *Recorder
-	r.Record(Event{Kind: KindNote, Name: "x"})
+	r.Record(Event{Kind: KindCache, Name: "x"})
 	if got := r.Snapshot(); got != nil {
 		t.Fatalf("nil snapshot = %v", got)
 	}
@@ -28,7 +28,7 @@ func TestNilRecorderIsNoop(t *testing.T) {
 	}
 	// The zero value (not constructed with New) must drop events too.
 	var zero Recorder
-	zero.Record(Event{Kind: KindNote})
+	zero.Record(Event{Kind: KindCache})
 	if got := zero.Snapshot(); got != nil {
 		t.Fatalf("zero-value snapshot = %v", got)
 	}
@@ -47,7 +47,7 @@ func TestCapacityRounding(t *testing.T) {
 func TestRecordAndSnapshotOrder(t *testing.T) {
 	r := New(8)
 	for i := 0; i < 5; i++ {
-		r.Record(Event{Kind: KindNote, Value: int64(i)})
+		r.Record(Event{Kind: KindCache, Value: int64(i)})
 	}
 	evs := r.Snapshot()
 	if len(evs) != 5 {
@@ -67,7 +67,7 @@ func TestWraparoundKeepsNewest(t *testing.T) {
 	r := New(8)
 	const total = 100
 	for i := 0; i < total; i++ {
-		r.Record(Event{Kind: KindNote, Value: int64(i)})
+		r.Record(Event{Kind: KindCache, Value: int64(i)})
 	}
 	evs := r.Snapshot()
 	if len(evs) != 8 {
@@ -99,7 +99,7 @@ func TestConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				r.Record(Event{
-					Kind:   KindNote,
+					Kind:   KindCache,
 					Name:   "pool",
 					Detail: "tick",
 					Value:  int64(w)<<32 | int64(i),
@@ -113,7 +113,7 @@ func TestConcurrentWriters(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 50; i++ {
 			for _, ev := range r.Snapshot() {
-				if ev.Kind != KindNote || ev.Name != "pool" || ev.Detail != "tick" {
+				if ev.Kind != KindCache || ev.Name != "pool" || ev.Detail != "tick" {
 					t.Errorf("torn event observed: %+v", ev)
 					return
 				}
@@ -200,7 +200,7 @@ func TestAutoDump(t *testing.T) {
 	}
 	// No configured path: no-op, no error.
 	r2 := New(16)
-	r2.Record(Event{Kind: KindNote})
+	r2.Record(Event{Kind: KindCache})
 	if p, err := r2.AutoDump("x"); err != nil || p != "" {
 		t.Fatalf("AutoDump without path = %q, %v", p, err)
 	}

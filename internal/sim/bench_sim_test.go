@@ -74,12 +74,12 @@ func largestBed(b *testing.B, nPatterns, sampleK int) *benchBed {
 // faults of a chunk).
 func BenchmarkBaselineCached(b *testing.B) {
 	bed := largestBed(b, 1, 1)
-	wf := bed.e.AcquireBaseline()
-	defer bed.e.ReleaseBaseline(wf)
+	buf := bed.e.AcquireBaseline()
+	defer bed.e.ReleaseBaseline(buf)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := bed.e.BaselineInto(context.Background(), bed.pats[0], wf); err != nil {
+		if err := bed.e.BaselineInto(context.Background(), bed.pats[0], buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"fastmon/internal/cell"
@@ -52,20 +53,32 @@ type Engine struct {
 	A        *cell.Annotation
 	MinPulse tunit.Time
 
-	taps       []circuit.Tap
-	tapsByGate map[int][]int // observed gate -> tap indices
+	src  []int // C.Sources(), which allocates per call
+	taps []circuit.Tap
+	// The taps observing gate g are tapIdx[tapOff[g]:tapOff[g+1]], in
+	// ascending order.
+	tapOff, tapIdx []int
 
 	scratchPool sync.Pool // *Scratch
-	basePool    sync.Pool // []Waveform, len == len(C.Gates)
+	basePool    sync.Pool // *BaselineBuf sized to C
 }
 
 // NewEngine builds a simulation engine; the inertial pulse threshold comes
 // from the cell library.
 func NewEngine(c *circuit.Circuit, a *cell.Annotation) *Engine {
-	e := &Engine{C: c, A: a, MinPulse: a.Lib.MinPulse(), taps: c.Taps(),
-		tapsByGate: map[int][]int{}}
+	e := &Engine{C: c, A: a, MinPulse: a.Lib.MinPulse(), src: c.Sources(), taps: c.Taps()}
+	e.tapOff = make([]int, len(c.Gates)+1)
+	for _, tap := range e.taps {
+		e.tapOff[tap.Gate+1]++
+	}
+	for g := 1; g < len(e.tapOff); g++ {
+		e.tapOff[g] += e.tapOff[g-1]
+	}
+	e.tapIdx = make([]int, len(e.taps))
+	next := slices.Clone(e.tapOff[:len(c.Gates)])
 	for i, tap := range e.taps {
-		e.tapsByGate[tap.Gate] = append(e.tapsByGate[tap.Gate], i)
+		e.tapIdx[next[tap.Gate]] = i
+		next[tap.Gate]++
 	}
 	return e
 }
@@ -96,23 +109,36 @@ func (e *Engine) Baseline(p Pattern) ([]Waveform, error) {
 // allocated and owned by the caller; hot loops that recycle buffers use
 // AcquireBaseline/BaselineInto instead.
 func (e *Engine) BaselineContext(ctx context.Context, p Pattern) ([]Waveform, error) {
-	wf := make([]Waveform, len(e.C.Gates))
-	if err := e.baselineInto(ctx, p, wf); err != nil {
+	b := &BaselineBuf{W: make([]Waveform, len(e.C.Gates))}
+	if err := e.BaselineInto(ctx, p, b); err != nil {
 		return nil, err
 	}
-	return wf, nil
+	return b.W, nil
 }
 
-func (e *Engine) baselineInto(ctx context.Context, p Pattern, wf []Waveform) error {
-	src := e.C.Sources()
+// BaselineInto computes the fault-free waveforms of every gate for the
+// pattern pair into b, which must have been obtained from AcquireBaseline
+// (or hold len(Gates) waveforms). The toggles go to b's arena, so the
+// waveforms b held before are overwritten. Cancellation matches
+// BaselineContext.
+func (e *Engine) BaselineInto(ctx context.Context, p Pattern, b *BaselineBuf) error {
+	src := e.src
 	if len(p.V1) != len(src) || len(p.V2) != len(src) {
 		return fmt.Errorf("sim: pattern has %d/%d values for %d sources", len(p.V1), len(p.V2), len(src))
 	}
+	wf := b.W
 	if len(wf) != len(e.C.Gates) {
 		return fmt.Errorf("sim: baseline buffer has %d slots for %d gates", len(wf), len(e.C.Gates))
 	}
+	arena := b.arena[:0]
 	for i, id := range src {
-		wf[id] = Step(p.V1[i], p.V2[i], e.launchTime(id))
+		if p.V1[i] == p.V2[i] {
+			wf[id] = Const(p.V1[i])
+			continue
+		}
+		arena = append(arena, e.launchTime(id))
+		n := len(arena)
+		wf[id] = Waveform{Init: p.V1[i], T: arena[n-1 : n : n]}
 	}
 	ins := make([]Waveform, 0, 8)
 	for n, id := range e.C.Topo() {
@@ -126,8 +152,9 @@ func (e *Engine) baselineInto(ctx context.Context, p Pattern, wf []Waveform) err
 		for _, f := range g.Fanin {
 			ins = append(ins, wf[f])
 		}
-		wf[id] = EvalGate(g.Kind, ins, e.A.Delay[id], e.MinPulse)
+		wf[id], arena = evalGate(g.Kind, ins, e.A.Delay[id], e.MinPulse, arena)
 	}
+	b.arena = arena
 	return nil
 }
 
@@ -167,7 +194,7 @@ func (e *Engine) FaultSimScratch(base []Waveform, inj Injection, horizon tunit.T
 	var fw Waveform
 	switch {
 	case inj.Pin < 0:
-		fw = base[g].DelayTransitions(inj.Delta, inj.Rising).FilterPulses(e.MinPulse)
+		fw = sc.delayed(base[g], inj, e.MinPulse)
 	default:
 		if inj.Pin >= len(gate.Fanin) || gate.Kind == circuit.Input || gate.Kind == circuit.DFF {
 			return nil
@@ -176,14 +203,15 @@ func (e *Engine) FaultSimScratch(base []Waveform, inj Injection, horizon tunit.T
 		for _, f := range gate.Fanin {
 			ins = append(ins, base[f])
 		}
-		ins[inj.Pin] = ins[inj.Pin].DelayTransitions(inj.Delta, inj.Rising)
+		ins[inj.Pin] = sc.delayed(ins[inj.Pin], inj, 0)
 		sc.ins = ins[:0]
-		fw = EvalGate(gate.Kind, ins, e.A.Delay[g], e.MinPulse)
+		fw, sc.arena = evalGate(gate.Kind, ins, e.A.Delay[g], e.MinPulse, sc.arena)
 	}
 	if fw.Equal(base[g]) {
 		if st != nil {
 			st.EarlyExits++
 		}
+		sc.reset()
 		return nil
 	}
 	sc.markDirty(g, fw)
@@ -210,7 +238,8 @@ func (e *Engine) FaultSimScratch(base []Waveform, inj Injection, horizon tunit.T
 			}
 		}
 		sc.ins = ins[:0]
-		nw := EvalGate(cg.Kind, ins, e.A.Delay[id], e.MinPulse)
+		var nw Waveform
+		nw, sc.arena = evalGate(cg.Kind, ins, e.A.Delay[id], e.MinPulse, sc.arena)
 		if nw.Equal(base[id]) {
 			if st != nil {
 				st.Converged++
@@ -224,7 +253,12 @@ func (e *Engine) FaultSimScratch(base []Waveform, inj Injection, horizon tunit.T
 		sc.wl.PushFanout(id)
 	}
 	if st != nil {
-		st.Pruned += int64(len(e.C.FanoutCone(g)) - evaluated)
+		// detect simulates one site under a chunk of patterns back to
+		// back, so the cone length is looked up once per site.
+		if sc.coneGate != g {
+			sc.coneGate, sc.coneLen = g, len(e.C.FanoutCone(g))
+		}
+		st.Pruned += int64(sc.coneLen - evaluated)
 	}
 
 	// Only gates that still differ from the baseline can be detected;
@@ -232,19 +266,19 @@ func (e *Engine) FaultSimScratch(base []Waveform, inj Injection, horizon tunit.T
 	// simulation by construction.
 	var out []Detection
 	for _, fg := range sc.touched {
-		tapIdxs, ok := e.tapsByGate[fg]
-		if !ok {
+		taps := e.tapIdx[e.tapOff[fg]:e.tapOff[fg+1]]
+		if len(taps) == 0 {
 			continue
 		}
 		diff := base[fg].Diff(sc.faulty[fg], horizon)
 		if diff.Empty() {
 			continue
 		}
-		for _, ti := range tapIdxs {
+		for _, ti := range taps {
 			out = append(out, Detection{Tap: ti, Diff: diff})
 		}
 	}
 	sc.reset()
-	sort.Slice(out, func(i, j int) bool { return out[i].Tap < out[j].Tap })
+	slices.SortFunc(out, func(a, b Detection) int { return cmp.Compare(a.Tap, b.Tap) })
 	return out
 }

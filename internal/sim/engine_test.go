@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -330,5 +331,97 @@ func TestEngineTaps(t *testing.T) {
 	e := newS27Engine(t)
 	if len(e.Taps()) != 4 {
 		t.Fatalf("taps = %d", len(e.Taps()))
+	}
+}
+
+// randPattern draws a random launch/capture pair for e's circuit.
+func randPattern(e *Engine, rng *rand.Rand) Pattern {
+	n := len(e.C.Sources())
+	p := Pattern{V1: make([]bool, n), V2: make([]bool, n)}
+	for i := 0; i < n; i++ {
+		p.V1[i] = rng.Intn(2) == 0
+		p.V2[i] = rng.Intn(2) == 0
+	}
+	return p
+}
+
+// TestScratchInterleavedSitesMatchFresh replays fault sites in an order
+// that interleaves them, with runs of one site back to back, on a single
+// Scratch. Every call's detections and Stats must equal those of a fresh
+// Scratch for that call: the toggle arena and the cached cone length
+// carry nothing from one simulation to the next.
+func TestScratchInterleavedSitesMatchFresh(t *testing.T) {
+	c := circuit.MustGenerate(circuit.GenSpec{Name: "il", Gates: 300, FFs: 24, Inputs: 10, Outputs: 8, Depth: 14, Seed: 3})
+	lib := cell.NanGate45()
+	e := NewEngine(c, cell.Annotate(c, lib))
+	rng := rand.New(rand.NewSource(11))
+	var bases [][]Waveform
+	for i := 0; i < 4; i++ {
+		b, err := e.Baseline(randPattern(e, rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases = append(bases, b)
+	}
+	var injs []Injection
+	for _, id := range c.Topo() {
+		for pin := -1; pin < len(c.Gates[id].Fanin); pin++ {
+			injs = append(injs, Injection{Gate: id, Pin: pin, Rising: rng.Intn(2) == 0, Delta: lib.FaultSize()})
+		}
+	}
+	horizon := tunit.Time(1 << 20)
+	shared := e.NewScratch()
+	var activated int
+	for k := 0; k < 4000; k++ {
+		inj := injs[rng.Intn(len(injs))]
+		for run := 1 + rng.Intn(3); run > 0; run-- {
+			base := bases[rng.Intn(len(bases))]
+			var got, want Stats
+			dGot := e.FaultSimScratch(base, inj, horizon, shared, &got)
+			dWant := e.FaultSimScratch(base, inj, horizon, e.NewScratch(), &want)
+			if got != want {
+				t.Fatalf("call %d (%v): shared Scratch Stats %+v, fresh %+v", k, inj, got, want)
+			}
+			if len(dGot) != len(dWant) {
+				t.Fatalf("call %d (%v): %d detections, fresh %d", k, inj, len(dGot), len(dWant))
+			}
+			for i := range dGot {
+				if dGot[i].Tap != dWant[i].Tap || !dGot[i].Diff.Equal(dWant[i].Diff) {
+					t.Fatalf("call %d (%v): detection %d = %v, fresh %v", k, inj, i, dGot[i], dWant[i])
+				}
+			}
+			if got.EarlyExits == 0 {
+				activated++
+			}
+		}
+	}
+	if activated == 0 {
+		t.Fatal("no injection was activated: the test exercises nothing")
+	}
+}
+
+// TestBaselineIntoRefillMatchesFresh refills one pooled buffer with
+// different patterns: each fill must equal a freshly allocated baseline,
+// although the arena is reused.
+func TestBaselineIntoRefillMatchesFresh(t *testing.T) {
+	c := circuit.MustGenerate(circuit.GenSpec{Name: "rf", Gates: 300, FFs: 24, Inputs: 10, Outputs: 8, Depth: 14, Seed: 4})
+	e := NewEngine(c, cell.Annotate(c, cell.NanGate45()))
+	rng := rand.New(rand.NewSource(2))
+	b := e.AcquireBaseline()
+	defer e.ReleaseBaseline(b)
+	for i := 0; i < 8; i++ {
+		p := randPattern(e, rng)
+		if err := e.BaselineInto(context.Background(), p, b); err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.Baseline(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := range want {
+			if !b.W[id].Equal(want[id]) {
+				t.Fatalf("fill %d, gate %d: %v, fresh %v", i, id, b.W[id], want[id])
+			}
+		}
 	}
 }

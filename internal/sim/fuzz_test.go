@@ -25,7 +25,9 @@ func decodeWaveform(data []byte) Waveform {
 
 // FuzzWaveformDiff drives the full waveform algebra — Diff, FilterPulses
 // and DelayTransitions — with arbitrary byte-derived waveforms and checks
-// the invariants the fault simulator relies on.
+// the invariants the fault simulator relies on. Diff, which emits its set
+// without canonicalizing, must equal the interval.New+Clip reference
+// refDiff.
 func FuzzWaveformDiff(f *testing.F) {
 	f.Add([]byte{1, 5, 16, 3}, []byte{0, 3, 20}, uint16(100))
 	f.Add([]byte{}, []byte{1}, uint16(1))
@@ -41,6 +43,9 @@ func FuzzWaveformDiff(f *testing.F) {
 		d := w.Diff(o, horizon)
 		if !d.Canonical() {
 			t.Fatalf("Diff not canonical: %v", d)
+		}
+		if ref := refDiff(w, o, horizon); !d.Equal(ref) {
+			t.Fatalf("Diff(%v, %v, %d) = %v, reference %v", w, o, horizon, d, ref)
 		}
 		if !d.Equal(o.Diff(w, horizon)) {
 			t.Fatalf("Diff not symmetric for %v / %v", w, o)

@@ -1,9 +1,8 @@
 package sim
 
 import (
-	"context"
-
 	"fastmon/internal/circuit"
+	"fastmon/internal/tunit"
 )
 
 // Stats counts the work the event-driven fault simulator performs. Workers
@@ -35,38 +34,63 @@ func (s *Stats) Add(o Stats) {
 }
 
 // Scratch is the per-worker arena of the event-driven fault simulator: the
-// faulty-waveform overlay, the level-ordered worklist and the input
-// buffer. A Scratch is sized to one engine's circuit and must not be shared
-// between goroutines; obtain one with NewScratch and reuse it across
-// faults — FaultSimScratch resets only the entries it touched, so the cost
-// per fault is proportional to the disturbed region, not the circuit.
+// faulty-waveform overlay and the toggle arena its waveforms live in, the
+// level-ordered worklist and the input buffer. A Scratch is sized to one
+// engine's circuit and must not be shared between goroutines; obtain one
+// with NewScratch and reuse it across faults — FaultSimScratch resets only
+// the entries it touched, so the cost per fault is proportional to the
+// disturbed region, not the circuit.
 type Scratch struct {
 	faulty  []Waveform        // overlay: valid where dirty[id]
 	dirty   []bool            // gate waveform differs from baseline
 	touched []int             // dirty gate ids, for O(touched) reset
 	wl      *circuit.Worklist // event queue, empty between simulations
 	ins     []Waveform        // fanin gather buffer
+	// arena holds the toggles of the fault-site and overlay waveforms of
+	// one simulation; reset rewinds it, so they live until the next one.
+	arena []tunit.Time
+	// coneLen is len(C.FanoutCone(coneGate)), kept for Stats.Pruned.
+	coneGate, coneLen int
 }
 
 // NewScratch allocates a simulation arena for the engine's circuit.
 func (e *Engine) NewScratch() *Scratch {
 	n := len(e.C.Gates)
 	return &Scratch{
-		faulty: make([]Waveform, n),
-		dirty:  make([]bool, n),
-		wl:     e.C.NewWorklist(),
-		ins:    make([]Waveform, 0, 8),
+		faulty:   make([]Waveform, n),
+		dirty:    make([]bool, n),
+		wl:       e.C.NewWorklist(),
+		ins:      make([]Waveform, 0, 8),
+		coneGate: -1,
 	}
 }
 
-// reset clears the entries touched by one fault simulation. The worklist
-// is already clean: it is always fully drained.
+// reset clears the entries touched by one fault simulation and rewinds the
+// toggle arena. The worklist is already clean: it is always fully drained.
 func (sc *Scratch) reset() {
 	for _, id := range sc.touched {
 		sc.dirty[id] = false
-		sc.faulty[id] = Waveform{} // drop toggle-slice references for GC
 	}
 	sc.touched = sc.touched[:0]
+	sc.arena = sc.arena[:0]
+}
+
+// delayed appends the fault-site copy of w — its rising or falling
+// transitions delayed by the injection's Delta, then filtered inertially
+// with minPulse — to the arena.
+func (sc *Scratch) delayed(w Waveform, inj Injection, minPulse tunit.Time) Waveform {
+	start := len(sc.arena)
+	if inj.Delta > 0 {
+		sc.arena = w.appendDelayed(sc.arena, inj.Delta, inj.Rising)
+	} else {
+		// No physical fault has Delta <= 0; the property tests inject such
+		// shifts through the general path.
+		w = w.DelayTransitions(inj.Delta, inj.Rising)
+		sc.arena = append(sc.arena, w.T...)
+	}
+	var d Waveform
+	d, sc.arena = seal(w.Init, sc.arena, start, minPulse)
+	return d
 }
 
 func (sc *Scratch) markDirty(id int, w Waveform) {
@@ -87,28 +111,29 @@ func (e *Engine) getScratch() *Scratch {
 
 func (e *Engine) putScratch(sc *Scratch) { e.scratchPool.Put(sc) }
 
-// AcquireBaseline returns a gate-indexed waveform buffer suitable for
-// BaselineInto, recycled through the engine's pool. Pooling the fault-free
-// baselines kills the dominant per-pattern allocation of detection-range
+// BaselineBuf is a reusable buffer of fault-free waveforms: W is indexed
+// by gate ID, and the toggles of its waveforms live in an arena the buffer
+// owns. They stay valid until the buffer is refilled or released.
+type BaselineBuf struct {
+	W     []Waveform
+	arena []tunit.Time
+}
+
+// AcquireBaseline returns a baseline buffer for BaselineInto, recycled
+// through the engine's pool. Pooling the fault-free baselines and their
+// arenas kills the dominant per-pattern allocation of detection-range
 // computation. Release with ReleaseBaseline when done.
-func (e *Engine) AcquireBaseline() []Waveform {
-	if wf, ok := e.basePool.Get().([]Waveform); ok {
-		return wf
+func (e *Engine) AcquireBaseline() *BaselineBuf {
+	if b, ok := e.basePool.Get().(*BaselineBuf); ok {
+		return b
 	}
-	return make([]Waveform, len(e.C.Gates))
+	return &BaselineBuf{W: make([]Waveform, len(e.C.Gates))}
 }
 
 // ReleaseBaseline returns a buffer obtained from AcquireBaseline to the
-// pool. The caller must not use the slice afterwards.
-func (e *Engine) ReleaseBaseline(wf []Waveform) {
-	if len(wf) == len(e.C.Gates) {
-		e.basePool.Put(wf) //nolint:staticcheck // slice header copy is fine here
+// pool. The caller must not use the buffer or its waveforms afterwards.
+func (e *Engine) ReleaseBaseline(b *BaselineBuf) {
+	if len(b.W) == len(e.C.Gates) {
+		e.basePool.Put(b)
 	}
-}
-
-// BaselineInto computes the fault-free waveforms of every gate for the
-// pattern pair into wf, which must have been obtained from AcquireBaseline
-// (or have length len(Gates)). Cancellation matches BaselineContext.
-func (e *Engine) BaselineInto(ctx context.Context, p Pattern, wf []Waveform) error {
-	return e.baselineInto(ctx, p, wf)
 }

@@ -11,6 +11,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -104,20 +105,32 @@ func (w Waveform) String() string {
 // inertial-delay stack filter: a toggle arriving within minPulse of the
 // previous one cancels it (the pulse is absorbed by the cell and never
 // propagates). Cancellation cascades, so the result never contains a pulse
-// shorter than minPulse.
+// shorter than minPulse. The result has its own toggle slice; the
+// simulator's arenas filter in place with filterPulses.
 func (w Waveform) FilterPulses(minPulse tunit.Time) Waveform {
 	if minPulse <= 0 || len(w.T) < 2 {
 		return w
 	}
-	out := make([]tunit.Time, 0, len(w.T))
-	for _, t := range w.T {
-		if n := len(out); n > 0 && t-out[n-1] < minPulse {
-			out = out[:n-1]
+	return Waveform{Init: w.Init, T: filterPulses(slices.Clone(w.T), minPulse)}
+}
+
+// filterPulses applies the inertial filter of FilterPulses to ts in place
+// and returns the surviving prefix. The write index never passes the read
+// index, so each toggle is read before its slot is reused.
+func filterPulses(ts []tunit.Time, minPulse tunit.Time) []tunit.Time {
+	if minPulse <= 0 || len(ts) < 2 {
+		return ts
+	}
+	n := 0
+	for _, t := range ts {
+		if n > 0 && t-ts[n-1] < minPulse {
+			n--
 			continue
 		}
-		out = append(out, t)
+		ts[n] = t
+		n++
 	}
-	return Waveform{Init: w.Init, T: out}
+	return ts[:n]
 }
 
 // highIntervals converts the waveform to the set of times where it is 1,
@@ -162,9 +175,8 @@ func fromHighIntervals(s interval.Set) Waveform {
 // fault), matching the physical lumped-delay model.
 //
 // For delta > 0 (every physical fault) the shift runs in a single pass
-// directly over the toggle list — this sits on the fault-simulation hot
-// path, where the previous intervals→shift→canonicalize→intervals chain
-// allocated four slices per call.
+// directly over the toggle list (appendDelayed); the fault simulator runs
+// that pass into its scratch arena.
 func (w Waveform) DelayTransitions(delta tunit.Time, rising bool) Waveform {
 	if delta == 0 || len(w.T) == 0 {
 		return w
@@ -186,37 +198,46 @@ func (w Waveform) DelayTransitions(delta tunit.Time, rising bool) Waveform {
 		}
 		return fromHighIntervals(interval.New(his...))
 	}
+	out := w.appendDelayed(make([]tunit.Time, 0, len(w.T)), delta, rising)
+	return Waveform{Init: w.Init, T: out}
+}
+
+// appendDelayed appends the toggles of w.DelayTransitions(delta, rising)
+// to dst and returns the extended slice; the initial value is w.Init.
+// delta must be positive.
+func (w Waveform) appendDelayed(dst []tunit.Time, delta tunit.Time, rising bool) []tunit.Time {
+	if len(w.T) == 0 {
+		return dst
+	}
 	if rising {
 		// Rising edges move right: a high interval [r, f) becomes
 		// [r+delta, f) and disappears when overtaken. Gaps between highs
 		// only grow, so intervals never merge and the toggle list stays
 		// sorted.
-		out := make([]tunit.Time, 0, len(w.T))
 		i := 0
 		if w.Init {
 			// Leading high starts at -Infinity: only its falling edge is
 			// real and falling edges do not move.
-			out = append(out, w.T[0])
+			dst = append(dst, w.T[0])
 			i = 1
 		}
 		for ; i < len(w.T); i += 2 {
 			r := w.T[i] + delta
 			if i+1 == len(w.T) {
-				out = append(out, r) // stays high forever after the shift
+				dst = append(dst, r) // stays high forever after the shift
 				break
 			}
 			if f := w.T[i+1]; r < f {
-				out = append(out, r, f)
+				dst = append(dst, r, f)
 			}
 			// else the pulse is swallowed by the delayed rise
 		}
-		return Waveform{Init: w.Init, T: out}
+		return dst
 	}
 	// Falling edges move right: a high interval [r, f) becomes
 	// [r, f+delta) and may swallow following pulses. Merge stretched
 	// intervals in one pass (lo <= curHi is exactly interval.New's
 	// half-open adjacency rule).
-	out := make([]tunit.Time, 0, len(w.T))
 	var curLo, curHi tunit.Time
 	have, loInf := false, false
 	i := 0
@@ -238,36 +259,41 @@ func (w Waveform) DelayTransitions(delta tunit.Time, rising bool) Waveform {
 		}
 		if have {
 			if !loInf {
-				out = append(out, curLo)
+				dst = append(dst, curLo)
 			}
-			out = append(out, curHi) // finite: an ∞ end only ends the walk
+			dst = append(dst, curHi) // finite: an ∞ end only ends the walk
 			loInf = false
 		}
 		curLo, curHi, have = lo, hi, true
 	}
 	if have {
 		if !loInf {
-			out = append(out, curLo)
+			dst = append(dst, curLo)
 		}
 		if curHi != tunit.Infinity {
-			out = append(out, curHi)
+			dst = append(dst, curHi)
 		}
 	}
-	return Waveform{Init: w.Init, T: out}
+	return dst
 }
 
 // Diff returns the set of times where w and o carry different values,
 // clipped to [0, horizon). This is the XOR of the fault-free and faulty
 // output waveforms that defines the detection range of a fault at this
 // output.
+//
+// The merge walk visits strictly increasing times (simultaneous toggles
+// cancel), and every differing run is followed by a non-empty agreeing
+// one, so the clipped runs come out sorted, non-empty and non-adjacent:
+// the walk emits the canonical set directly.
 func (w Waveform) Diff(o Waveform, horizon tunit.Time) interval.Set {
 	differs := w.Init != o.Init
 	var ivs []interval.Interval
 	start := -tunit.Infinity
 	i, j := 0, 0
 	emit := func(end tunit.Time) {
-		if differs {
-			ivs = append(ivs, interval.Interval{Lo: start, Hi: end})
+		if lo, hi := max(start, 0), min(end, horizon); differs && lo < hi {
+			ivs = append(ivs, interval.Interval{Lo: lo, Hi: hi})
 		}
 	}
 	for i < len(w.T) || j < len(o.T) {
@@ -289,5 +315,5 @@ func (w Waveform) Diff(o Waveform, horizon tunit.Time) interval.Set {
 		start = t
 	}
 	emit(tunit.Infinity)
-	return interval.New(ivs...).Clip(0, horizon)
+	return interval.FromCanonical(ivs)
 }
