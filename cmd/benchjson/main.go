@@ -31,8 +31,8 @@
 // prints a per-benchmark ns/op and allocs/op delta table and exits
 // non-zero when any shared benchmark is more than -threshold slower than
 // its committed number, or allocates more than -threshold beyond its
-// committed allocs/op — a cheap local regression gate before updating
-// the BENCH files.
+// committed allocs/op (at all, when that is 0) — a cheap local regression
+// gate before updating the BENCH files.
 package main
 
 import (
@@ -43,6 +43,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path"
 	"regexp"
@@ -339,7 +340,10 @@ func loadReport(path string) (*Report, error) {
 // delta is one benchmark's baseline-vs-fresh comparison; Ratio is
 // fresh/baseline ns/op (1.10 = 10% slower than the committed numbers) and
 // AllocRatio the matching allocs/op quotient (0 when the committed entry
-// predates -benchmem and has no alloc counts to gate on).
+// predates -benchmem and has no alloc counts to gate on). An entry
+// recorded with -benchmem at 0 allocs/op — its bytes_per_op above 0 shows
+// the flag was on — has no quotient: any fresh allocation regresses it,
+// and AllocRatio is then +Inf.
 type delta struct {
 	Name        string
 	BaseNs      float64
@@ -382,8 +386,11 @@ func compareReports(base, fresh *Report) (deltas []delta, added, removed []strin
 		if b.NsPerOp > 0 {
 			d.Ratio = r.NsPerOp / b.NsPerOp
 		}
-		if b.AllocsPerOp > 0 {
+		switch {
+		case b.AllocsPerOp > 0:
 			d.AllocRatio = float64(r.AllocsPerOp) / float64(b.AllocsPerOp)
+		case b.BytesPerOp > 0 && r.AllocsPerOp > 0:
+			d.AllocRatio = math.Inf(1)
 		}
 		deltas = append(deltas, d)
 	}

@@ -152,6 +152,36 @@ func TestCompareFailsOnRegression(t *testing.T) {
 	}
 }
 
+// TestCompareGatesZeroAllocBaseline: an entry committed at 0 allocs/op
+// with bytes_per_op above 0 was recorded with -benchmem, so a single
+// fresh allocation per op regresses it; an entry with neither count
+// predates -benchmem and is not gated on allocations.
+func TestCompareGatesZeroAllocBaseline(t *testing.T) {
+	base := &Report{Benchmarks: []Result{
+		{Name: "BenchmarkFaultSim/event", NsPerOp: 600, BytesPerOp: 52},
+		{Name: "BenchmarkLegacy", NsPerOp: 600},
+	}}
+	path := writeBaseline(t, base, false)
+	for _, tc := range []struct {
+		fresh string
+		fails bool
+	}{
+		{"BenchmarkFaultSim/event-8 \t 2000\t 610 ns/op\t 52 B/op\t 0 allocs/op\n", false},
+		{"BenchmarkFaultSim/event-8 \t 2000\t 610 ns/op\t 64 B/op\t 1 allocs/op\n", true},
+		{"BenchmarkLegacy-8 \t 2000\t 610 ns/op\t 900 B/op\t 12 allocs/op\n", false},
+	} {
+		var out strings.Builder
+		err := runCompare(&out, strings.NewReader(tc.fresh), path, 0.25)
+		if tc.fails != (err != nil) {
+			t.Fatalf("%q: err = %v, want failure %v\n%s", tc.fresh, err, tc.fails, out.String())
+		}
+		if tc.fails && (!strings.Contains(err.Error(), "BenchmarkFaultSim/event (allocs)") ||
+			!strings.Contains(out.String(), "ALLOC-REGRESSION")) {
+			t.Fatalf("0 -> 1 allocs/op not reported as an alloc regression: %v\n%s", err, out.String())
+		}
+	}
+}
+
 func TestComparePassesWithinThreshold(t *testing.T) {
 	base := &Report{Benchmarks: []Result{{Name: "BenchmarkDetect/event", NsPerOp: 100}}}
 	path := writeBaseline(t, base, false)

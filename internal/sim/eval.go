@@ -36,9 +36,12 @@ func EvalGate(kind circuit.Kind, inputs []Waveform, delays []cell.Edge, minPulse
 // untouched.
 //
 // The gate function is read from the arity and a running count of
-// 1-inputs (circuit.Kind.EvalCount). A gate with one toggling pin —
-// the common case — walks that pin's toggles directly; otherwise the
-// pins' toggle lists are merged in time order.
+// 1-inputs (circuit.Kind.EvalCount). A gate with one toggling pin (about
+// half the calls of a fault-simulation sweep) walks that pin's toggles
+// directly: the other pins are fixed, so either every toggle flips the
+// output or none does, and the merge's per-event scan of all pins and
+// gate evaluation are skipped. Otherwise the pins' toggle lists are
+// merged in time order.
 func evalGate(kind circuit.Kind, inputs []Waveform, delays []cell.Edge, minPulse tunit.Time, arena []tunit.Time) (Waveform, []tunit.Time) {
 	n := len(inputs)
 	ones, active, nActive := 0, 0, 0

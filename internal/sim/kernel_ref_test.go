@@ -5,7 +5,8 @@ package sim
 // refEvalGate rescans Kind.Eval over a []bool at every event and filters
 // with refFilterPulses, and refDiff canonicalizes the XOR walk with
 // interval.New and Clip. evalGate, filterPulses and Diff must agree with
-// them bit for bit.
+// them bit for bit: evalGate here, the other two in the property tests
+// (waveform_prop_test.go) and FuzzWaveformDiff.
 
 import (
 	"math/rand"
@@ -230,42 +231,6 @@ func TestEvalGateMatchesReference(t *testing.T) {
 			if !slices.Equal(e.w.T, e.want) {
 				t.Fatalf("iter %d: waveform %d in the shared arena changed from %v to %v", iter, i, e.want, e.w.T)
 			}
-		}
-	}
-}
-
-// TestFilterPulsesMatchesReference checks the in-place inertial filter
-// against the allocating reference on pulse widths around the threshold.
-func TestFilterPulsesMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < propIters; i++ {
-		w := genWaveform(rng, 12)
-		minPulse := tunit.Time(rng.Intn(130))
-		want := refFilterPulses(w, minPulse)
-		orig := slices.Clone(w.T)
-		if got := w.FilterPulses(minPulse); got.Init != want.Init || !slices.Equal(got.T, want.T) {
-			t.Fatalf("FilterPulses(%d) of %v = %v, reference %v", minPulse, w, got, want)
-		}
-		if !slices.Equal(w.T, orig) {
-			t.Fatalf("FilterPulses(%d) modified its receiver: %v -> %v", minPulse, orig, w.T)
-		}
-	}
-}
-
-// TestDiffMatchesReference checks the direct XOR walk against the
-// canonicalizing reference, horizons at and below zero included.
-func TestDiffMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < propIters; i++ {
-		w, o := genWaveform(rng, 10), genWaveform(rng, 10)
-		if rng.Intn(4) == 0 {
-			o = gridWaveform(rng) // shares toggle instants with w more often
-			w = gridWaveform(rng)
-		}
-		horizon := tunit.Time(rng.Intn(1200) - 100)
-		got, want := w.Diff(o, horizon), refDiff(w, o, horizon)
-		if !got.Canonical() || !got.Equal(want) {
-			t.Fatalf("Diff(%v, %v, %d) = %v, reference %v", w, o, horizon, got, want)
 		}
 	}
 }

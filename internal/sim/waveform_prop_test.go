@@ -10,6 +10,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fastmon/internal/interval"
@@ -32,14 +33,24 @@ func genWaveform(rng *rand.Rand, maxToggles int) Waveform {
 
 const propIters = 2000
 
+// TestPropFilterPulsesIdempotent also checks the in-place filter against
+// the allocating reference refFilterPulses and that it leaves its receiver
+// alone.
 func TestPropFilterPulsesIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < propIters; i++ {
 		w := genWaveform(rng, 12)
 		minPulse := tunit.Time(rng.Intn(150))
+		orig := slices.Clone(w.T)
 		f1 := w.FilterPulses(minPulse)
 		if !f1.Valid() {
 			t.Fatalf("iter %d: FilterPulses(%d) broke the toggle invariant: %v -> %v", i, minPulse, w, f1)
+		}
+		if ref := refFilterPulses(w, minPulse); !f1.Equal(ref) {
+			t.Fatalf("iter %d: FilterPulses(%d) of %v = %v, reference %v", i, minPulse, w, f1, ref)
+		}
+		if !slices.Equal(w.T, orig) {
+			t.Fatalf("iter %d: FilterPulses(%d) modified its receiver: %v -> %v", i, minPulse, orig, w.T)
 		}
 		if f2 := f1.FilterPulses(minPulse); !f1.Equal(f2) {
 			t.Fatalf("iter %d: not idempotent: %v -> %v -> %v (minPulse %d)", i, w, f1, f2, minPulse)
@@ -65,18 +76,27 @@ func TestPropFilterPulsesRemovesShortPulses(t *testing.T) {
 	}
 }
 
+// TestPropDiffSymmetric also checks Diff against the canonicalizing
+// reference refDiff, on horizons at and below zero too and on grid-aligned
+// pairs that often toggle at the same instant.
 func TestPropDiffSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < propIters; i++ {
 		w := genWaveform(rng, 10)
 		o := genWaveform(rng, 10)
-		horizon := tunit.Time(1 + rng.Intn(2000))
+		if rng.Intn(4) == 0 {
+			w, o = gridWaveform(rng), gridWaveform(rng)
+		}
+		horizon := tunit.Time(rng.Intn(2100) - 100)
 		ab, ba := w.Diff(o, horizon), o.Diff(w, horizon)
 		if !ab.Equal(ba) {
 			t.Fatalf("iter %d: Diff not symmetric: %v vs %v for %v / %v", i, ab, ba, w, o)
 		}
 		if !ab.Canonical() {
 			t.Fatalf("iter %d: Diff result not canonical: %v", i, ab)
+		}
+		if ref := refDiff(w, o, horizon); !ab.Equal(ref) {
+			t.Fatalf("iter %d: Diff(%v, %v, %d) = %v, reference %v", i, w, o, horizon, ab, ref)
 		}
 		if !ab.Empty() && (ab.Min() < 0 || ab.Max() > horizon) {
 			t.Fatalf("iter %d: Diff escaped [0, %d): %v", i, horizon, ab)
