@@ -67,7 +67,9 @@ type event struct {
 
 // Result is one benchmark line. BytesPerOp/AllocsPerOp are always
 // emitted (benchmarks are expected to run with -benchmem, so a zero means
-// "genuinely allocation-free", not "memory stats missing").
+// "genuinely allocation-free", not "memory stats missing"); Benchmem
+// records that the line carried them, which is what tells a benchmark at
+// 0 B/op and 0 allocs/op from one run without -benchmem.
 type Result struct {
 	Name string `json:"name"`
 	// Pkg is the import path the result came from; set only when the
@@ -77,6 +79,7 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	Benchmem    bool    `json:"benchmem,omitempty"`
 }
 
 // Report is the emitted document.
@@ -141,9 +144,9 @@ func parseLine(line string, rep *Report) {
 		}
 		switch rest[i+1] {
 		case "B/op":
-			r.BytesPerOp = v
+			r.BytesPerOp, r.Benchmem = v, true
 		case "allocs/op":
-			r.AllocsPerOp = v
+			r.AllocsPerOp, r.Benchmem = v, true
 		}
 	}
 	rep.Benchmarks = append(rep.Benchmarks, r)
@@ -341,9 +344,10 @@ func loadReport(path string) (*Report, error) {
 // fresh/baseline ns/op (1.10 = 10% slower than the committed numbers) and
 // AllocRatio the matching allocs/op quotient (0 when the committed entry
 // predates -benchmem and has no alloc counts to gate on). An entry
-// recorded with -benchmem at 0 allocs/op — its bytes_per_op above 0 shows
-// the flag was on — has no quotient: any fresh allocation regresses it,
-// and AllocRatio is then +Inf.
+// recorded with -benchmem at 0 allocs/op — its benchmem mark, or in older
+// files its bytes_per_op above 0, shows the flag was on — has no
+// quotient: any fresh allocation regresses it, and AllocRatio is then
+// +Inf.
 type delta struct {
 	Name        string
 	BaseNs      float64
@@ -389,7 +393,7 @@ func compareReports(base, fresh *Report) (deltas []delta, added, removed []strin
 		switch {
 		case b.AllocsPerOp > 0:
 			d.AllocRatio = float64(r.AllocsPerOp) / float64(b.AllocsPerOp)
-		case b.BytesPerOp > 0 && r.AllocsPerOp > 0:
+		case (b.Benchmem || b.BytesPerOp > 0) && r.AllocsPerOp > 0:
 			d.AllocRatio = math.Inf(1)
 		}
 		deltas = append(deltas, d)

@@ -153,29 +153,39 @@ func TestCompareFailsOnRegression(t *testing.T) {
 }
 
 // TestCompareGatesZeroAllocBaseline: an entry committed at 0 allocs/op
-// with bytes_per_op above 0 was recorded with -benchmem, so a single
-// fresh allocation per op regresses it; an entry with neither count
-// predates -benchmem and is not gated on allocations.
+// with a benchmem mark, or with bytes_per_op above 0, was recorded with
+// -benchmem, so a single fresh allocation per op regresses it; an entry
+// with neither count nor mark predates -benchmem and is not gated on
+// allocations. Parsing a -benchmem line at 0 B/op sets the mark.
 func TestCompareGatesZeroAllocBaseline(t *testing.T) {
+	var parsed Report
+	parseLine("BenchmarkPodem-8 \t 3\t 400000000 ns/op\t 0 B/op\t 0 allocs/op\n", &parsed)
+	parseLine("BenchmarkLegacy-8 \t 3\t 400000000 ns/op\n", &parsed)
+	if len(parsed.Benchmarks) != 2 || !parsed.Benchmarks[0].Benchmem || parsed.Benchmarks[1].Benchmem {
+		t.Fatalf("benchmem marks not parsed: %+v", parsed.Benchmarks)
+	}
 	base := &Report{Benchmarks: []Result{
 		{Name: "BenchmarkFaultSim/event", NsPerOp: 600, BytesPerOp: 52},
+		{Name: "BenchmarkPodem", NsPerOp: 600, Benchmem: true},
 		{Name: "BenchmarkLegacy", NsPerOp: 600},
 	}}
 	path := writeBaseline(t, base, false)
 	for _, tc := range []struct {
-		fresh string
-		fails bool
+		fresh, name string
+		fails       bool
 	}{
-		{"BenchmarkFaultSim/event-8 \t 2000\t 610 ns/op\t 52 B/op\t 0 allocs/op\n", false},
-		{"BenchmarkFaultSim/event-8 \t 2000\t 610 ns/op\t 64 B/op\t 1 allocs/op\n", true},
-		{"BenchmarkLegacy-8 \t 2000\t 610 ns/op\t 900 B/op\t 12 allocs/op\n", false},
+		{"BenchmarkFaultSim/event-8 \t 2000\t 610 ns/op\t 52 B/op\t 0 allocs/op\n", "", false},
+		{"BenchmarkFaultSim/event-8 \t 2000\t 610 ns/op\t 64 B/op\t 1 allocs/op\n", "BenchmarkFaultSim/event", true},
+		{"BenchmarkPodem-8 \t 2000\t 610 ns/op\t 0 B/op\t 0 allocs/op\n", "", false},
+		{"BenchmarkPodem-8 \t 2000\t 610 ns/op\t 16 B/op\t 1 allocs/op\n", "BenchmarkPodem", true},
+		{"BenchmarkLegacy-8 \t 2000\t 610 ns/op\t 900 B/op\t 12 allocs/op\n", "", false},
 	} {
 		var out strings.Builder
 		err := runCompare(&out, strings.NewReader(tc.fresh), path, 0.25)
 		if tc.fails != (err != nil) {
 			t.Fatalf("%q: err = %v, want failure %v\n%s", tc.fresh, err, tc.fails, out.String())
 		}
-		if tc.fails && (!strings.Contains(err.Error(), "BenchmarkFaultSim/event (allocs)") ||
+		if tc.fails && (!strings.Contains(err.Error(), tc.name+" (allocs)") ||
 			!strings.Contains(out.String(), "ALLOC-REGRESSION")) {
 			t.Fatalf("0 -> 1 allocs/op not reported as an alloc regression: %v\n%s", err, out.String())
 		}

@@ -158,8 +158,8 @@ func TestPodemSimpleAnd(t *testing.T) {
 		t.Fatalf("PODEM result = %v", res)
 	}
 	m.imply()
-	if m.good[g] != v1 {
-		t.Fatalf("site not activated: %v", m.good[g])
+	if m.good(g) != v1 {
+		t.Fatalf("site not activated: %v", m.good(g))
 	}
 	if !m.detected() {
 		t.Fatal("fault effect not at output")
@@ -201,8 +201,8 @@ func TestPodemPinFault(t *testing.T) {
 	}
 	// b must be 0 (non-masking) and a must be 0 in V2.
 	m.imply()
-	if m.good[a] != v0 || m.good[b] != v0 {
-		t.Fatalf("assignment a=%v b=%v", m.good[a], m.good[b])
+	if m.good(a) != v0 || m.good(b) != v0 {
+		t.Fatalf("assignment a=%v b=%v", m.good(a), m.good(b))
 	}
 }
 

@@ -36,18 +36,92 @@ func kernelCircuits(t *testing.T) []*circuit.Circuit {
 	return cs
 }
 
+// imply is the reference implication the incremental kernel is tested
+// against: it sets every source from the assignment and evaluates both
+// machines of every combinational gate in topological order.
+func (m *machine) imply() {
+	for i, id := range m.srcs {
+		v := uint8(m.assign[i])
+		m.state[id] = v | v<<2
+	}
+	for _, id := range m.c.Topo() {
+		m.state[id] = m.evalAt(int32(id))
+	}
+}
+
+// matchImply fails the test unless m's state equals a from-scratch
+// imply() of its assignment on ref, a machine for the same fault.
+func matchImply(t *testing.T, m, ref *machine, when string) {
+	t.Helper()
+	copy(ref.assign, m.assign)
+	ref.imply()
+	for id, g := range m.c.Gates {
+		if m.state[id] != ref.state[id] {
+			t.Fatalf("%s fault %+v stuck %v %s: gate %s incremental good/bad %v/%v, imply() %v/%v",
+				m.c.Name, m.flt, m.stuck, when, g.Name, m.good(id), m.bad(id), ref.good(id), ref.bad(id))
+		}
+	}
+}
+
+// TestBeginMatchesImply checks the set-up of every search: for every fault
+// of every kernel circuit, begin on the PODEM machine and on its
+// justification machine (the trivial fault on the site net, the source
+// sites included) must leave the state of a from-scratch imply() of the
+// all-X assignment and an empty trail. The machines come from the pool,
+// still holding the previous fault's state.
+func TestBeginMatchesImply(t *testing.T) {
+	checked := 0
+	for _, c := range kernelCircuits(t) {
+		an := newAnalysis(c)
+		for _, f := range fault.Universe(c) {
+			stuck := v0
+			if !f.Rising {
+				stuck = v1
+			}
+			m := newMachineWith(an, f, stuck)
+			for _, mf := range []struct {
+				f     fault.Fault
+				stuck value
+			}{{f, stuck}, {fault.Fault{Gate: m.siteNet(), Pin: -1}, stuck.not()}} {
+				m.reset(mf.f, mf.stuck)
+				m.begin()
+				if len(m.trail) != 0 {
+					t.Fatalf("%s fault %+v: begin left %d trail entries", c.Name, mf.f, len(m.trail))
+				}
+				ref := newMachineWith(an, mf.f, mf.stuck)
+				matchImply(t, m, ref, "after begin")
+				an.release(ref)
+				// Leave decisions behind for the next fault's begin.
+				for i := 0; i < 3 && i < len(m.assign); i++ {
+					m.decide(i, v1)
+				}
+				checked++
+			}
+			an.release(m)
+		}
+	}
+	t.Logf("%d set-ups checked", checked)
+}
+
 // TestImplySrcMatchesImply drives random decision sequences through
 // decide and backtrack, as PODEM does: decide sets a random X source to a
 // random value, backtrack restores the trail to the newest unflipped
-// decision and flips it. After every step, for output faults, pin faults
-// and the source-site fault the justification machine uses, both machines
-// must equal a from-scratch imply(), the trail must hold at most
-// 2·len(gates) entries, and, when the fault is activated, dFrontier must
-// equal the cone scan dFrontierScan element by element. Undoing every
-// decision must return the all-X state.
+// decision and flips it. After every step, for output faults, pin faults,
+// faults on gates that a controlling value can decide, and the
+// source-site fault the justification machine uses, both machines must
+// equal a from-scratch imply(), the trail must hold at most 2·len(gates)
+// entries, and, when the fault is activated, dFrontier must equal the
+// cone scan dFrontierScan element by element. Undoing every decision
+// must return the all-X state.
+//
+// Floors keep every path exercised: frontiers of two or more gates,
+// fanouts settle decided without an evaluation, and steps where a fanin
+// of the fault gate holds a value that would decide the gate for any
+// other gate but disagrees with its true (forced) state: the steps on
+// which settle must leave the fault gate to the forcing path.
 func TestImplySrcMatchesImply(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	steps, compared, multi := 0, 0, 0
+	steps, compared, multi, decided, forced := 0, 0, 0, 0, 0
 	for _, c := range kernelCircuits(t) {
 		an := newAnalysis(c)
 		universe := fault.Universe(c)
@@ -55,6 +129,11 @@ func TestImplySrcMatchesImply(t *testing.T) {
 		for len(faults) < 6 {
 			f := universe[rng.Intn(len(universe))]
 			if (f.Pin < 0) == (len(faults)%2 == 0) {
+				faults = append(faults, f)
+			}
+		}
+		for len(faults) < 10 {
+			if f := universe[rng.Intn(len(universe))]; c.Gates[f.Gate].Kind < circuit.Xor {
 				faults = append(faults, f)
 			}
 		}
@@ -66,18 +145,8 @@ func TestImplySrcMatchesImply(t *testing.T) {
 			}
 			m := newMachineWith(an, f, stuck)
 			ref := newMachineWith(an, f, stuck)
-			matchImply := func(when string) {
-				t.Helper()
-				copy(ref.assign, m.assign)
-				ref.imply()
-				for id := range c.Gates {
-					if m.good[id] != ref.good[id] || m.bad[id] != ref.bad[id] {
-						t.Fatalf("%s fault %+v %s: gate %s incremental good/bad %v/%v, imply() %v/%v",
-							c.Name, f, when, c.Gates[id].Name, m.good[id], m.bad[id], ref.good[id], ref.bad[id])
-					}
-				}
-			}
 			m.begin()
+			m.decided = 0
 			var xs []int
 			for step := 0; step < 150; step++ {
 				xs = xs[:0]
@@ -97,7 +166,15 @@ func TestImplySrcMatchesImply(t *testing.T) {
 					t.Fatalf("%s fault %+v %s: trail holds %d entries for %d gates",
 						c.Name, f, when, len(m.trail), len(c.Gates))
 				}
-				matchImply(when)
+				matchImply(t, m, ref, when)
+				if k := c.Gates[f.Gate].Kind; k != circuit.Input && k != circuit.DFF {
+					for _, fi := range c.Gates[f.Gate].Fanin {
+						if out := decideTab[k][m.state[fi]]; out != 0 && out != m.state[f.Gate] {
+							forced++
+							break
+						}
+					}
+				}
 				if !m.activated() {
 					continue
 				}
@@ -110,6 +187,7 @@ func TestImplySrcMatchesImply(t *testing.T) {
 					multi++
 				}
 			}
+			decided += m.decided
 			// Undo every decision in one restore: a gate changed by several
 			// of them must come back to its oldest logged value.
 			m.undoTo(0)
@@ -124,7 +202,7 @@ func TestImplySrcMatchesImply(t *testing.T) {
 			if len(m.trail) != 0 {
 				t.Fatalf("%s fault %+v: %d trail entries left after undoing every decision", c.Name, f, len(m.trail))
 			}
-			matchImply("after undoing every decision")
+			matchImply(t, m, ref, "after undoing every decision")
 			an.release(m)
 			an.release(ref)
 		}
@@ -132,9 +210,16 @@ func TestImplySrcMatchesImply(t *testing.T) {
 	if steps == 0 {
 		t.Fatal("no implication steps ran")
 	}
-	t.Logf("%d steps, %d frontiers compared, %d of them with two or more gates", steps, compared, multi)
+	t.Logf("%d steps, %d frontiers compared, %d of them with two or more gates, %d fanouts decided at push time, %d steps with a fault gate fed a deciding value it must not take",
+		steps, compared, multi, decided, forced)
 	if multi < 100 {
 		t.Fatalf("only %d compared frontiers held two or more gates, want at least 100", multi)
+	}
+	if decided < 10000 {
+		t.Fatalf("only %d fanouts were decided at push time, want at least 10000", decided)
+	}
+	if forced < 100 {
+		t.Fatalf("only %d steps fed a fault gate a deciding value it must not take, want at least 100", forced)
 	}
 }
 
@@ -146,7 +231,7 @@ func TestImplySrcMatchesImply(t *testing.T) {
 func dFrontierScan(m *machine) []int {
 	var out []int
 	for _, id := range m.c.FanoutCone(m.siteNet()) {
-		if m.good[id] != vX && m.bad[id] != vX {
+		if m.good(id) != vX && m.bad(id) != vX {
 			continue
 		}
 		if id == m.flt.Gate && m.flt.Pin >= 0 && m.activated() {
@@ -170,13 +255,16 @@ func dFrontierScan(m *machine) []int {
 	return out
 }
 
-// TestEvalAtMatchesEval3 checks the fused evaluator exhaustively: for every
-// combinational kind at arity 1-4, every pair of 3-valued good/bad input
-// vectors, and every forcing — none, each input pin, or the output — to
-// either stuck value, evalAt must equal eval3 on the good inputs and on
-// the bad inputs with the forcing applied.
+// TestEvalAtMatchesEval3 checks the packed evaluator exhaustively: for
+// every combinational kind at arity 1-4, every pair of 3-valued good/bad
+// input vectors, and every forcing — none, each input pin, or the output —
+// to either stuck value, evalAt must equal eval3 on the good inputs and on
+// the bad inputs with the forcing applied. Without a forcing on the gate,
+// every input whose state decideTab marks as deciding must give evalAt's
+// output: the value settle assigns without an evaluation.
 func TestEvalAtMatchesEval3(t *testing.T) {
 	vals := []value{vX, v0, v1}
+	decisions := 0
 	for k := circuit.Buf; k <= circuit.Xnor; k++ {
 		maxArity := 4
 		if k == circuit.Buf || k == circuit.Not {
@@ -214,9 +302,10 @@ func TestEvalAtMatchesEval3(t *testing.T) {
 						for bi := 0; bi < n; bi++ {
 							for p, x, y := 0, gi, bi; p < arity; p, x, y = p+1, x/3, y/3 {
 								gin[p], bin[p] = vals[x%3], vals[y%3]
-								m.good[ins[p]], m.bad[ins[p]] = gin[p], bin[p]
+								m.state[ins[p]] = uint8(gin[p]) | uint8(bin[p])<<2
 							}
-							m.evalAt(g)
+							out := m.evalAt(int32(g))
+							gotGood, gotBad := value(out&3), value(out>>2)
 							wantGood := eval3(k, gin)
 							var wantBad value
 							switch {
@@ -229,9 +318,21 @@ func TestEvalAtMatchesEval3(t *testing.T) {
 								forced[f.Pin] = stuck
 								wantBad = eval3(k, forced)
 							}
-							if m.good[g] != wantGood || m.bad[g] != wantBad {
+							if gotGood != wantGood || gotBad != wantBad {
 								t.Fatalf("%v good %v bad %v forcing %+v stuck %v: evalAt %v/%v, eval3 %v/%v",
-									k, gin, bin, f, stuck, m.good[g], m.bad[g], wantGood, wantBad)
+									k, gin, bin, f, stuck, gotGood, gotBad, wantGood, wantBad)
+							}
+							if f.Gate == g {
+								continue
+							}
+							for p := range ins {
+								if d := decideTab[k][m.state[ins[p]]]; d != 0 {
+									decisions++
+									if d != out {
+										t.Fatalf("%v good %v bad %v: input %d decides %v/%v, evalAt %v/%v",
+											k, gin, bin, p, value(d&3), value(d>>2), gotGood, gotBad)
+									}
+								}
 							}
 						}
 					}
@@ -239,5 +340,8 @@ func TestEvalAtMatchesEval3(t *testing.T) {
 				}
 			}
 		}
+	}
+	if decisions == 0 {
+		t.Fatal("no input decided a gate")
 	}
 }

@@ -49,46 +49,90 @@ func (v value) not() value {
 	return vX
 }
 
-// evalTab[k][set][par] is the 3-valued output of a gate of kind k whose
-// input values form set (bit 1<<v set when some input is v) and whose
-// number of v1 inputs has parity par. Every combinational function here
-// depends on its inputs only through that pair: AND-like gates on whether
-// some input is 0 or X, OR-like gates on whether some input is 1 or X, and
-// XOR-like gates on whether some input is X and on the parity. Buf and Not
-// are the one-input AND and NAND.
-var evalTab = func() (t [circuit.DFF][8][2]value) {
+// A gate's packed state holds its good value in bits 0-1 and its faulty
+// value in bits 2-3, so the state of gate id is m.state[id] and a gate
+// is defined in both machines iff both fields are nonzero (vX is 0).
+
+// setOf maps a packed state to its value-set bits: bit v for the good
+// value v, bit 4+v for the faulty one.
+var setOf = func() (t [16]uint8) {
+	for s := range t {
+		t[s] = 1<<(s&3) | 16<<(s>>2)
+	}
+	return t
+}()
+
+// tabIndex packs the accumulated value sets and the XOR of the input
+// states into an evalTab index: bits 0-2 hold the good inputs' value set,
+// bit 3 the parity of their v1 inputs, and bits 4-7 the same for the
+// faulty inputs. v1 is the only value with bit 1 set, so the XOR of the
+// states carries the good parity in bit 1 and the faulty one in bit 3.
+func tabIndex(set, par uint8) uint8 { return set | (par&2)<<2 | (par&8)<<4 }
+
+// evalTab[k][tabIndex(set, par)] is the packed output state of a gate of
+// kind k whose good and faulty inputs form those value sets and parities.
+// Every combinational function here depends on its inputs only through
+// that pair: AND-like gates on whether some input is 0 or X, OR-like
+// gates on whether some input is 1 or X, and XOR-like gates on whether
+// some input is X and on the parity. Buf and Not are the one-input AND
+// and NAND.
+var evalTab = func() (t [circuit.DFF][256]uint8) {
+	out := func(k circuit.Kind, set, par int) value {
+		some := func(v value) bool { return set&(1<<v) != 0 }
+		var v value
+		switch k {
+		case circuit.Buf, circuit.Not, circuit.And, circuit.Nand:
+			v = v1
+			if some(v0) {
+				v = v0
+			} else if some(vX) {
+				v = vX
+			}
+		case circuit.Or, circuit.Nor:
+			v = v0
+			if some(v1) {
+				v = v1
+			} else if some(vX) {
+				v = vX
+			}
+		default: // Xor, Xnor
+			v = v0
+			if some(vX) {
+				v = vX
+			} else if par == 1 {
+				v = v1
+			}
+		}
+		if k.Inverting() {
+			v = v.not()
+		}
+		return v
+	}
 	for k := circuit.Buf; k <= circuit.Xnor; k++ {
-		for set := 1; set < 8; set++ {
-			some := func(v value) bool { return set&(1<<v) != 0 }
-			for par := 0; par < 2; par++ {
-				var out value
-				switch k {
-				case circuit.Buf, circuit.Not, circuit.And, circuit.Nand:
-					out = v1
-					if some(v0) {
-						out = v0
-					} else if some(vX) {
-						out = vX
-					}
-				case circuit.Or, circuit.Nor:
-					out = v0
-					if some(v1) {
-						out = v1
-					} else if some(vX) {
-						out = vX
-					}
-				default: // Xor, Xnor
-					out = v0
-					if some(vX) {
-						out = vX
-					} else if par == 1 {
-						out = v1
-					}
-				}
-				if k.Inverting() {
-					out = out.not()
-				}
-				t[k][set][par] = out
+		for i := range t[k] {
+			t[k][i] = uint8(out(k, i&7, i>>3&1)) | uint8(out(k, i>>4&7, i>>7))<<2
+		}
+	}
+	return t
+}()
+
+// decideTab[k][s] is the packed output of a gate of kind k when one of its
+// inputs in packed state s alone decides it in both machines, whatever
+// its other inputs are; it is 0 when s leaves either machine open. That
+// covers Buf and Not at any defined input, And and Nand at 0, and Or and
+// Nor at 1. It is read off evalTab with every other input X: by
+// monotonicity a defined output stays defined, and equal, as those
+// inputs refine. It does not apply to the fault gate, whose forced pin or
+// output can differ from what its inputs say.
+var decideTab = func() (t [circuit.DFF][16]uint8) {
+	for k := circuit.Buf; k <= circuit.Xnor; k++ {
+		for s := range t[k] {
+			set := setOf[s]
+			if k != circuit.Buf && k != circuit.Not {
+				set |= setOf[0]
+			}
+			if out := evalTab[k][tabIndex(set, uint8(s))]; out&3 != 0 && out>>2 != 0 {
+				t[k][s] = out
 			}
 		}
 	}
@@ -109,12 +153,13 @@ func controlling(kind circuit.Kind) (value, bool) {
 
 // analysis holds the fault-independent guidance data shared by every
 // PODEM machine of one circuit: SCOAP-like controllability costs,
-// observability depths, and the tap/source index tables. Computing it
-// once per circuit instead of once per fault dominates ATPG throughput on
-// large designs. It also owns the machine pool: PODEM scratch state
-// (assignment, dual machine values, implication worklist, search stacks) is
-// recycled across faults instead of reallocated per target, and the pool
-// is safe for the concurrent speculative workers of the parallel phase.
+// observability depths, the tap/source index tables and the flat gate
+// tables the implication kernel reads. Computing it once per circuit
+// instead of once per fault dominates ATPG throughput on large designs.
+// It also owns the machine pool: PODEM scratch state (assignment, packed
+// machine states, implication worklist, search stacks) is recycled across
+// faults instead of reallocated per target, and the pool is safe for the
+// concurrent speculative workers of the parallel phase.
 type analysis struct {
 	c        *circuit.Circuit
 	taps     []circuit.Tap
@@ -125,6 +170,11 @@ type analysis struct {
 	rank     []int32 // per gate: D-frontier priority (see computeCosts)
 	tapGate  []bool  // per gate: is its output an observation point?
 
+	// Flat gate tables: the fanins of gate id are fin[finOff[id]:finOff[id+1]],
+	// its kind is kind[id]. evalAt reads them instead of c.Gates.
+	finOff, fin []int32
+	kind        []circuit.Kind
+
 	pool sync.Pool // *machine scratch, recycled across faults
 }
 
@@ -134,36 +184,43 @@ type analysis struct {
 // capture edge).
 type machine struct {
 	*analysis
-	flt   fault.Fault
-	stuck value // forced value at the site in the faulty machine
+	flt     fault.Fault
+	fltGate int32 // flt.Gate, the one gate evalAt forces
+	stuck   value // forced value at the site in the faulty machine
 	// backtracks counts decision flips of the last run/justification —
 	// the ATPG effort metric surfaced through Stats.Backtracks.
 	backtracks int
 	// assign holds the current source decisions (indexed by source order).
 	assign []value
-	good   []value // per gate
-	bad    []value // per gate (faulty machine)
+	// state holds each gate's packed good/faulty pair; read it through
+	// good and bad.
+	state []uint8
 
 	// siteTaps lists the tap-gate IDs inside the fanout cone of the fault
 	// site net (or the site net itself when observed directly): the only
-	// observation points a fault effect can reach.
+	// observation points a fault effect can reach. run fills it.
 	siteTaps []int
 
 	// wl is the event queue of implySrc; it is empty between decisions.
 	wl *circuit.Worklist
-	// trail logs the (good, bad) pair of every gate implySrc changed,
-	// before the change, in order; each decision records the trail length
-	// it started at, and backtracking restores the log down to it. Values
+	// trail logs the packed state of every gate implySrc changed, before
+	// the change, in order; each decision records the trail length it
+	// started at, and backtracking restores the log down to it. Values
 	// only refine from X along the decision stack, so a gate enters the
 	// trail at most twice: its capacity of 2·len(gates) is allocated once
 	// per pooled machine.
 	trail []undo
+	// changed holds the gates propagate still has to take the fanouts of;
+	// a gate changes at most once per call, so len(gates) slots suffice.
+	// decided counts the fanouts it decided without an evaluation.
+	changed []int32
+	decided int
 
 	// Reusable per-decision scratch: the PODEM decision stack, the
 	// D-frontier buffer, and the visited set and stack of the frontier
-	// walk and the X-path check (seenVer[id] == seenCur marks visited).
-	// All survive release/acquire cycles so steady-state PODEM allocates
-	// nothing.
+	// walk, the X-path check and the site-tap walk (seenVer[id] == seenCur
+	// marks visited). All survive release/acquire cycles so steady-state
+	// PODEM allocates nothing.
 	stack    []decision
 	frontier []int
 	seenVer  []int
@@ -179,6 +236,7 @@ func newAnalysis(c *circuit.Circuit) *analysis {
 		srcs:    c.Sources(),
 		srcIdx:  make([]int, n),
 		tapGate: make([]bool, n),
+		kind:    make([]circuit.Kind, n),
 	}
 	for id := range a.srcIdx {
 		a.srcIdx[id] = -1
@@ -189,15 +247,28 @@ func newAnalysis(c *circuit.Circuit) *analysis {
 	for _, tap := range a.taps {
 		a.tapGate[tap.Gate] = true
 	}
+	pins := 0
+	for id := range c.Gates {
+		a.kind[id] = c.Gates[id].Kind
+		pins += len(c.Gates[id].Fanin)
+	}
+	flat := make([]int32, n+1, n+1+pins)
+	for id := range c.Gates {
+		for _, f := range c.Gates[id].Fanin {
+			flat = append(flat, int32(f))
+		}
+		flat[id+1] = int32(len(flat) - n - 1)
+	}
+	a.finOff, a.fin = flat[:n+1], flat[n+1:]
 	a.computeCosts()
 	return a
 }
 
-// undo is one trail entry: a gate and its (good, bad) pair before
-// implySrc changed it.
+// undo is one trail entry: a gate and its packed state before implySrc
+// changed it.
 type undo struct {
-	id        int32
-	good, bad value
+	id    int32
+	state uint8
 }
 
 // newMachineWith acquires a machine from the analysis pool and retargets
@@ -211,10 +282,10 @@ func newMachineWith(an *analysis, f fault.Fault, stuck value) *machine {
 		m = &machine{
 			analysis: an,
 			assign:   make([]value, len(an.srcs)),
-			good:     make([]value, n),
-			bad:      make([]value, n),
+			state:    make([]uint8, n),
 			wl:       an.c.NewWorklist(),
 			trail:    make([]undo, 0, 2*n),
+			changed:  make([]int32, 0, n),
 			seenVer:  make([]int, n),
 		}
 	}
@@ -226,27 +297,41 @@ func newMachineWith(an *analysis, f fault.Fault, stuck value) *machine {
 // used afterwards; in particular m.assign is recycled, so copy it first.
 func (an *analysis) release(m *machine) { an.pool.Put(m) }
 
-// reset retargets a pooled machine at a new fault. good/bad need no
-// clearing (imply rewrites every gate before they are read), the worklist
-// is always left drained, the search loops empty the decision stack and
-// trail when they start, and seenVer survives because its versions are
-// monotone.
+// reset retargets a pooled machine at a new fault. The state needs no
+// clearing here (begin sets it before it is read), the worklist is always
+// left drained, the search loops empty the decision stack and trail when
+// they start, and seenVer survives because its versions are monotone.
 func (m *machine) reset(f fault.Fault, stuck value) {
-	m.flt, m.stuck = f, stuck
+	m.flt, m.fltGate, m.stuck = f, int32(f.Gate), stuck
 	m.backtracks = 0
 	for i := range m.assign {
 		m.assign[i] = vX
 	}
+}
+
+// findSiteTaps fills siteTaps with a walk of the site net's fanout cone.
+// Only run needs them: justification never checks detection.
+func (m *machine) findSiteTaps() {
 	site := m.siteNet()
 	m.siteTaps = m.siteTaps[:0]
-	if m.tapGate[site] {
-		m.siteTaps = append(m.siteTaps, site)
-	}
-	for _, id := range m.c.FanoutCone(site) {
+	m.seenCur++
+	seen, cur := m.seenVer, m.seenCur
+	seen[site] = cur
+	stack := append(m.xstack[:0], site)
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		if m.tapGate[id] {
 			m.siteTaps = append(m.siteTaps, id)
 		}
+		for _, fo := range m.c.CombFanout(id) {
+			if seen[fo] != cur {
+				seen[fo] = cur
+				stack = append(stack, int(fo))
+			}
+		}
 	}
+	m.xstack = stack[:0]
 }
 
 // computeCosts derives SCOAP-like controllability costs and the fanout
@@ -363,82 +448,112 @@ func (m *machine) siteNet() int {
 	return m.c.Gates[m.flt.Gate].Fanin[m.flt.Pin]
 }
 
-// evalAt recomputes good and bad for one combinational gate from its
-// current fanin values in a single pass over the fanin list, forcing the
-// faulty machine's stuck value onto the fault pin (or the gate output)
-// inline.
-func (m *machine) evalAt(id int) {
-	g := &m.c.Gates[id]
-	pin := -1
-	if id == m.flt.Gate {
-		pin = m.flt.Pin
+// good and bad return gate id's value in the good and the faulty machine.
+func (m *machine) good(id int) value { return value(m.state[id] & 3) }
+func (m *machine) bad(id int) value  { return value(m.state[id] >> 2) }
+
+// evalAt returns the packed state of one combinational gate computed from
+// its fanins' current states, in one pass over the fanin list. The fault
+// gate takes the forcing path, evalFault.
+func (m *machine) evalAt(id int32) uint8 {
+	if id == m.fltGate {
+		return m.evalFault(id)
 	}
-	// Value sets and v1-parities of the good and faulty inputs; v1 is the
-	// only value with bit 1 set, so v>>1 counts it.
-	var gset, bset, gpar, bpar value
-	for p, f := range g.Fanin {
-		gv, bv := m.good[f], m.bad[f]
-		if p == pin {
-			bv = m.stuck
-		}
-		gset |= 1 << gv
-		bset |= 1 << bv
-		gpar ^= gv >> 1
-		bpar ^= bv >> 1
+	var set, par uint8
+	for _, f := range m.fin[m.finOff[id]:m.finOff[id+1]] {
+		s := m.state[f]
+		set |= setOf[s&15]
+		par ^= s
 	}
-	m.good[id] = evalTab[g.Kind][gset][gpar]
-	if id == m.flt.Gate && m.flt.Pin < 0 {
-		m.bad[id] = m.stuck
-	} else {
-		m.bad[id] = evalTab[g.Kind][bset][bpar]
-	}
+	return evalTab[m.kind[id]][tabIndex(set, par)]
 }
 
-// imply evaluates both machines from the current source assignment.
-func (m *machine) imply() {
-	for i, id := range m.srcs {
-		m.good[id] = m.assign[i]
-		m.bad[id] = m.assign[i]
+// evalFault evaluates the fault gate: the faulty machine's stuck value
+// replaces the fault pin's faulty value, or the gate's faulty output.
+func (m *machine) evalFault(id int32) uint8 {
+	stuck := uint8(m.stuck) << 2
+	var set, par uint8
+	for p, f := range m.fin[m.finOff[id]:m.finOff[id+1]] {
+		s := m.state[f]
+		if p == m.flt.Pin {
+			s = s&3 | stuck
+		}
+		set |= setOf[s&15]
+		par ^= s
 	}
-	for _, id := range m.c.Topo() {
-		m.evalAt(id)
+	out := evalTab[m.kind[id]][tabIndex(set, par)]
+	if m.flt.Pin < 0 {
+		out = out&3 | stuck
 	}
+	return out
 }
 
 // implySrc propagates the value just decided for one source — the
 // per-decision cost of the PODEM loop. Precondition: the source was X
 // before the decision. backtrace only returns X sources, and backtrack
 // undoes a decision to X before it implies the opposite value.
-//
-// It is event-driven: the worklist hands out, in level order, exactly the
-// gates with a fanin that changed during this call, and only gates whose
-// good or faulty value moved queue their own fanouts. So the cost tracks
-// the region that actually changes, not the structural fanout cone, and
-// every gate is evaluated after all of its changed fanins and at most
-// once. 3-valued evaluation under the constant fault forcing is monotone:
-// refining a source from X can only refine gates from X, never change a
-// defined value. So a popped gate already defined in both machines is
-// skipped, and every gate that does change is logged on the trail first.
-// The result equals a full imply().
 func (m *machine) implySrc(srcIdx int) {
-	src := m.srcs[srcIdx]
-	nv := m.assign[srcIdx]
-	m.trail = append(m.trail, undo{int32(src), m.good[src], m.bad[src]})
-	m.good[src], m.bad[src] = nv, nv
-	m.wl.PushFanout(src)
+	src := int32(m.srcs[srcIdx])
+	nv := uint8(m.assign[srcIdx])
+	m.trail = append(m.trail, undo{src, m.state[src]})
+	m.state[src] = nv | nv<<2
+	m.propagate(src)
+}
+
+// propagate carries the change of gate id, already set and logged, to
+// every gate it implies, logging each gate on the trail before changing
+// it. 3-valued evaluation under the constant fault forcing is monotone:
+// refining a gate from X can only refine gates from X, never change a
+// defined value. So a fanout already defined in both machines never
+// changes again and is skipped. A fanout other than the fault gate that
+// the changed state alone decides in both machines (decideTab) takes that
+// value at once, with no queue entry and no fanin scan, and its own
+// fanouts follow. Every other fanout is queued on the worklist, which
+// hands gates back lowest level first; the fanouts of a gate sit on
+// higher levels than the gate, so a popped gate sees final fanins, is
+// evaluated at most once, and, when it changes, has its fanouts handled
+// the same way. The result equals a full imply().
+func (m *machine) propagate(id int32) {
+	c, wl, state, kind, fltGate := m.c, m.wl, m.state, m.kind, m.fltGate
+	trail, decided := m.trail, 0
+	changed := append(m.changed[:0], id)
 	for {
-		id, ok := m.wl.Pop()
-		if !ok {
-			return
+		for len(changed) > 0 {
+			id := changed[len(changed)-1]
+			changed = changed[:len(changed)-1]
+			s := state[id] & 15
+			for _, fo := range c.CombFanout(int(id)) {
+				fs := state[fo]
+				if fs&3 != 0 && fs>>2 != 0 {
+					continue
+				}
+				if out := decideTab[kind[fo]][s]; out != 0 && fo != fltGate {
+					trail = append(trail, undo{fo, fs})
+					state[fo] = out
+					decided++
+					changed = append(changed, fo)
+					continue
+				}
+				wl.Push(int(fo))
+			}
 		}
-		og, ob := m.good[id], m.bad[id]
-		if og != vX && ob != vX {
-			continue
-		}
-		m.evalAt(id)
-		if m.good[id] != og || m.bad[id] != ob {
-			m.trail = append(m.trail, undo{int32(id), og, ob})
-			m.wl.PushFanout(id)
+		for len(changed) == 0 {
+			qid, ok := wl.Pop()
+			if !ok {
+				m.trail, m.changed = trail, changed
+				m.decided += decided
+				return
+			}
+			id := int32(qid)
+			s := state[id]
+			if s&3 != 0 && s>>2 != 0 {
+				continue
+			}
+			if ns := m.evalAt(id); ns != s {
+				trail = append(trail, undo{id, s})
+				state[id] = ns
+				changed = append(changed, id)
+			}
 		}
 	}
 }
@@ -448,14 +563,15 @@ func (m *machine) implySrc(srcIdx int) {
 func (m *machine) undoTo(mark int) {
 	for i := len(m.trail) - 1; i >= mark; i-- {
 		u := m.trail[i]
-		m.good[u.id], m.bad[u.id] = u.good, u.bad
+		m.state[u.id] = u.state
 	}
 	m.trail = m.trail[:mark]
 }
 
 // effect reports whether net s carries a defined fault effect.
 func (m *machine) effect(s int) bool {
-	return m.good[s] != vX && m.bad[s] != vX && m.good[s] != m.bad[s]
+	g, b := m.good(s), m.bad(s)
+	return g != vX && b != vX && g != b
 }
 
 // detected reports whether any observation point carries the fault effect.
@@ -472,15 +588,15 @@ func (m *machine) detected() bool {
 // activated reports whether the fault site currently launches an effect:
 // the good value is defined and differs from the stuck value.
 func (m *machine) activated() bool {
-	s := m.siteNet()
-	return m.good[s] != vX && m.good[s] != m.stuck
+	g := m.good(m.siteNet())
+	return g != vX && g != m.stuck
 }
 
 // activationConflict reports whether activation is impossible under the
 // current assignment (site value defined and equal to the stuck value).
 func (m *machine) activationConflict() bool {
-	s := m.siteNet()
-	return m.good[s] != vX && m.good[s] == m.stuck
+	g := m.good(m.siteNet())
+	return g != vX && g == m.stuck
 }
 
 // dFrontier returns the gates through which the fault effect can still
@@ -503,7 +619,7 @@ func (m *machine) dFrontier() []int {
 			return
 		}
 		seen[id] = cur
-		switch g, b := m.good[id], m.bad[id]; {
+		switch g, b := m.good(id), m.bad(id); {
 		case g == vX || b == vX:
 			out = append(out, id)
 		case g != b:
@@ -548,7 +664,7 @@ func (m *machine) dFrontier() []int {
 // check that prunes dead search branches early. The visited set is the
 // machine's versioned seenVer array (O(1) clear per call).
 func (m *machine) xPathExists(frontier []int) bool {
-	allowed := func(id int) bool { return m.good[id] == vX || m.bad[id] == vX }
+	allowed := func(id int) bool { return m.good(id) == vX || m.bad(id) == vX }
 	m.seenCur++
 	seen, cur := m.seenVer, m.seenCur
 	stack := m.xstack[:0]

@@ -27,7 +27,7 @@ type decision struct {
 // observation point first.
 func (m *machine) objective(frontier []int) (net int, val value, ok bool) {
 	s := m.siteNet()
-	if m.good[s] == vX {
+	if m.good(s) == vX {
 		return s, m.stuck.not(), true
 	}
 	for _, gd := range frontier {
@@ -42,7 +42,7 @@ func (m *machine) objective(frontier []int) (net int, val value, ok bool) {
 			if gd == m.flt.Gate && m.flt.Pin == p {
 				continue // the faulty pin itself cannot be justified
 			}
-			if m.good[f] != vX {
+			if m.good(f) != vX {
 				continue
 			}
 			// Prefer the cheapest input to set non-controlling.
@@ -76,7 +76,7 @@ func (m *machine) backtrace(net int, val value) (srcIdx int, v value, ok bool) {
 		pickEasiest := hasCtl && val == ctl
 		next, nextCost := -1, 0
 		for _, f := range g.Fanin {
-			if m.good[f] != vX {
+			if m.good(f) != vX {
 				continue
 			}
 			c := m.cost(f, val)
@@ -91,13 +91,24 @@ func (m *machine) backtrace(net int, val value) (srcIdx int, v value, ok bool) {
 	}
 }
 
-// begin starts a decision search on the all-X assignment: a full imply()
-// sets the base state, and the decision stack and trail start empty.
+// begin starts a decision search on the all-X assignment, with the
+// decision stack and trail empty. With every source X, every gate of the
+// good machine is X, and the faulty machine differs from it only where
+// the fault forcing reaches: the state is cleared, and the fault gate is
+// evaluated and its change propagated like any implication, so the set-up
+// cost tracks the forcing's reach, not the circuit. A fault on a source forces nothing
+// (sources are never evaluated), which leaves the cleared state.
 func (m *machine) begin() {
 	m.backtracks = 0
 	m.stack = m.stack[:0]
+	clear(m.state)
+	if k := m.kind[m.fltGate]; k != circuit.Input && k != circuit.DFF {
+		if s := m.evalAt(m.fltGate); s != 0 {
+			m.state[m.fltGate] = s
+			m.propagate(m.fltGate)
+		}
+	}
 	m.trail = m.trail[:0]
-	m.imply()
 }
 
 // decide pushes the decision src = v and implies it. The source must be X,
@@ -138,6 +149,7 @@ func (m *machine) backtrack(maxBacktracks int) (res podemResult, ok bool) {
 // run executes the PODEM decision loop. On success the source assignment
 // (with X for don't-cares) is left in m.assign.
 func (m *machine) run(maxBacktracks int) podemResult {
+	m.findSiteTaps()
 	m.begin()
 	for {
 		if m.detected() {
@@ -175,7 +187,7 @@ func (m *machine) next() (src int, v value, ok bool) {
 }
 
 // justify runs the justification decision loop on this machine: it
-// searches for a source assignment with m.good[net] == target, reporting
+// searches for a source assignment with m.good(net) == target, reporting
 // the number of backtracks spent (the ATPG effort metric). On success the
 // assignment is left in m.assign; copy it out before releasing the
 // machine. The machine must have been acquired with the trivial fault
@@ -184,10 +196,10 @@ func (m *machine) next() (src int, v value, ok bool) {
 func (m *machine) justify(net int, target value, maxBacktracks int) (int, podemResult) {
 	m.begin()
 	for {
-		if m.good[net] == target {
+		if m.good(net) == target {
 			return m.backtracks, testFound
 		}
-		if m.good[net] == vX {
+		if m.good(net) == vX {
 			if src, v, ok := m.backtrace(net, target); ok {
 				m.decide(src, v)
 				continue

@@ -500,6 +500,14 @@ func (c *Circuit) fanoutCone(from int) []int {
 	return cone
 }
 
+// CombFanout returns the combinational fanouts of gate id: its fanouts
+// without the flip-flops, whose D pin is a sequential edge. These are the
+// edges an event crosses in the full-scan view, the ones
+// Worklist.PushFanout queues. The returned slice must not be modified.
+func (c *Circuit) CombFanout(id int) []int32 {
+	return c.foList[c.foOff[id]:c.foOff[id+1]]
+}
+
 // ReachableTaps returns the indices (into Taps()) of observation points
 // whose observed signal lies in the fanout cone of gate `from` (or is
 // `from` itself).

@@ -75,20 +75,28 @@ func (c *Circuit) NewWorklist() *Worklist {
 // already queued. Flip-flops are never queued: their D pin is a
 // sequential edge.
 func (w *Worklist) PushFanout(id int) {
-	c := w.c
-	for _, fo := range c.foList[c.foOff[id]:c.foOff[id+1]] {
-		if w.queued[fo] {
-			continue
-		}
-		w.queued[fo] = true
-		l := c.level[fo]
-		w.slots[c.levelOff[l]+w.n[l]] = fo
-		w.n[l]++
-		if l < w.lvl {
-			w.lvl = l
-		}
-		w.pending++
+	for _, fo := range w.c.CombFanout(id) {
+		w.Push(int(fo))
 	}
+}
+
+// Push queues one combinational gate unless it is already queued. A
+// caller that settles some fanouts itself queues the rest one by one; a
+// drain stays level-ordered as long as every gate it queues sits on a
+// higher level than the gate being processed.
+func (w *Worklist) Push(id int) {
+	if w.queued[id] {
+		return
+	}
+	w.queued[id] = true
+	c := w.c
+	l := c.level[id]
+	w.slots[c.levelOff[l]+w.n[l]] = int32(id)
+	w.n[l]++
+	if l < w.lvl {
+		w.lvl = l
+	}
+	w.pending++
 }
 
 // Pop removes and returns a queued gate of the lowest queued level. It

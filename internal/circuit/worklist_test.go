@@ -29,8 +29,10 @@ func changes(seed int64, id int) bool {
 }
 
 // drain runs one propagation from gate from: pop, and push the fanouts of
-// every gate that changes. It checks the ordering guarantees on the way
-// and returns the popped gates in pop order.
+// every gate that changes, with PushFanout for even gate IDs and with
+// Push, twice per gate, over CombFanout for odd ones. It checks the
+// ordering guarantees on the way and returns the popped gates in pop
+// order.
 func drain(t *testing.T, c *Circuit, w *Worklist, from int, seed int64) []int {
 	t.Helper()
 	var popped []int
@@ -55,8 +57,15 @@ func drain(t *testing.T, c *Circuit, w *Worklist, from int, seed int64) []int {
 			lastLvl = l
 		}
 		popped = append(popped, id)
-		if changes(seed, id) {
+		switch {
+		case !changes(seed, id):
+		case id%2 == 0:
 			w.PushFanout(id)
+		default:
+			for _, fo := range c.CombFanout(id) {
+				w.Push(int(fo))
+				w.Push(int(fo))
+			}
 		}
 	}
 	return popped
