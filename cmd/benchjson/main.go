@@ -308,7 +308,7 @@ func run(out string) error {
 		return err
 	}
 	ctx := context.Background()
-	return safeio.Retry(ctx, safeio.RetryPolicy{}, "bench-report", func() (err error) {
+	return safeio.Retry(ctx, "bench-report", func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmerr.NewPanic(chaos.StageOf(r, fmerr.StageIO), out, r)

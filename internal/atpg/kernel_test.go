@@ -224,13 +224,14 @@ func TestImplySrcMatchesImply(t *testing.T) {
 }
 
 // dFrontierScan is the reference D-frontier dFrontier is tested against: a
-// scan of the whole fault-site cone in topological order for gates not
+// scan of every combinational gate in topological order for gates not
 // fully defined in both machines with a fanin that carries a defined
 // effect (or the activated fault gate of a pin fault), stably sorted by
-// observation depth.
+// observation depth. Only gates in the fault site's fanout cone can carry
+// an effect, so the scan finds the same gates a cone walk would.
 func dFrontierScan(m *machine) []int {
 	var out []int
-	for _, id := range m.c.FanoutCone(m.siteNet()) {
+	for _, id := range m.c.Topo() {
 		if m.good(id) != vX && m.bad(id) != vX {
 			continue
 		}

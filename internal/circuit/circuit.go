@@ -1,16 +1,12 @@
 // Package circuit provides the gate-level netlist model used by all of
 // fastmon: parsing and writing ISCAS-style .bench netlists, a deterministic
 // synthetic benchmark generator, and the topological utilities (levelized
-// order, fanout cones, full-scan combinational view, the level-ordered
-// event Worklist) that static timing analysis, ATPG and the
-// timing-accurate fault simulator are built on.
+// order, tap reachability, full-scan combinational view, the level-ordered
+// event Worklist) that static timing analysis, ATPG and both fault
+// simulators are built on.
 package circuit
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "fmt"
 
 // Kind enumerates the supported gate primitives. The set matches what the
 // ISCAS'89 .bench format and typical 45nm standard-cell netlists need.
@@ -159,7 +155,8 @@ type Gate struct {
 }
 
 // Circuit is a gate-level netlist. Build one with New/AddGate/.../Finalize,
-// by parsing a .bench file (ParseBench), or with Generate.
+// by parsing a .bench file (ParseBench), or with Generate. A finalized
+// circuit is read-only, so goroutines may share it.
 type Circuit struct {
 	Name    string
 	Gates   []Gate
@@ -178,9 +175,6 @@ type Circuit struct {
 	// worklist slot of level l.
 	foOff, foList []int32
 	levelOff      []int32
-
-	coneMu sync.RWMutex
-	cones  map[int][]int // FanoutCone cache (finalized circuits are immutable)
 }
 
 // New returns an empty circuit with the given name.
@@ -451,55 +445,6 @@ func (c *Circuit) Sources() []int {
 	return src
 }
 
-// FanoutCone returns the IDs of all combinational gates reachable from the
-// output of gate `from` (not including `from` itself unless it is
-// combinational and reachable through a loop, which Finalize excludes),
-// in topological order. It is used to restrict faulty re-simulation to the
-// region a fault can influence. Cones are cached: both the waveform fault
-// simulator and the parallel-pattern logic simulator query them for every
-// fault injection. The returned slice must not be modified.
-func (c *Circuit) FanoutCone(from int) []int {
-	c.mustFinal()
-	c.coneMu.RLock()
-	cached, ok := c.cones[from]
-	c.coneMu.RUnlock()
-	if ok {
-		return cached
-	}
-	cone := c.fanoutCone(from)
-	c.coneMu.Lock()
-	if c.cones == nil {
-		c.cones = map[int][]int{}
-	}
-	c.cones[from] = cone
-	c.coneMu.Unlock()
-	return cone
-}
-
-func (c *Circuit) fanoutCone(from int) []int {
-	mark := make([]bool, len(c.Gates))
-	n := 0
-	stack := []int{from}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, fo := range c.Gates[id].Fanout {
-			if c.Gates[fo].Kind != DFF && !mark[fo] {
-				mark[fo] = true
-				n++
-				stack = append(stack, fo)
-			}
-		}
-	}
-	cone := make([]int, 0, n)
-	for _, id := range c.topo {
-		if mark[id] {
-			cone = append(cone, id)
-		}
-	}
-	return cone
-}
-
 // CombFanout returns the combinational fanouts of gate id: its fanouts
 // without the flip-flops, whose D pin is a sequential edge. These are the
 // edges an event crosses in the full-scan view, the ones
@@ -507,28 +452,6 @@ func (c *Circuit) fanoutCone(from int) []int {
 func (c *Circuit) CombFanout(id int) []int32 {
 	return c.foList[c.foOff[id]:c.foOff[id+1]]
 }
-
-// ReachableTaps returns the indices (into Taps()) of observation points
-// whose observed signal lies in the fanout cone of gate `from` (or is
-// `from` itself).
-func (c *Circuit) ReachableTaps(from int) []int {
-	c.mustFinal()
-	inCone := make([]bool, len(c.Gates))
-	inCone[from] = true
-	for _, id := range c.FanoutCone(from) {
-		inCone[id] = true
-	}
-	var out []int
-	for i, tap := range c.Taps() {
-		if inCone[tap.Gate] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// PinCount returns the number of input pins of gate id.
-func (c *Circuit) PinCount(id int) int { return len(c.Gates[id].Fanin) }
 
 // Stats is a human-readable summary matching Table I columns 2–3.
 type Stats struct {
@@ -555,15 +478,4 @@ func (c *Circuit) Stats() Stats {
 func (s Stats) String() string {
 	return fmt.Sprintf("%s: %d gates, %d FFs, %d PIs, %d POs, depth %d",
 		s.Name, s.Gates, s.FFs, s.Inputs, s.Outputs, s.Depth)
-}
-
-// SortedNames returns all gate names in sorted order; used by the .bench
-// writer for deterministic output.
-func (c *Circuit) SortedNames() []string {
-	names := make([]string, len(c.Gates))
-	for i, g := range c.Gates {
-		names[i] = g.Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -403,7 +403,6 @@ func run(ctx context.Context, e *sim.Engine, placement *monitor.Placement, fault
 		o.Counter("detect.cone_skipped_pairs").Add(t.skipped)
 		o.Counter("detect.sim_events").Add(t.st.Events)
 		o.Counter("detect.sim_converged").Add(t.st.Converged)
-		o.Counter("detect.sim_pruned_gates").Add(t.st.Pruned)
 		o.Counter("detect.sim_early_exits").Add(t.st.EarlyExits)
 		if s := wall.Seconds(); s > 0 {
 			o.Gauge("detect.sims_per_sec").Set(float64(t.sims) / s)

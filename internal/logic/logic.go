@@ -10,17 +10,11 @@ import (
 	"fastmon/internal/sim"
 )
 
-// EvalVectors computes the good value of every gate for up to 64 source
-// assignments packed bitwise: src[i] holds the values of the i-th source
-// (circuit source order) across the 64 vectors. The returned slice is
-// indexed by gate ID.
-func EvalVectors(c *circuit.Circuit, src []uint64) []uint64 {
-	return evalVectorsInto(nil, c, c.Sources(), src)
-}
-
-// evalVectorsInto is EvalVectors with a caller-provided destination buffer
-// (grown as needed) and pre-fetched source list, so Batch reuse avoids
-// reallocating the per-gate planes on every 64-pattern chunk.
+// evalVectorsInto computes the good value of every gate for up to 64
+// source assignments packed bitwise: src[i] holds the values of source
+// srcs[i] across the 64 vectors. The result, indexed by gate ID, goes into
+// val (grown as needed), so Batch reuse avoids reallocating the per-gate
+// planes on every 64-pattern chunk.
 func evalVectorsInto(val []uint64, c *circuit.Circuit, srcs []int, src []uint64) []uint64 {
 	if cap(val) < len(c.Gates) {
 		val = make([]uint64, len(c.Gates))
@@ -34,21 +28,31 @@ func evalVectorsInto(val []uint64, c *circuit.Circuit, srcs []int, src []uint64)
 	}
 	for _, id := range c.Topo() {
 		g := &c.Gates[id]
-		val[id] = evalWord(g.Kind, g.Fanin, val)
+		val[id] = evalWord(g.Kind, g.Fanin, val, -1, 0)
 	}
 	return val
 }
 
-func evalWord(kind circuit.Kind, fanin []int, val []uint64) uint64 {
+// evalWord evaluates a gate over the words of its fanin nets in val. Pin
+// pin reads x instead of its net (pass -1 for none): a pin fault forces
+// one pin, and a net wired to two pins of the gate keeps its value on the
+// other.
+func evalWord(kind circuit.Kind, fanin []int, val []uint64, pin int, x uint64) uint64 {
+	in := func(p int) uint64 {
+		if p == pin {
+			return x
+		}
+		return val[fanin[p]]
+	}
 	switch kind {
 	case circuit.Buf:
-		return val[fanin[0]]
+		return in(0)
 	case circuit.Not:
-		return ^val[fanin[0]]
+		return ^in(0)
 	case circuit.And, circuit.Nand:
 		v := ^uint64(0)
-		for _, f := range fanin {
-			v &= val[f]
+		for p := range fanin {
+			v &= in(p)
 		}
 		if kind == circuit.Nand {
 			return ^v
@@ -56,8 +60,8 @@ func evalWord(kind circuit.Kind, fanin []int, val []uint64) uint64 {
 		return v
 	case circuit.Or, circuit.Nor:
 		v := uint64(0)
-		for _, f := range fanin {
-			v |= val[f]
+		for p := range fanin {
+			v |= in(p)
 		}
 		if kind == circuit.Nor {
 			return ^v
@@ -65,8 +69,8 @@ func evalWord(kind circuit.Kind, fanin []int, val []uint64) uint64 {
 		return v
 	case circuit.Xor, circuit.Xnor:
 		v := uint64(0)
-		for _, f := range fanin {
-			v ^= val[f]
+		for p := range fanin {
+			v ^= in(p)
 		}
 		if kind == circuit.Xnor {
 			return ^v
@@ -76,14 +80,10 @@ func evalWord(kind circuit.Kind, fanin []int, val []uint64) uint64 {
 	panic("logic: evalWord on " + kind.String())
 }
 
-// Pack converts up to 64 pattern pairs (starting at index start) into
+// packInto converts up to 64 pattern pairs (starting at index start) into
 // bit-planes: src1[i]/src2[i] carry the V1/V2 values of source i across
-// the packed patterns. It returns the number of patterns packed.
-func Pack(patterns []sim.Pattern, start int, nsrc int) (src1, src2 []uint64, n int) {
-	return packInto(nil, nil, patterns, start, nsrc)
-}
-
-// packInto is Pack with caller-provided plane buffers (grown as needed).
+// the packed patterns. The planes go into the given buffers (grown as
+// needed). It returns them and the number of patterns packed.
 func packInto(src1, src2 []uint64, patterns []sim.Pattern, start, nsrc int) ([]uint64, []uint64, int) {
 	if cap(src1) < nsrc {
 		src1 = make([]uint64, nsrc)
@@ -114,27 +114,31 @@ func packInto(src1, src2 []uint64, patterns []sim.Pattern, start, nsrc int) ([]u
 // initialization vector (V1) and the launch/capture vector (V2).
 //
 // A Batch may be reused across blocks via Load, which recycles every
-// internal buffer. The DetectTransition scratch makes a Batch unsafe for
-// concurrent use; all callers (the ATPG committer, compaction and
-// coverage verification) probe faults serially.
+// internal buffer. DetectTransition patches V2 while it runs, so a Batch
+// is unsafe for concurrent use; all callers (the ATPG committer,
+// compaction and coverage verification) probe faults serially.
 type Batch struct {
 	C      *circuit.Circuit
 	N      int // number of valid patterns (low bits)
 	V1, V2 []uint64
-	taps   []circuit.Tap
 	srcs   []int
 
 	// Pack scratch, reused across Load calls.
 	src1, src2 []uint64
 
-	// DetectTransition scratch: the faulty-value overlay as a versioned
-	// array (fver[id] == ver marks fval[id] live) instead of a per-call
-	// map, and a reusable fanin-value buffer. Overlay clearing is O(1) —
-	// bump ver.
-	fval []uint64
-	fver []int64
-	ver  int64
-	vals []uint64
+	// DetectTransition scratch, built once per circuit: tap marks the
+	// gates observed at a tap, wl is the event queue (empty between
+	// calls), and undo lists the gates patched in V2 with their good
+	// words, in patch order.
+	tap  []bool
+	wl   *circuit.Worklist
+	undo []saved
+}
+
+// saved is one undo entry: a gate patched in V2 and its good word.
+type saved struct {
+	id   int
+	good uint64
 }
 
 // NewBatch evaluates a packed block of pattern pairs.
@@ -147,13 +151,12 @@ func NewBatch(c *circuit.Circuit, patterns []sim.Pattern, start int) *Batch {
 // chaining.
 func (b *Batch) Load(c *circuit.Circuit, patterns []sim.Pattern, start int) *Batch {
 	if b.C != c {
-		b.taps = c.Taps()
 		b.srcs = c.Sources()
-		// Overlay versions are per-circuit (indexed by gate ID): reset them
-		// when the circuit changes size or identity.
-		b.fval = make([]uint64, len(c.Gates))
-		b.fver = make([]int64, len(c.Gates))
-		b.ver = 0
+		b.tap = make([]bool, len(c.Gates))
+		for _, t := range c.Taps() {
+			b.tap[t.Gate] = true
+		}
+		b.wl = c.NewWorklist()
 		b.C = c
 	}
 	b.src1, b.src2, b.N = packInto(b.src1, b.src2, patterns, start, len(b.srcs))
@@ -186,7 +189,9 @@ func (b *Batch) siteValues(f fault.Fault) (v1, v2 uint64) {
 // polarity) and the gross-delay effect (site stuck at its V1 value during
 // capture) must propagate to an observation point.
 //
-// Not safe for concurrent calls on one Batch (shared overlay scratch).
+// The faulty V2 words are patched into V2 in place, gate by gate as the
+// effect propagates through the worklist, and restored before the call
+// returns. Not safe for concurrent calls on one Batch.
 func (b *Batch) DetectTransition(f fault.Fault) uint64 {
 	sv1, sv2 := b.siteValues(f)
 	var active uint64
@@ -200,103 +205,45 @@ func (b *Batch) DetectTransition(f fault.Fault) uint64 {
 		return 0
 	}
 
-	// Faulty V2 values: site stuck at its V1 value. Propagate through the
-	// fanout cone only, tracking diverged gates in the versioned overlay.
-	b.ver++
-	ver := b.ver
-	g := &b.C.Gates[f.Gate]
-	var fg uint64
-	if f.Pin < 0 {
-		fg = sv1 // output forced to the initialization value
-	} else {
-		vals := b.faninVals(g.Fanin)
-		vals[f.Pin] = sv1
-		fg = evalLocal(g.Kind, vals)
+	// Faulty V2 values: site stuck at its V1 value. A pin fault forces
+	// only its pin; the net it reads may feed other pins and gates.
+	fw := sv1
+	if f.Pin >= 0 {
+		g := &b.C.Gates[f.Gate]
+		fw = evalWord(g.Kind, g.Fanin, b.V2, f.Pin, sv1)
 	}
-	if fg == b.V2[f.Gate] {
+	if fw == b.V2[f.Gate] {
 		return 0
 	}
-	b.fval[f.Gate], b.fver[f.Gate] = fg, ver
-
-	for _, id := range b.C.FanoutCone(f.Gate) {
-		cg := &b.C.Gates[id]
-		touched := false
-		for _, fi := range cg.Fanin {
-			if b.fver[fi] == ver {
-				touched = true
-				break
-			}
+	b.patch(f.Gate, fw)
+	for {
+		id, ok := b.wl.Pop()
+		if !ok {
+			break
 		}
-		if !touched {
-			continue
-		}
-		vals := b.faninVals(cg.Fanin)
-		for p, fi := range cg.Fanin {
-			if b.fver[fi] == ver {
-				vals[p] = b.fval[fi]
-			}
-		}
-		nv := evalLocal(cg.Kind, vals)
-		if nv != b.V2[id] {
-			b.fval[id], b.fver[id] = nv, ver
+		g := &b.C.Gates[id]
+		if w := evalWord(g.Kind, g.Fanin, b.V2, -1, 0); w != b.V2[id] {
+			b.patch(id, w)
 		}
 	}
 
+	// Only patched gates differ from the good simulation; each is
+	// patched once, since the worklist pops a gate at most once.
 	var det uint64
-	for _, tap := range b.taps {
-		if b.fver[tap.Gate] == ver {
-			det |= b.fval[tap.Gate] ^ b.V2[tap.Gate]
+	for _, u := range b.undo {
+		if b.tap[u.id] {
+			det |= b.V2[u.id] ^ u.good
 		}
+		b.V2[u.id] = u.good
 	}
+	b.undo = b.undo[:0]
 	return det & active
 }
 
-// faninVals fills the batch's reusable fanin-value buffer with the good V2
-// values of the given fanin list.
-func (b *Batch) faninVals(fanin []int) []uint64 {
-	if cap(b.vals) < len(fanin) {
-		b.vals = make([]uint64, len(fanin))
-	}
-	b.vals = b.vals[:len(fanin)]
-	for p, fi := range fanin {
-		b.vals[p] = b.V2[fi]
-	}
-	return b.vals
-}
-
-func evalLocal(kind circuit.Kind, vals []uint64) uint64 {
-	switch kind {
-	case circuit.Buf:
-		return vals[0]
-	case circuit.Not:
-		return ^vals[0]
-	case circuit.And, circuit.Nand:
-		v := ^uint64(0)
-		for _, x := range vals {
-			v &= x
-		}
-		if kind == circuit.Nand {
-			return ^v
-		}
-		return v
-	case circuit.Or, circuit.Nor:
-		v := uint64(0)
-		for _, x := range vals {
-			v |= x
-		}
-		if kind == circuit.Nor {
-			return ^v
-		}
-		return v
-	case circuit.Xor, circuit.Xnor:
-		v := uint64(0)
-		for _, x := range vals {
-			v ^= x
-		}
-		if kind == circuit.Xnor {
-			return ^v
-		}
-		return v
-	}
-	panic("logic: evalLocal on " + kind.String())
+// patch sets gate id's V2 word to the faulty word w, saves its good word
+// for the undo, and queues its fanouts.
+func (b *Batch) patch(id int, w uint64) {
+	b.undo = append(b.undo, saved{id, b.V2[id]})
+	b.V2[id] = w
+	b.wl.PushFanout(id)
 }

@@ -2,6 +2,7 @@ package logic
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -45,12 +46,12 @@ func TestEvalVectorsMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	nsrc := len(c.Sources())
 	ps := randomPatterns(rng, nsrc, 64)
-	src1, src2, n := Pack(ps, 0, nsrc)
+	src1, src2, n := packInto(nil, nil, ps, 0, nsrc)
 	if n != 64 {
 		t.Fatalf("packed %d", n)
 	}
-	v1 := EvalVectors(c, src1)
-	v2 := EvalVectors(c, src2)
+	v1 := evalVectorsInto(nil, c, c.Sources(), src1)
+	v2 := evalVectorsInto(nil, c, c.Sources(), src2)
 	for k := 0; k < 64; k++ {
 		want1 := evalScalar(c, ps[k].V1)
 		want2 := evalScalar(c, ps[k].V2)
@@ -69,7 +70,7 @@ func TestPackPartialBlock(t *testing.T) {
 	c := circuit.MustParseBench("s27", circuit.S27)
 	rng := rand.New(rand.NewSource(2))
 	ps := randomPatterns(rng, len(c.Sources()), 10)
-	_, _, n := Pack(ps, 8, len(c.Sources()))
+	_, _, n := packInto(nil, nil, ps, 8, len(c.Sources()))
 	if n != 2 {
 		t.Fatalf("packed %d, want 2", n)
 	}
@@ -127,19 +128,68 @@ func detectScalar(c *circuit.Circuit, p sim.Pattern, f fault.Fault) bool {
 	return false
 }
 
+// sharedNets is a circuit in which one net drives two pins of one gate,
+// as a parsed netlist may wire it: a pin fault there must force only its
+// own pin.
+func sharedNets(t *testing.T) *circuit.Circuit {
+	c := circuit.New("shared")
+	a := c.AddGate("a", circuit.Input)
+	b := c.AddGate("b", circuit.Input)
+	and := c.AddGate("and", circuit.And, a, a, b)
+	xor := c.AddGate("xor", circuit.Xor, a, b, a)
+	ff := c.AddGate("ff", circuit.DFF, xor)
+	nor := c.AddGate("nor", circuit.Nor, and, ff, and)
+	c.MarkOutput(and)
+	c.MarkOutput(nor)
+	if err := c.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestDetectTransitionMatchesScalar(t *testing.T) {
-	c := circuit.MustParseBench("s27", circuit.S27)
-	rng := rand.New(rand.NewSource(3))
-	ps := randomPatterns(rng, len(c.Sources()), 64)
-	b := NewBatch(c, ps, 0)
-	for _, f := range fault.Universe(c) {
-		got := b.DetectTransition(f)
-		for k := 0; k < 64; k++ {
-			want := detectScalar(c, ps[k], f)
-			if gotK := got>>uint(k)&1 == 1; gotK != want {
-				t.Fatalf("fault %s pattern %d: got %v want %v", f.Name(c), k, gotK, want)
+	for i, c := range []*circuit.Circuit{circuit.MustParseBench("s27", circuit.S27), sharedNets(t)} {
+		rng := rand.New(rand.NewSource(int64(3 + i)))
+		ps := randomPatterns(rng, len(c.Sources()), 64)
+		b := NewBatch(c, ps, 0)
+		detected := 0
+		for _, f := range fault.Universe(c) {
+			got := b.DetectTransition(f)
+			for k := 0; k < 64; k++ {
+				want := detectScalar(c, ps[k], f)
+				if gotK := got>>uint(k)&1 == 1; gotK != want {
+					t.Fatalf("%s fault %s pattern %d: got %v want %v", c.Name, f.Name(c), k, gotK, want)
+				}
+			}
+			if got != 0 {
+				detected++
 			}
 		}
+		if detected == 0 {
+			t.Fatalf("%s: no fault detected", c.Name)
+		}
+		// Every probe restores the good words it patched into V2.
+		if fresh := NewBatch(c, ps, 0); !slices.Equal(b.V2, fresh.V2) {
+			t.Fatalf("%s: V2 not restored after the probes", c.Name)
+		}
+	}
+}
+
+// TestDetectTransitionAllocFree: once a loaded Batch has probed each fault
+// once (growing its undo list), probing allocates nothing.
+func TestDetectTransitionAllocFree(t *testing.T) {
+	c := circuit.MustGenerate(circuit.GenSpec{Name: "g", Gates: 400, FFs: 32, Inputs: 10, Outputs: 8, Depth: 14, Seed: 9})
+	rng := rand.New(rand.NewSource(6))
+	b := NewBatch(c, randomPatterns(rng, len(c.Sources()), 64), 0)
+	faults := fault.Universe(c)
+	probe := func() {
+		for _, f := range faults {
+			b.DetectTransition(f)
+		}
+	}
+	probe()
+	if allocs := testing.AllocsPerRun(5, probe); allocs != 0 {
+		t.Fatalf("%v allocations per pass over %d faults, want 0", allocs, len(faults))
 	}
 }
 

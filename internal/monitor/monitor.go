@@ -175,14 +175,3 @@ func (p *Placement) RelativeOverhead(c *circuit.Circuit) float64 {
 	}
 	return p.OverheadGE() / total
 }
-
-// InsertedCircuit reports the tap objects carrying monitors, for display
-// and for the experiment tables.
-func (p *Placement) MonitoredTaps(c *circuit.Circuit) []circuit.Tap {
-	all := c.Taps()
-	out := make([]circuit.Tap, 0, len(p.Taps))
-	for _, t := range p.Taps {
-		out = append(out, all[t])
-	}
-	return out
-}

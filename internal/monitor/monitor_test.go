@@ -68,9 +68,6 @@ func TestPlace(t *testing.T) {
 	if p.String() == "" {
 		t.Fatal("empty String")
 	}
-	if got := len(p.MonitoredTaps(c)); got != 10 {
-		t.Fatalf("MonitoredTaps = %d", got)
-	}
 }
 
 func TestPlaceFractionBounds(t *testing.T) {

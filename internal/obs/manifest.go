@@ -136,7 +136,7 @@ func (m *Manifest) WriteFile(ctx context.Context, path string) error {
 	if err != nil {
 		return fmt.Errorf("obs: marshal manifest: %w", err)
 	}
-	return safeio.Retry(ctx, safeio.RetryPolicy{}, "manifest", func() (err error) {
+	return safeio.Retry(ctx, "manifest", func() (err error) {
 		// The manifest writer has no worker pool above it to isolate a
 		// panic (injected or real); convert it to a typed error here.
 		defer func() {

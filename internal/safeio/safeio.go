@@ -1,7 +1,7 @@
 // Package safeio is the pipeline's durable-I/O layer: atomic file
 // replacement that survives crashes, CRC32-stamped JSON records that
 // make torn or silently corrupted files *detectable* instead of
-// *believable*, and a context-aware jittered-backoff retry for
+// *believable*, and a context-aware retry with exponential backoff for
 // transient failures.
 //
 // The durability contract, relied on by the result cache and the run
@@ -19,11 +19,11 @@
 //     the record as missing (recompute), never serve it. Legacy files
 //     without the envelope yield ErrNotRecord so callers can fall back
 //     to reading naked JSON.
-//   - Retry re-runs an operation on *transient* errors only, with
-//     exponential backoff, deterministic jitter, capped attempts, and a
-//     hard rule: after context cancellation it never retries and it
-//     returns the last typed error from the operation, not a bare
-//     context error.
+//   - Retry re-runs an operation on *transient* errors only, at most
+//     four times with a capped exponential backoff, and with a hard
+//     rule: after context cancellation it never retries and it returns
+//     the last typed error from the operation, not a bare context
+//     error.
 //
 // Chaos integration: WriteFileAtomic passes the outgoing bytes through
 // the "safeio.write" data injection point, so a seeded soak run can
@@ -288,43 +288,17 @@ func IsTransient(err error) bool {
 	return chaos.AsInjected(err, &inj)
 }
 
-// RetryPolicy parameterizes Retry. The zero value gets sane defaults:
-// 4 attempts, 2ms base, 100ms cap, doubling, 50% jitter.
-type RetryPolicy struct {
-	Attempts   int           // max attempts including the first (default 4)
-	Base       time.Duration // first backoff (default 2ms)
-	Max        time.Duration // backoff cap (default 100ms)
-	Multiplier float64       // backoff growth (default 2)
-	Jitter     float64       // fraction of the backoff randomized (default 0.5)
-	Seed       int64         // drives the deterministic jitter
-	// Sleep, if set, replaces the real backoff sleep (test hook). It
-	// must honor ctx and return ctx.Err() when cancelled.
-	Sleep func(ctx context.Context, d time.Duration) error
-}
+// Retry's policy: at most retryAttempts calls, with a backoff that
+// starts at retryBase, doubles after each failure and stops at retryMax.
+const (
+	retryAttempts = 4
+	retryBase     = 2 * time.Millisecond
+	retryMax      = 100 * time.Millisecond
+)
 
-func (p RetryPolicy) defaults() RetryPolicy {
-	if p.Attempts <= 0 {
-		p.Attempts = 4
-	}
-	if p.Base <= 0 {
-		p.Base = 2 * time.Millisecond
-	}
-	if p.Max <= 0 {
-		p.Max = 100 * time.Millisecond
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
-	if p.Jitter < 0 || p.Jitter > 1 {
-		p.Jitter = 0.5
-	}
-	if p.Sleep == nil {
-		p.Sleep = sleepCtx
-	}
-	return p
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
+// sleep waits out one backoff and returns ctx.Err() if the context is
+// cancelled first. Tests replace it.
+var sleep = func(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -335,43 +309,15 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// backoff returns the jittered delay before attempt i (0-based count of
-// failures so far). Deterministic in (Seed, i).
-func (p RetryPolicy) backoff(i int) time.Duration {
-	d := float64(p.Base)
-	for k := 0; k < i; k++ {
-		d *= p.Multiplier
-		if d >= float64(p.Max) {
-			d = float64(p.Max)
-			break
-		}
-	}
-	// SplitMix64 over (seed, attempt) → uniform in [1-Jitter/2, 1+Jitter/2).
-	h := mix(uint64(p.Seed) ^ mix(uint64(i)+0x9e37))
-	u := float64(h>>11) / (1 << 53)
-	d *= 1 - p.Jitter/2 + p.Jitter*u
-	if d > float64(p.Max) {
-		d = float64(p.Max)
-	}
-	return time.Duration(d)
-}
-
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// Retry runs fn up to pol.Attempts times, backing off between attempts.
+// Retry runs fn up to retryAttempts times, backing off between attempts.
 // It retries only transient errors (IsTransient) and never after the
 // context is cancelled — in both cases it returns the last error fn
 // produced, stage-attributed to the I/O layer, so callers see the typed
 // failure rather than a bare context error.
-func Retry(ctx context.Context, pol RetryPolicy, op string, fn func() error) error {
-	pol = pol.defaults()
+func Retry(ctx context.Context, op string, fn func() error) error {
 	var last error
-	for i := 0; i < pol.Attempts; i++ {
+	backoff := retryBase
+	for i := 0; i < retryAttempts; i++ {
 		if err := ctx.Err(); err != nil {
 			if last == nil {
 				return fmerr.Wrap(fmerr.StageIO, op, err)
@@ -382,14 +328,15 @@ func Retry(ctx context.Context, pol RetryPolicy, op string, fn func() error) err
 		if last == nil {
 			return nil
 		}
-		if !IsTransient(last) || i == pol.Attempts-1 {
+		if !IsTransient(last) || i == retryAttempts-1 {
 			break
 		}
-		if err := pol.Sleep(ctx, pol.backoff(i)); err != nil {
+		if err := sleep(ctx, backoff); err != nil {
 			// Cancelled mid-backoff: surface the operation's own last
 			// typed error, never retry again.
 			break
 		}
+		backoff = min(2*backoff, retryMax)
 	}
 	return fmerr.Wrap(fmerr.StageIO, op, last)
 }

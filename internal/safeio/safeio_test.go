@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -308,10 +309,20 @@ func FuzzUnmarshalRecord(f *testing.F) {
 	})
 }
 
+// stubSleep replaces Retry's backoff sleep for the test with fn.
+func stubSleep(t *testing.T, fn func(context.Context, time.Duration) error) {
+	t.Helper()
+	old := sleep
+	sleep = fn
+	t.Cleanup(func() { sleep = old })
+}
+
+func noSleep(context.Context, time.Duration) error { return nil }
+
 func TestRetrySucceedsAfterTransients(t *testing.T) {
+	stubSleep(t, noSleep)
 	calls := 0
-	pol := RetryPolicy{Attempts: 4, Sleep: func(context.Context, time.Duration) error { return nil }}
-	err := Retry(context.Background(), pol, "op", func() error {
+	err := Retry(context.Background(), "op", func() error {
 		calls++
 		if calls < 3 {
 			return MarkTransient(errors.New("flaky"))
@@ -324,10 +335,10 @@ func TestRetrySucceedsAfterTransients(t *testing.T) {
 }
 
 func TestRetryStopsOnPermanentError(t *testing.T) {
+	stubSleep(t, noSleep)
 	calls := 0
 	perm := errors.New("permanent")
-	pol := RetryPolicy{Attempts: 5, Sleep: func(context.Context, time.Duration) error { return nil }}
-	err := Retry(context.Background(), pol, "op", func() error {
+	err := Retry(context.Background(), "op", func() error {
 		calls++
 		return perm
 	})
@@ -343,58 +354,53 @@ func TestRetryStopsOnPermanentError(t *testing.T) {
 }
 
 func TestRetryExhaustsAttempts(t *testing.T) {
+	stubSleep(t, noSleep)
 	calls := 0
-	pol := RetryPolicy{Attempts: 3, Sleep: func(context.Context, time.Duration) error { return nil }}
 	last := errors.New("still flaky")
-	err := Retry(context.Background(), pol, "op", func() error {
+	err := Retry(context.Background(), "op", func() error {
 		calls++
 		return MarkTransient(last)
 	})
-	if calls != 3 {
-		t.Fatalf("calls = %d, want 3", calls)
+	if calls != retryAttempts {
+		t.Fatalf("calls = %d, want %d", calls, retryAttempts)
 	}
 	if !errors.Is(err, last) {
 		t.Fatalf("lost last error: %v", err)
 	}
 }
 
-// TestRetryNeverRetriesAfterCancel is the property test from the issue:
-// across many seeds and cancellation points, Retry must never invoke fn
-// again after the context is cancelled, and must always return the last
-// typed error fn produced (not a bare context error) once fn has run.
+// TestRetryNeverRetriesAfterCancel: whichever backoff the context is
+// cancelled in, Retry must never invoke fn again after the cancellation,
+// and must always return the last typed error fn produced (not a bare
+// context error) once fn has run.
 func TestRetryNeverRetriesAfterCancel(t *testing.T) {
-	for seed := int64(0); seed < 50; seed++ {
-		cancelAfter := int(seed % 5) // sleeps completed before cancel fires
+	for cancelAfter := 0; cancelAfter < retryAttempts; cancelAfter++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		typed := &chaos.Injected{Point: "p", Stage: fmerr.StageIO, Kind: chaos.KindError}
 		calls, callsAtCancel := 0, -1
 		sleeps := 0
-		pol := RetryPolicy{
-			Attempts: 8,
-			Seed:     seed,
-			Sleep: func(c context.Context, _ time.Duration) error {
-				if sleeps == cancelAfter {
-					cancel()
-					callsAtCancel = calls
-				}
-				sleeps++
-				return c.Err()
-			},
-		}
-		err := Retry(ctx, pol, "op", func() error {
+		stubSleep(t, func(c context.Context, _ time.Duration) error {
+			if sleeps == cancelAfter {
+				cancel()
+				callsAtCancel = calls
+			}
+			sleeps++
+			return c.Err()
+		})
+		err := Retry(ctx, "op", func() error {
 			calls++
 			return MarkTransient(typed)
 		})
 		cancel()
 		if callsAtCancel >= 0 && calls != callsAtCancel {
-			t.Fatalf("seed %d: fn called %d times after cancellation", seed, calls-callsAtCancel)
+			t.Fatalf("cancel in backoff %d: fn called %d times after cancellation", cancelAfter, calls-callsAtCancel)
 		}
 		var inj *chaos.Injected
 		if !chaos.AsInjected(err, &inj) {
-			t.Fatalf("seed %d: lost the typed error, got %v", seed, err)
+			t.Fatalf("cancel in backoff %d: lost the typed error, got %v", cancelAfter, err)
 		}
 		if errors.Is(err, context.Canceled) {
-			t.Fatalf("seed %d: returned context error instead of typed op error: %v", seed, err)
+			t.Fatalf("cancel in backoff %d: returned context error instead of typed op error: %v", cancelAfter, err)
 		}
 	}
 }
@@ -405,7 +411,7 @@ func TestRetryCancelledBeforeFirstAttempt(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls := 0
-	err := Retry(ctx, RetryPolicy{}, "op", func() error { calls++; return nil })
+	err := Retry(ctx, "op", func() error { calls++; return nil })
 	if calls != 0 {
 		t.Fatalf("fn ran %d times on a dead context", calls)
 	}
@@ -414,21 +420,19 @@ func TestRetryCancelledBeforeFirstAttempt(t *testing.T) {
 	}
 }
 
+// TestRetryBackoffDeterministicAndBounded: the backoffs between the four
+// attempts are fixed: 2 ms, doubling each time.
 func TestRetryBackoffDeterministicAndBounded(t *testing.T) {
-	pol := RetryPolicy{Seed: 123}.defaults()
-	again := RetryPolicy{Seed: 123}.defaults()
-	var prev time.Duration
-	for i := 0; i < 10; i++ {
-		d := pol.backoff(i)
-		if d != again.backoff(i) {
-			t.Fatalf("backoff(%d) nondeterministic", i)
-		}
-		if d <= 0 || d > pol.Max {
-			t.Fatalf("backoff(%d) = %v out of bounds (max %v)", i, d, pol.Max)
-		}
-		prev = d
+	var got []time.Duration
+	stubSleep(t, func(_ context.Context, d time.Duration) error {
+		got = append(got, d)
+		return nil
+	})
+	Retry(context.Background(), "op", func() error { return MarkTransient(errors.New("flaky")) })
+	want := []time.Duration{2 * time.Millisecond, 4 * time.Millisecond, 8 * time.Millisecond}
+	if !slices.Equal(got, want) {
+		t.Fatalf("backoffs %v, want %v", got, want)
 	}
-	_ = prev
 }
 
 func TestIsTransientClassification(t *testing.T) {

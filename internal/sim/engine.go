@@ -221,13 +221,11 @@ func (e *Engine) FaultSimScratch(base []Waveform, inj Injection, horizon tunit.T
 	// disturbed fanins, and propagation stops where a gate's recomputed
 	// waveform equals its baseline.
 	sc.wl.PushFanout(g)
-	evaluated := 0
 	for {
 		id, ok := sc.wl.Pop()
 		if !ok {
 			break
 		}
-		evaluated++
 		cg := &e.C.Gates[id]
 		ins := sc.ins[:0]
 		for _, f := range cg.Fanin {
@@ -252,15 +250,6 @@ func (e *Engine) FaultSimScratch(base []Waveform, inj Injection, horizon tunit.T
 		sc.markDirty(id, nw)
 		sc.wl.PushFanout(id)
 	}
-	if st != nil {
-		// detect simulates one site under a chunk of patterns back to
-		// back, so the cone length is looked up once per site.
-		if sc.coneGate != g {
-			sc.coneGate, sc.coneLen = g, len(e.C.FanoutCone(g))
-		}
-		st.Pruned += int64(sc.coneLen - evaluated)
-	}
-
 	// Only gates that still differ from the baseline can be detected;
 	// everything outside sc.touched is bit-identical to the fault-free
 	// simulation by construction.

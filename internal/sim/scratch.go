@@ -15,10 +15,6 @@ type Stats struct {
 	// Converged counts re-evaluations whose output matched the baseline:
 	// the fault effect died there and propagation was cut early.
 	Converged int64
-	// Pruned counts fanout-cone gates that were never reached by an event
-	// — the re-simulation work the event-driven engine skipped relative to
-	// a full cone walk.
-	Pruned int64
 	// EarlyExits counts injections whose site waveform already equals the
 	// baseline (the fault is not activated by the pattern), resolved
 	// without touching the cone at all.
@@ -29,7 +25,6 @@ type Stats struct {
 func (s *Stats) Add(o Stats) {
 	s.Events += o.Events
 	s.Converged += o.Converged
-	s.Pruned += o.Pruned
 	s.EarlyExits += o.EarlyExits
 }
 
@@ -49,19 +44,16 @@ type Scratch struct {
 	// arena holds the toggles of the fault-site and overlay waveforms of
 	// one simulation; reset rewinds it, so they live until the next one.
 	arena []tunit.Time
-	// coneLen is len(C.FanoutCone(coneGate)), kept for Stats.Pruned.
-	coneGate, coneLen int
 }
 
 // NewScratch allocates a simulation arena for the engine's circuit.
 func (e *Engine) NewScratch() *Scratch {
 	n := len(e.C.Gates)
 	return &Scratch{
-		faulty:   make([]Waveform, n),
-		dirty:    make([]bool, n),
-		wl:       e.C.NewWorklist(),
-		ins:      make([]Waveform, 0, 8),
-		coneGate: -1,
+		faulty: make([]Waveform, n),
+		dirty:  make([]bool, n),
+		wl:     e.C.NewWorklist(),
+		ins:    make([]Waveform, 0, 8),
 	}
 }
 

@@ -56,7 +56,11 @@ func TestParseHierarchyFlattens(t *testing.T) {
 	}
 	// Hierarchical names carry the instance path (c1 is local to fa).
 	if _, ok := c.GateID("f0/c1"); !ok {
-		t.Fatalf("hierarchical net name missing; have %v", c.SortedNames())
+		var names []string
+		for _, g := range c.Gates {
+			names = append(names, g.Name)
+		}
+		t.Fatalf("hierarchical net name missing; have %v", names)
 	}
 	// Functional spot check: 2-bit addition via the logic evaluator.
 	// a=3 (a1=1,a0=1), b=1 (b0=1), cin=0 -> sum=00, carry=1.
