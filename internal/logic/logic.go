@@ -189,9 +189,9 @@ func (b *Batch) siteValues(f fault.Fault) (v1, v2 uint64) {
 // polarity) and the gross-delay effect (site stuck at its V1 value during
 // capture) must propagate to an observation point.
 //
-// The faulty V2 words are patched into V2 in place, gate by gate as the
-// effect propagates through the worklist, and restored before the call
-// returns. Not safe for concurrent calls on one Batch.
+// The faulty words are patched into V2 in place, gate by gate as the
+// effect propagates through the worklist, and the good words are restored
+// before the call returns. Not safe for concurrent calls on one Batch.
 func (b *Batch) DetectTransition(f fault.Fault) uint64 {
 	sv1, sv2 := b.siteValues(f)
 	var active uint64

@@ -132,6 +132,7 @@ func detectScalar(c *circuit.Circuit, p sim.Pattern, f fault.Fault) bool {
 // as a parsed netlist may wire it: a pin fault there must force only its
 // own pin.
 func sharedNets(t *testing.T) *circuit.Circuit {
+	t.Helper()
 	c := circuit.New("shared")
 	a := c.AddGate("a", circuit.Input)
 	b := c.AddGate("b", circuit.Input)

@@ -348,8 +348,8 @@ func randPattern(e *Engine, rng *rand.Rand) Pattern {
 // TestScratchInterleavedSitesMatchFresh replays fault sites in an order
 // that interleaves them, with runs of one site back to back, on a single
 // Scratch. Every call's detections and Stats must equal those of a fresh
-// Scratch for that call: the toggle arena and the cached cone length
-// carry nothing from one simulation to the next.
+// Scratch for that call: the toggle arena and the dirty flags carry
+// nothing from one simulation to the next.
 func TestScratchInterleavedSitesMatchFresh(t *testing.T) {
 	c := circuit.MustGenerate(circuit.GenSpec{Name: "il", Gates: 300, FFs: 24, Inputs: 10, Outputs: 8, Depth: 14, Seed: 3})
 	lib := cell.NanGate45()
