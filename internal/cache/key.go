@@ -19,6 +19,7 @@ package cache
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
@@ -183,6 +184,22 @@ func hashSeq[T ~int | ~int64](h *Hasher, label string, vs []T) *Hasher {
 		h.flushFull()
 	}
 	return h.flushFull()
+}
+
+// Clone returns an independent hasher holding the same components: a key
+// finished on the clone equals one finished on h after the same writes,
+// and writes to either leave the other alone. A caller hashes a shared
+// prefix once and finishes several keys on clones of it.
+func (h *Hasher) Clone() *Hasher {
+	state, err := h.h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic("cache: sha256 state does not marshal: " + err.Error())
+	}
+	d := sha256.New()
+	if err := d.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
+		panic("cache: sha256 state does not unmarshal: " + err.Error())
+	}
+	return &Hasher{h: d, buf: append(make([]byte, 0, 2*flushSize), h.buf...), stageName: h.stageName}
 }
 
 // Key finalizes the digest.

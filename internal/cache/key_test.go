@@ -314,6 +314,40 @@ func TestHasherMatchesReferenceFraming(t *testing.T) {
 	}
 }
 
+// TestHasherClone finishes keys on clones of a shared prefix: each must
+// equal the key hashed straight through, and writes to a clone must leave
+// the original and the other clones alone. The prefix spans several flush
+// blocks and leaves frames pending, so both the SHA-256 state and the
+// buffer are copied.
+func TestHasherClone(t *testing.T) {
+	pad := make([]byte, 2*flushSize+100)
+	for i := range pad {
+		pad[i] = byte(i)
+	}
+	prefix := func(h *Hasher) *Hasher { return h.Bytes("pad", pad).Int("n", 7) }
+	tails := []func(h *Hasher) *Hasher{
+		func(h *Hasher) *Hasher { return h.Times("delays", []tunit.Time{1, 2, 3}).F64("coverage", 0.95) },
+		func(h *Hasher) *Hasher { return h.Bool("free", true) },
+		func(h *Hasher) *Hasher { return h.Bytes("big", pad) },
+		// Fills and flushes the clone's buffer without outgrowing it, then
+		// writes over the start of it.
+		func(h *Hasher) *Hasher { return h.Bytes("block", pad[:flushSize]).Int("after", 1) },
+	}
+	head := prefix(NewHasher("clone"))
+	if len(head.buf) == 0 {
+		t.Fatal("prefix leaves no frames pending: the clone of the buffer goes untested")
+	}
+	for i, tail := range tails {
+		got := tail(head.Clone()).Key()
+		if want := tail(prefix(NewHasher("clone"))).Key(); got != want {
+			t.Fatalf("tail %d: cloned key %s, straight key %s", i, got, want)
+		}
+	}
+	if got, want := head.Key(), prefix(NewHasher("clone")).Key(); got != want {
+		t.Fatalf("writes to clones moved the original: %s, want %s", got, want)
+	}
+}
+
 // kindsEqual reports whether two parsed circuits assign the same kind to
 // every gate name — the structural check FuzzCacheKey uses to tell a real
 // semantic mutation from a textual flip the parser ignored.

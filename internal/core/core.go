@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"sync"
 	"time"
 
 	"fastmon/internal/atpg"
@@ -122,6 +123,11 @@ type Flow struct {
 	TargetIdx      []int // Φ_tar: PropDetected minus AtSpeedMonitor
 	TargetData     []detect.FaultData
 	DetectCfg      detect.Config
+
+	// sched is the schedule problem of TargetData, made on the first
+	// BuildSchedule call and shared by every later one.
+	schedOnce sync.Once
+	sched     *schedule.Problem
 }
 
 // Run executes the flow on an annotated circuit. The annotation argument
@@ -274,9 +280,13 @@ func (f *Flow) ScheduleOptions(m schedule.Method, coverage float64) schedule.Opt
 
 // BuildSchedule runs the scheduling step on the target faults. With a
 // result cache on ctx the construction is memoized per (target data,
-// method, coverage, budget); see Run.
+// method, coverage, budget); see Run. Every call on one flow shares one
+// schedule.Problem, so Step 0 runs once per observation model and the
+// target data is hashed once; TargetData must not change after the first
+// call.
 func (f *Flow) BuildSchedule(ctx context.Context, m schedule.Method, coverage float64) (*schedule.Schedule, error) {
-	return schedule.Build(ctx, f.TargetData, f.ScheduleOptions(m, coverage))
+	f.schedOnce.Do(func() { f.sched = schedule.NewProblem(f.TargetData) })
+	return f.sched.Build(ctx, f.ScheduleOptions(m, coverage))
 }
 
 // CoverageAt evaluates the Fig.-3 sweep point: the fraction of HDF

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"fastmon/internal/circuit"
 	"fastmon/internal/fault"
 	"fastmon/internal/fmerr"
+	"fastmon/internal/obs"
 	"fastmon/internal/schedule"
 )
 
@@ -106,6 +108,69 @@ func TestRunSchedulesAllMethods(t *testing.T) {
 		}
 		if s.Covered != s.Coverable {
 			t.Fatalf("%v: covered %d of %d", m, s.Covered, s.Coverable)
+		}
+	}
+}
+
+// TestBuildScheduleSharesProblem builds the seven Tables II–III schedules
+// of one flow through BuildSchedule, in two orders: each must equal a
+// fresh schedule.Build of the same options at one and two workers, and the
+// flow must prepare Step 0 once per observation model. The effort counters
+// are compared in full at one worker; at two only the solve count is,
+// because a parallel search expands nodes in a racy order.
+func TestBuildScheduleSharesProblem(t *testing.T) {
+	// The suite's s9234 at scale 0.075, the benchmark's schedule pool
+	// size: every exact solve finishes well within the budget.
+	c := circuit.MustGenerate(circuit.GenSpec{
+		Name: "s9234", Gates: 132, FFs: 17, Inputs: 10, Outputs: 7, Depth: 30, Seed: 9234,
+	})
+	ref, err := Run(context.Background(), c, cell.NanGate45(), nil, Config{ATPGSeed: 9234, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type plan struct {
+		m   schedule.Method
+		cov float64
+	}
+	plans := []plan{{schedule.Conventional, 1}, {schedule.Heuristic, 1}, {schedule.ILP, 1},
+		{schedule.ILP, 0.99}, {schedule.ILP, 0.98}, {schedule.ILP, 0.95}, {schedule.ILP, 0.90}}
+	reversed := make([]plan, len(plans))
+	for i, p := range plans {
+		reversed[len(plans)-1-i] = p
+	}
+	effort := func(s *schedule.Schedule, workers int) schedule.Schedule {
+		v := *s
+		if workers > 1 {
+			v.Solver = schedule.SolverStats{Solves: v.Solver.Solves}
+		}
+		return v
+	}
+	for _, workers := range []int{1, 2} {
+		for oi, order := range [][]plan{plans, reversed} {
+			f := &Flow{Config: ref.Config, DetectCfg: ref.DetectCfg, Placement: ref.Placement, TargetData: ref.TargetData}
+			f.Config.Workers = workers
+			o := obs.New(nil)
+			ctx := obs.With(context.Background(), o)
+			for _, p := range order {
+				got, err := f.BuildSchedule(ctx, p.m, p.cov)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := schedule.Build(context.Background(), f.TargetData, f.ScheduleOptions(p.m, p.cov))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p.m == schedule.ILP && want.Degradation != fmerr.DegradeNone {
+					t.Fatalf("%v@%g: the fresh build is not exact, so it may depend on the host", p.m, p.cov)
+				}
+				if !reflect.DeepEqual(effort(got, workers), effort(want, workers)) {
+					t.Fatalf("workers=%d order %d %v@%g: shared-problem schedule\n%+v\ndiffers from a fresh build\n%+v",
+						workers, oi, p.m, p.cov, got, want)
+				}
+			}
+			if n := o.Counter("schedule.step0_builds").Value(); n != 2 {
+				t.Fatalf("workers=%d order %d: schedule.step0_builds = %d, want 2", workers, oi, n)
+			}
 		}
 	}
 }

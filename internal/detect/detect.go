@@ -155,35 +155,6 @@ func (pr PatternRange) CombinedFree(cfg Config, delays []tunit.Time) interval.Se
 	return u
 }
 
-// CombinedAtInto computes CombinedAt into acc without allocating: acc is
-// reset first and scratch is a caller-owned reusable buffer. The result
-// (acc.Result) aliases the accumulator; freeze it with acc.Copy before it
-// escapes. The schedule range memo evaluates this once per (fault,
-// pattern, config), so the in-place kernel matters there.
-func (pr PatternRange) CombinedAtInto(cfg Config, d tunit.Time, acc *interval.Accum, scratch *interval.Set) {
-	lo, hi := cfg.ObservationWindow()
-	acc.Reset()
-	pr.FF.ClipInto(lo, hi, scratch)
-	acc.Add(*scratch)
-	if d >= 0 {
-		pr.SR.ShiftClipInto(d, lo, hi, scratch)
-		acc.Add(*scratch)
-	}
-}
-
-// CombinedFreeInto is the in-place counterpart of CombinedFree, with the
-// same contract as CombinedAtInto.
-func (pr PatternRange) CombinedFreeInto(cfg Config, delays []tunit.Time, acc *interval.Accum, scratch *interval.Set) {
-	lo, hi := cfg.ObservationWindow()
-	acc.Reset()
-	pr.FF.ClipInto(lo, hi, scratch)
-	acc.Add(*scratch)
-	for _, d := range delays {
-		pr.SR.ShiftClipInto(d, lo, hi, scratch)
-		acc.Add(*scratch)
-	}
-}
-
 // testHookPanic, when non-nil, is called before every (fault, pattern)
 // simulation inside the worker pool. Tests install a hook that panics for
 // a chosen fault to prove the pool converts worker panics into errors

@@ -408,29 +408,3 @@ func TestWorkersClamped(t *testing.T) {
 		}
 	}
 }
-
-// TestCombinedIntoMatchesAllocating locks the in-place range kernel used
-// by the schedule memo to the allocating reference identities.
-func TestCombinedIntoMatchesAllocating(t *testing.T) {
-	e, placement, cfg, faults, pats := testbed(t)
-	data, err := Run(context.Background(), e, placement, faults, pats, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var acc interval.Accum
-	scratch := new(interval.Set)
-	for fi := range data {
-		for _, pr := range data[fi].Per {
-			for _, d := range append([]tunit.Time{-1}, placement.Delays...) {
-				pr.CombinedAtInto(cfg, d, &acc, scratch)
-				if want := pr.CombinedAt(cfg, d); !acc.Result().Equal(want) {
-					t.Fatalf("CombinedAtInto(%v) = %v, want %v", d, acc.Result(), want)
-				}
-			}
-			pr.CombinedFreeInto(cfg, placement.Delays, &acc, scratch)
-			if want := pr.CombinedFree(cfg, placement.Delays); !acc.Result().Equal(want) {
-				t.Fatalf("CombinedFreeInto = %v, want %v", acc.Result(), want)
-			}
-		}
-	}
-}

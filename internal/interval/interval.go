@@ -419,7 +419,7 @@ func (s Set) String() string {
 // Copy returns a deep copy with an exact-size backing array. It is the
 // freeze step of the in-place kernel: results accumulated in oversized
 // scratch buffers are copied out once before they escape into long-lived
-// structures (detection tables, the schedule range memo).
+// structures (detection tables, the schedule's combined ranges).
 func (s Set) Copy() Set {
 	if s.Empty() {
 		return Set{}
@@ -465,8 +465,8 @@ func (s Set) UnionInto(o Set, dst *Set) {
 
 // ShiftClipInto sets *dst = (s + d) ∩ [lo, hi) in one pass, reusing dst's
 // capacity. It fuses the Shift+Clip pair of the monitor-window algebra
-// (I_SR + d clipped to the observation window), which the scheduling path
-// evaluates once per (fault, pattern, config).
+// (I_SR + d clipped to the observation window), which the schedule's
+// Step 0 evaluates once per (fault, delay element).
 func (s Set) ShiftClipInto(d tunit.Time, lo, hi tunit.Time, dst *Set) {
 	out := dst.ivs[:0]
 	if lo < hi {

@@ -6,7 +6,9 @@ import (
 	"runtime"
 	"testing"
 
+	"fastmon/internal/circuit"
 	"fastmon/internal/detect"
+	"fastmon/internal/fmerr"
 	"fastmon/internal/interval"
 	"fastmon/internal/tunit"
 )
@@ -63,4 +65,33 @@ func BenchmarkScheduleBuild(b *testing.B) {
 	}
 	b.Run("serial", run(1))
 	b.Run("parallel", run(benchWorkers()))
+}
+
+// BenchmarkProblemSchedules builds the seven schedules Tables II–III take
+// from one target set with monitors (conventional, heuristic and ILP at
+// full coverage, then ILP at 99, 98, 95 and 90 %) at one worker, through
+// a fresh Problem per iteration: the schedules of one iteration share
+// Step 0, and no iteration reuses another's. The detection data is the
+// flow's for a generated circuit of s9234's shape at scale 0.075, the size
+// of the benchmark's schedule pool.
+func BenchmarkProblemSchedules(b *testing.B) {
+	c := circuit.MustGenerate(circuit.GenSpec{
+		Name: "s9234", Gates: 132, FFs: 17, Inputs: 10, Outputs: 7, Depth: 30, Seed: 9234,
+	})
+	data, opt := flowData(b, c, 0.25, 9234)
+	opt.Workers = 1
+	plans := tablePlans(opt)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := NewProblem(data)
+		for _, o := range plans {
+			s, err := p.Build(context.Background(), o)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if s.Degradation != fmerr.DegradeNone {
+				b.Fatal("benchmark instance must solve to optimality")
+			}
+		}
+	}
 }

@@ -14,16 +14,17 @@ import (
 	"fastmon/internal/fmerr"
 	"fastmon/internal/ilp"
 	"fastmon/internal/interval"
-	"fastmon/internal/obs"
 	"fastmon/internal/tunit"
 )
 
 // referenceBuild is a verbatim transcription of the schedule kernel as it
-// stood before the range-table overhaul: per-fault Combined ranges
-// recomputed up front, Clone-based fault dropping, and per-period combo
-// covers that recompute CombinedAt/CombinedFree at every lookup. It is the
-// oracle of TestScheduleKernelMatchesReference — the memoized Build must
-// produce bit-identical schedules.
+// stood before the interval-kernel overhaul: per-fault Combined ranges
+// recomputed up front with the allocating operations, Clone-based fault
+// dropping, and per-period combo covers that recompute
+// CombinedAt/CombinedFree at every lookup. It is the oracle of
+// TestScheduleKernelMatchesReference: Build, which prepares Step 0 with
+// the in-place kernel and tests range membership on the raw FF and SR
+// ranges, must produce bit-identical schedules.
 func referenceBuild(ctx context.Context, data []detect.FaultData, opt Options) (*Schedule, error) {
 	delays := opt.Delays
 	if opt.Method == Conventional {
@@ -204,8 +205,8 @@ func referenceOptimizeCombos(ctx context.Context, data []detect.FaultData, plan 
 
 // referenceData generates synthetic circuits exercising every config
 // regime: monitors with shared settings, FreeConfig, no delays, and
-// patterns whose SR ranges differ from FF (so memoized shift/clip paths
-// actually matter).
+// patterns whose SR ranges differ from FF (so the shifted monitor
+// membership tests actually matter).
 func referenceData(seed int64, nFaults, nPatterns, nDelays int) ([]detect.FaultData, Options) {
 	cfg := detect.Config{Clk: 1000, TMin: 100, Delta: 5}
 	rng := rand.New(rand.NewSource(seed))
@@ -234,10 +235,11 @@ func referenceData(seed int64, nFaults, nPatterns, nDelays int) ([]detect.FaultD
 }
 
 // TestScheduleKernelMatchesReference is the differential lock on the
-// range-table overhaul: the memoized Build must produce schedules
-// bit-identical to the pre-overhaul reference kernel, across the paper's
-// s27 suite and generated circuits, all methods, full and partial
-// coverage, FreeConfig on and off, and Workers ∈ {1, 4}.
+// schedule kernel: Build must produce schedules bit-identical to the
+// reference kernel, which recomputes every range with the allocating
+// operations, across the paper's s27 suite and generated circuits, all
+// methods, full and partial coverage, FreeConfig on and off, and
+// Workers ∈ {1, 4}.
 func TestScheduleKernelMatchesReference(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
@@ -287,33 +289,5 @@ func TestScheduleKernelMatchesReference(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestRangeMemoMetrics checks the memo's observability wiring: building a
-// schedule under an observer must record table entries as misses, combo
-// lookups as hits, and a Step-2 utilization gauge in (0, 1].
-func TestRangeMemoMetrics(t *testing.T) {
-	data, opt := referenceData(42, 120, 8, 3)
-	o := obs.New(nil)
-	ctx := obs.With(context.Background(), o)
-	if _, err := Build(ctx, data, opt); err != nil {
-		t.Fatal(err)
-	}
-	misses := o.Counter("schedule.range_memo_misses").Value()
-	hits := o.Counter("schedule.range_memo_hits").Value()
-	util := o.Gauge("schedule.worker_utilization").Value()
-	entries := int64(0)
-	for _, fd := range data {
-		entries += int64(len(fd.Per) * len(opt.Delays))
-	}
-	if misses != entries {
-		t.Fatalf("range_memo_misses = %d, want %d table entries", misses, entries)
-	}
-	if hits <= 0 {
-		t.Fatalf("range_memo_hits = %d, want > 0", hits)
-	}
-	if util <= 0 || util > 1.0001 {
-		t.Fatalf("worker_utilization = %f, want in (0, 1]", util)
 	}
 }

@@ -13,9 +13,9 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fastmon/internal/bitset"
@@ -193,19 +193,64 @@ func (s *Schedule) Size() int {
 	return n
 }
 
-// Build constructs a schedule for the given target-fault detection data.
-// The data slice must contain exactly the target faults (Φ_tar); indices
-// into it identify faults throughout the schedule.
+// Problem is the schedule problem of one target-fault set: the detection
+// data every schedule of that set reads, plus the work its schedules share.
+// Step 0 — the combined detection ranges, the candidate periods and the
+// coverable universe — depends only on the observation model (the
+// observation window and the delay elements), so it is computed on the
+// first build of each model and kept; the data part of the cache key is
+// hashed on the first build under a result cache. Tables II–III build
+// seven schedules of one flow from two models. Only the candidates, the
+// universe and the key state are kept, and the solvers only read the
+// candidate fault sets.
+//
+// A Problem is safe for concurrent builds. The data must not change after
+// the first build.
+type Problem struct {
+	// data holds exactly the target faults (Φ_tar); indices into it
+	// identify faults throughout the schedule.
+	data []detect.FaultData
+
+	mu     sync.Mutex
+	models []*step0
+
+	keyOnce sync.Once
+	keyHead *cache.Hasher
+}
+
+// step0 is the prepared Step 0 of one observation model.
+type step0 struct {
+	lo, hi   tunit.Time // observation window [TMin, Clk+1)
+	delays   []tunit.Time
+	once     sync.Once
+	cands    []dot.Candidate
+	universe *bitset.Set
+}
+
+// NewProblem wraps the target-fault detection data. It computes nothing up
+// front.
+func NewProblem(data []detect.FaultData) *Problem {
+	return &Problem{data: data}
+}
+
+// Build constructs a schedule for the given target-fault detection data:
+// a one-shot Problem. Callers that build several schedules of one target
+// set share a Problem instead.
+func Build(ctx context.Context, data []detect.FaultData, opt Options) (*Schedule, error) {
+	return NewProblem(data).Build(ctx, opt)
+}
+
+// Build constructs a schedule of the problem.
 //
 // Each exact covering solve runs under a child context bounded by
 // Options.SolverBudget; exceeding the budget degrades that solve to its
 // incumbent (recorded in Schedule.Degradation). Cancelling ctx aborts the
 // whole construction with a stage-attributed error.
-func Build(ctx context.Context, data []detect.FaultData, opt Options) (*Schedule, error) {
+func (p *Problem) Build(ctx context.Context, opt Options) (*Schedule, error) {
 	if store := cache.From(ctx); store != nil {
-		v, err := cache.Memo(ctx, store, cacheKey(data, opt),
+		v, err := cache.Memo(ctx, store, p.cacheKey(opt),
 			func(ctx context.Context) (Schedule, error) {
-				s, err := build(ctx, data, opt)
+				s, err := p.build(ctx, opt)
 				if err != nil {
 					return Schedule{}, err
 				}
@@ -216,7 +261,7 @@ func Build(ctx context.Context, data []detect.FaultData, opt Options) (*Schedule
 		}
 		return &v, nil
 	}
-	return build(ctx, data, opt)
+	return p.build(ctx, opt)
 }
 
 // cacheKey fingerprints everything Build's output depends on. The schedule
@@ -229,21 +274,28 @@ func Build(ctx context.Context, data []detect.FaultData, opt Options) (*Schedule
 // parallelism. Its effort counters are not identical — at Workers 2,
 // Solver.Nodes and Solver.Incumbents differ from run to run — so a cache
 // hit carries those of the run that filled the entry.
-func cacheKey(data []detect.FaultData, opt Options) cache.Key {
-	h := cache.NewHasher("schedule")
-	h.Int("faults", int64(len(data)))
-	var pts []tunit.Time // one boundary buffer for every range
-	for i := range data {
-		fd := &data[i]
-		h.Int("fd.per", int64(len(fd.Per)))
-		for _, pr := range fd.Per {
-			h.Int("pr.pattern", int64(pr.Pattern))
-			pts = pr.FF.AppendBoundaries(pts[:0])
-			h.Times("pr.ff", pts)
-			pts = pr.SR.AppendBoundaries(pts[:0])
-			h.Times("pr.sr", pts)
+//
+// The data frames come first, so they are hashed once per problem and
+// every key is finished on a clone of that state.
+func (p *Problem) cacheKey(opt Options) cache.Key {
+	p.keyOnce.Do(func() {
+		h := cache.NewHasher("schedule")
+		h.Int("faults", int64(len(p.data)))
+		var pts []tunit.Time // one boundary buffer for every range
+		for i := range p.data {
+			fd := &p.data[i]
+			h.Int("fd.per", int64(len(fd.Per)))
+			for _, pr := range fd.Per {
+				h.Int("pr.pattern", int64(pr.Pattern))
+				pts = pr.FF.AppendBoundaries(pts[:0])
+				h.Times("pr.ff", pts)
+				pts = pr.SR.AppendBoundaries(pts[:0])
+				h.Times("pr.sr", pts)
+			}
 		}
-	}
+		p.keyHead = h
+	})
+	h := p.keyHead.Clone()
 	h.Time("cfg.clk", opt.Cfg.Clk)
 	h.Time("cfg.tmin", opt.Cfg.TMin)
 	h.Time("cfg.delta", opt.Cfg.Delta)
@@ -275,71 +327,90 @@ func comboConfigs(opt Options, delays []tunit.Time) []int {
 	return configs
 }
 
-// rangeTable is the shared immutable detection-range memo of one build:
-// every per-(fault, pattern, config) combined range is computed exactly
-// once, before Step 1, and then only read — by candidate discretization
-// (through the per-fault unions), by every Step-2 combo solve, and by
-// Validate. The old code recomputed each CombinedAt/CombinedFree from
-// scratch at every lookup, allocating intermediate clip/shift/union sets
-// each time.
-type rangeTable struct {
-	// cfgs is the config axis (comboConfigs order); ck below indexes it.
-	cfgs []int
-	// per[fi][pi][ck] is data[fi].Per[pi]'s combined detection range under
-	// cfgs[ck].
-	per [][][]interval.Set
-	// combined[fi] is the union of per[fi][·][·] — identical to
-	// data[fi].Combined(cfg, delays), because shift and clip distribute
-	// over union and the canonical interval representation is unique.
-	combined []interval.Set
+// viaMonitor reports whether a pattern's shadow-register range sr detects
+// its fault at period t under monitor configuration ci: t − d ∈ sr for the
+// config's delay d, for any delay under ConfigFree, never under ConfigOff.
+// A (pattern, config) pair detects at t iff t lies in the observation
+// window and in the pattern's FF range or viaMonitor holds. That equals
+// membership in CombinedAt (CombinedFree for ConfigFree), because shift,
+// clip and union keep membership. ci must be ConfigOff, ConfigFree or an
+// index into delays.
+func viaMonitor(sr interval.Set, t tunit.Time, ci int, delays []tunit.Time) bool {
+	if ci >= 0 {
+		return sr.Contains(t - delays[ci])
+	}
+	if ci == ConfigFree {
+		for _, d := range delays {
+			if sr.Contains(t - d) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // dropPool recycles the per-period fault-set scratch of the fault-dropping
 // pass.
 var dropPool bitset.Pool
 
-// newRangeTable materializes the memo. The construction is a single
-// serial pass (its output feeds Step 1, so there is nothing to overlap it
-// with); each entry is built into a reused accumulator and frozen with an
-// exact-size copy.
-func newRangeTable(ctx context.Context, data []detect.FaultData, opt Options, delays []tunit.Time) *rangeTable {
-	tbl := &rangeTable{
-		cfgs:     comboConfigs(opt, delays),
-		per:      make([][][]interval.Set, len(data)),
-		combined: make([]interval.Set, len(data)),
-	}
-	var acc, all interval.Accum
-	scratch := new(interval.Set)
-	entries := int64(0)
-	for fi := range data {
-		per := make([][]interval.Set, len(data[fi].Per))
-		all.Reset()
-		for pi, pr := range data[fi].Per {
-			row := make([]interval.Set, len(tbl.cfgs))
-			for ck, ci := range tbl.cfgs {
-				switch {
-				case ci == ConfigFree:
-					pr.CombinedFreeInto(opt.Cfg, delays, &acc, scratch)
-				case ci >= 0:
-					pr.CombinedAtInto(opt.Cfg, delays[ci], &acc, scratch)
-				default:
-					pr.CombinedAtInto(opt.Cfg, -1, &acc, scratch)
-				}
-				row[ck] = acc.Copy()
-				all.Add(row[ck])
-				entries++
-			}
-			per[pi] = row
+// prepare returns the Step 0 of the observation model (cfg's window,
+// delays), computing it on the model's first build. The FreeConfig
+// extension needs no model of its own: letting every monitor pick its
+// delay changes which combos detect, not the union over them.
+func (p *Problem) prepare(ctx context.Context, cfg detect.Config, delays []tunit.Time) *step0 {
+	lo, hi := cfg.ObservationWindow()
+	p.mu.Lock()
+	var m *step0
+	for _, e := range p.models {
+		if e.lo == lo && e.hi == hi && slices.Equal(e.delays, delays) {
+			m = e
+			break
 		}
-		tbl.per[fi] = per
-		tbl.combined[fi] = all.Copy()
 	}
-	obs.From(ctx).Counter("schedule.range_memo_misses").Add(entries)
-	return tbl
+	if m == nil {
+		m = &step0{lo: lo, hi: hi, delays: slices.Clone(delays)}
+		p.models = append(p.models, m)
+	}
+	p.mu.Unlock()
+	m.once.Do(func() {
+		m.cands = dot.Discretize(combinedRanges(p.data, lo, hi, delays))
+		m.universe = dot.CoverableFaults(m.cands, len(p.data))
+		obs.From(ctx).Counter("schedule.step0_builds").Inc()
+	})
+	return m
+}
+
+// combinedRanges returns every fault's combined detection range
+// I_FF ∪ ⋃_d (I_SR + d) clipped to [lo, hi), equal to
+// FaultData.Combined. Shift and clip distribute over union, so the FF and
+// SR ranges are folded over the patterns first and clipped and shifted
+// once per fault, all in reused buffers.
+func combinedRanges(data []detect.FaultData, lo, hi tunit.Time, delays []tunit.Time) []interval.Set {
+	out := make([]interval.Set, len(data))
+	var ff, sr, all interval.Accum
+	var scratch interval.Set
+	for i := range data {
+		ff.Reset()
+		sr.Reset()
+		for _, pr := range data[i].Per {
+			ff.Add(pr.FF)
+			sr.Add(pr.SR)
+		}
+		all.Reset()
+		ff.Result().ClipInto(lo, hi, &scratch)
+		all.Add(scratch)
+		for _, d := range delays {
+			sr.Result().ShiftClipInto(d, lo, hi, &scratch)
+			all.Add(scratch)
+		}
+		out[i] = all.Copy()
+	}
+	return out
 }
 
 // build is the uncached body of Build.
-func build(ctx context.Context, data []detect.FaultData, opt Options) (*Schedule, error) {
+func (p *Problem) build(ctx context.Context, opt Options) (*Schedule, error) {
+	data := p.data
 	delays := opt.Delays
 	if opt.Method == Conventional {
 		delays = nil
@@ -363,14 +434,10 @@ func build(ctx context.Context, data []detect.FaultData, opt Options) (*Schedule
 			slog.Int("solver_nodes", s.Solver.Nodes))
 	}()
 
-	// Step 0: combined detection ranges and observation-time candidates.
-	// The range table computes every per-(fault, pattern, config) range
-	// exactly once up front; its per-fault unions are byte-identical to
-	// FaultData.Combined, and Step 2 reads the per-entry rows instead of
-	// recomputing them per period.
-	tbl := newRangeTable(ctx, data, opt, delays)
-	cands := dot.Discretize(tbl.combined)
-	universe := dot.CoverableFaults(cands, len(data))
+	// Step 0: combined detection ranges and observation-time candidates,
+	// shared by every build of the observation model.
+	m := p.prepare(ctx, opt.Cfg, delays)
+	cands, universe := m.cands, m.universe
 	coverable := universe.Count()
 
 	s.Coverable = coverable
@@ -476,10 +543,8 @@ func build(ctx context.Context, data []detect.FaultData, opt Options) (*Schedule
 	// Schedule; it equals the serial build's up to the effort counters.
 	s.CombosOptimal = true
 	workers := par.ClampWorkersFor(opt.Workers, len(plans))
-	var (
-		mu   sync.Mutex
-		hits atomic.Int64
-	)
+	cfgs := comboConfigs(opt, delays)
+	var mu sync.Mutex
 	step2Start := time.Now()
 	record := func(res ilp.CoverResult, isILP bool) {
 		mu.Lock()
@@ -501,13 +566,12 @@ func build(ctx context.Context, data []detect.FaultData, opt Options) (*Schedule
 		if err := chaos.Point(ctx, ptCombo); err != nil {
 			return fmerr.Wrap(fmerr.StageSchedule, "combo-selection", err)
 		}
-		return optimizeCombos(ctx, data, tbl, &plans[pi], opt, &hits, record)
+		return optimizeCombos(ctx, data, &plans[pi], opt, delays, cfgs, record)
 	})
 	if err != nil {
 		return nil, err
 	}
 	o := obs.From(ctx)
-	o.Counter("schedule.range_memo_hits").Add(hits.Load())
 	if poolNs := int64(workers) * int64(time.Since(step2Start)); poolNs > 0 {
 		o.Gauge("schedule.worker_utilization").Set(float64(busy) / float64(poolNs))
 	}
@@ -553,25 +617,23 @@ func solveBudgeted(ctx context.Context, opt Options,
 
 // optimizeCombos fills plan.Combos with a minimal covering set of
 // (pattern, config) combinations for the faults assigned to the period.
-// Detection ranges come from the shared memo table — each lookup is a
-// binary-search Contains on a prebuilt canonical set (counted into hits)
-// instead of a fresh clip/shift/union cascade. The caller owns plan;
-// shared schedule bookkeeping goes through record, which must be safe for
-// concurrent use (Step 2 fans out across plans).
-func optimizeCombos(ctx context.Context, data []detect.FaultData, tbl *rangeTable, plan *PeriodPlan,
-	opt Options, hits *atomic.Int64, record func(res ilp.CoverResult, isILP bool)) error {
+// Membership is tested on the raw ranges (see viaMonitor): the FF range
+// once per pattern, the SR range once per config only where FF misses.
+// The period is a Step-0 candidate, so it lies in the observation window.
+// The caller owns plan; shared schedule bookkeeping goes through record,
+// which must be safe for concurrent use (Step 2 fans out across plans).
+func optimizeCombos(ctx context.Context, data []detect.FaultData, plan *PeriodPlan, opt Options,
+	delays []tunit.Time, cfgs []int, record func(res ilp.CoverResult, isILP bool)) error {
 
 	type key struct{ pattern, config int }
 	cover := map[key]*bitset.Set{}
-	lookups := int64(0)
+	t := plan.Period
 	for _, fi := range plan.Faults {
-		prs := data[fi].Per
-		rows := tbl.per[fi]
-		for pi := range prs {
-			for ck, ci := range tbl.cfgs {
-				lookups++
-				if rows[pi][ck].Contains(plan.Period) {
-					k := key{prs[pi].Pattern, ci}
+		for _, pr := range data[fi].Per {
+			ff := pr.FF.Contains(t)
+			for _, ci := range cfgs {
+				if ff || viaMonitor(pr.SR, t, ci, delays) {
+					k := key{pr.Pattern, ci}
 					if cover[k] == nil {
 						cover[k] = bitset.New(len(data))
 					}
@@ -580,7 +642,6 @@ func optimizeCombos(ctx context.Context, data []detect.FaultData, tbl *rangeTabl
 			}
 		}
 	}
-	hits.Add(lookups)
 	keys := make([]key, 0, len(cover))
 	for k := range cover {
 		keys = append(keys, k)
@@ -625,53 +686,39 @@ func optimizeCombos(ctx context.Context, data []detect.FaultData, tbl *rangeTabl
 
 // Validate checks that the schedule really covers every fault it claims:
 // each assigned fault must be detected by at least one combo of its
-// period. It returns an error describing the first violation.
+// period. It returns an error describing the first violation, including a
+// fault index outside data and a combo config that names no delay element.
 func Validate(data []detect.FaultData, s *Schedule, opt Options) error {
 	delays := opt.Delays
 	if s.Method == Conventional {
 		delays = nil
 	}
-	// Validate builds its own range memo (it may run against data no Build
-	// call touched); combo configs outside the table — possible only for
-	// hand-constructed schedules — fall back to direct computation.
-	tbl := newRangeTable(context.Background(), data, opt, delays)
-	ck := make(map[int]int, len(tbl.cfgs))
-	for i, ci := range tbl.cfgs {
-		ck[ci] = i
-	}
+	lo, hi := opt.Cfg.ObservationWindow()
 	total := 0
 	for _, plan := range s.Periods {
+		t := plan.Period
 		for _, fi := range plan.Faults {
+			if fi < 0 || fi >= len(data) {
+				return fmt.Errorf("schedule: period %s: fault %d out of range [0, %d)", t, fi, len(data))
+			}
 			ok := false
-			for _, combo := range plan.Combos {
-				for pi, pr := range data[fi].Per {
-					if pr.Pattern != combo.Pattern {
-						continue
-					}
-					var rng interval.Set
-					if k, known := ck[combo.Config]; known {
-						rng = tbl.per[fi][pi][k]
-					} else {
-						switch {
-						case combo.Config == ConfigFree:
-							rng = pr.CombinedFree(opt.Cfg, delays)
-						case combo.Config >= 0:
-							rng = pr.CombinedAt(opt.Cfg, delays[combo.Config])
-						default:
-							rng = pr.CombinedAt(opt.Cfg, -1)
-						}
-					}
-					if rng.Contains(plan.Period) {
+			for _, c := range plan.Combos {
+				if c.Config < ConfigFree || c.Config >= len(delays) {
+					return fmt.Errorf("schedule: period %s: fault %d: combo config %d names no delay element (%d configured)",
+						t, fi, c.Config, len(delays))
+				}
+				if ok || t < lo || t >= hi {
+					continue
+				}
+				for _, pr := range data[fi].Per {
+					if pr.Pattern == c.Pattern && (pr.FF.Contains(t) || viaMonitor(pr.SR, t, c.Config, delays)) {
 						ok = true
 						break
 					}
 				}
-				if ok {
-					break
-				}
 			}
 			if !ok {
-				return fmt.Errorf("schedule: fault %d not covered at period %s", fi, plan.Period)
+				return fmt.Errorf("schedule: fault %d not covered at period %s", fi, t)
 			}
 			total++
 		}

@@ -104,24 +104,31 @@ func TestBuildPartialCoverage(t *testing.T) {
 // buildS27 computes real detection data for s27 with monitors everywhere.
 func buildS27(t *testing.T) ([]detect.FaultData, Options) {
 	t.Helper()
-	c := circuit.MustParseBench("s27", circuit.S27)
+	return flowData(t, circuit.MustParseBench("s27", circuit.S27), 1.0, 23)
+}
+
+// flowData computes detection data for c the way the flow does: monitors
+// on the given fraction of long-path ends with the paper's delay elements,
+// ATPG patterns from seed, and f_max = 3·f_nom. The faults with any
+// detection stand in for the target set Φ_tar.
+func flowData(tb testing.TB, c *circuit.Circuit, monitorFraction float64, seed int64) ([]detect.FaultData, Options) {
+	tb.Helper()
 	lib := cell.NanGate45()
 	a := cell.Annotate(c, lib)
 	r := sta.Analyze(c, a)
 	clk := r.NominalClock(0.05)
-	placement := monitor.Place(r, 1.0, monitor.StandardDelays(clk))
+	placement := monitor.Place(r, monitorFraction, monitor.StandardDelays(clk))
 	e := sim.NewEngine(c, a)
 	faults := fault.Universe(c)
-	pats, _, err := atpg.Generate(context.Background(), c, faults, atpg.DefaultConfig(23))
+	pats, _, err := atpg.Generate(context.Background(), c, faults, atpg.DefaultConfig(seed))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := detect.Config{Clk: clk, TMin: clk / 3, Delta: lib.FaultSize(), Glitch: lib.MinPulse()}
 	data, err := detect.Run(context.Background(), e, placement, faults, pats, cfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	// Keep only faults with any detection (stand-in for Φ_tar).
 	var target []detect.FaultData
 	for _, fd := range data {
 		if len(fd.Per) > 0 {
@@ -129,7 +136,7 @@ func buildS27(t *testing.T) ([]detect.FaultData, Options) {
 		}
 	}
 	if len(target) == 0 {
-		t.Fatal("no detectable faults on s27")
+		tb.Fatalf("no detectable faults on %s", c.Name)
 	}
 	return target, Options{Cfg: cfg, Delays: placement.Delays, Method: ILP}
 }
