@@ -12,6 +12,9 @@
 //
 // Run benchmarks with -benchmem: the report always carries bytes_per_op
 // and allocs_per_op, and -compare gates on allocs/op as well as ns/op.
+// Run them with -count N to fold N runs into one entry: the lines that
+// go test repeats for one benchmark become its median ns/op, bytes/op and
+// allocs/op, with the ns/op range beside them.
 //
 // Two pairings are recognized: /event vs /naive variants (the fault-
 // simulation engines; speedup = naive/event) and /parallel vs /serial
@@ -29,17 +32,16 @@
 //	    benchjson -compare BENCH_detect.json -threshold 0.25
 //
 // prints a per-benchmark ns/op and allocs/op delta table and exits
-// non-zero when any shared benchmark is more than -threshold slower than
-// its committed number, or allocates more than -threshold beyond its
-// committed allocs/op (at all, when that is 0) — a cheap local regression
-// gate before updating the BENCH files.
+// non-zero when any shared benchmark's median is more than -threshold
+// slower than its committed number, or allocates more than allocTolerance
+// beyond its committed allocs/op (at all, when that is 0) — a cheap local
+// regression gate before updating the BENCH files.
 package main
 
 import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -47,17 +49,13 @@ import (
 	"os"
 	"path"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
-	"fastmon/internal/chaos"
-	"fastmon/internal/fmerr"
 	"fastmon/internal/safeio"
 )
-
-// ptBench is the chaos injection point for benchmark-report emission.
-var ptBench = chaos.Register("bench.write", fmerr.StageIO)
 
 // event is the subset of the test2json record we care about.
 type event struct {
@@ -65,7 +63,8 @@ type event struct {
 	Output string `json:"Output"`
 }
 
-// Result is one benchmark line. BytesPerOp/AllocsPerOp are always
+// Result is one benchmark: one line, or the median of the Runs lines that
+// go test -count repeats for it. BytesPerOp/AllocsPerOp are always
 // emitted (benchmarks are expected to run with -benchmem, so a zero means
 // "genuinely allocation-free", not "memory stats missing"); Benchmem
 // records that the line carried them, which is what tells a benchmark at
@@ -74,9 +73,14 @@ type Result struct {
 	Name string `json:"name"`
 	// Pkg is the import path the result came from; set only when the
 	// input stream covered more than one package.
-	Pkg         string  `json:"pkg,omitempty"`
+	Pkg string `json:"pkg,omitempty"`
+	// Runs, MinNsPerOp and MaxNsPerOp are set only for a folded result:
+	// the number of lines and the range of their ns/op.
+	Runs        int     `json:"runs,omitempty"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
+	MinNsPerOp  float64 `json:"min_ns_per_op,omitempty"`
+	MaxNsPerOp  float64 `json:"max_ns_per_op,omitempty"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	Benchmem    bool    `json:"benchmem,omitempty"`
@@ -152,10 +156,11 @@ func parseLine(line string, rep *Report) {
 	rep.Benchmarks = append(rep.Benchmarks, r)
 }
 
-// finalize collapses the package bookkeeping: a single-package stream
-// keeps the original report shape (top-level "pkg", untagged results),
-// a multi-package merge tags every result instead.
+// finalize folds repeated runs and collapses the package bookkeeping: a
+// single-package stream keeps the original report shape (top-level "pkg",
+// untagged results), a multi-package merge tags every result instead.
 func (rep *Report) finalize() {
+	rep.Benchmarks = fold(rep.Benchmarks)
 	if len(rep.Packages) <= 1 {
 		if len(rep.Packages) == 1 {
 			rep.Package = rep.Packages[0]
@@ -169,39 +174,94 @@ func (rep *Report) finalize() {
 	rep.Warnings = inversionWarnings(rep.Benchmarks)
 }
 
+// fold merges the lines that go test -count N repeats for one benchmark
+// (same package and name) into one result at the place of the first: the
+// median of the iterations and of each per-op figure, the range of ns/op
+// and the number of runs. A benchmark that ran once keeps its line as is.
+func fold(lines []Result) []Result {
+	key := func(r Result) string { return r.Pkg + "\x00" + r.Name }
+	runs := map[string][]Result{}
+	var out []Result
+	for _, r := range lines {
+		if runs[key(r)] == nil {
+			out = append(out, r)
+		}
+		runs[key(r)] = append(runs[key(r)], r)
+	}
+	for i := range out {
+		rs := runs[key(out[i])]
+		if len(rs) == 1 {
+			continue
+		}
+		var iters, ns, bytes, allocs []float64
+		for _, r := range rs {
+			iters = append(iters, float64(r.Iterations))
+			ns = append(ns, r.NsPerOp)
+			bytes = append(bytes, float64(r.BytesPerOp))
+			allocs = append(allocs, float64(r.AllocsPerOp))
+		}
+		r := &out[i]
+		r.Runs = len(rs)
+		r.Iterations = int64(math.Round(median(iters)))
+		r.NsPerOp = median(ns) // sorts ns
+		r.MinNsPerOp, r.MaxNsPerOp = ns[0], ns[len(ns)-1]
+		r.BytesPerOp = int64(math.Round(median(bytes)))
+		r.AllocsPerOp = int64(math.Round(median(allocs)))
+	}
+	return out
+}
+
+// median sorts xs and returns its middle value, the mean of the two middle
+// values for an even length.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	n := len(xs)
+	return (xs[(n-1)/2] + xs[n/2]) / 2
+}
+
 // inversionWarnings reports every /parallel benchmark that ran slower
 // than its /serial counterpart. A speedup below 1.0 is not a gate failure
 // (the -compare threshold handles absolute regressions) but it inverts
 // the pairing's reason to exist, so it is surfaced loudly.
 func inversionWarnings(results []Result) []string {
+	var warns []string
+	eachPair(results, "/parallel", "/serial", func(label string, parNs, serNs float64) {
+		if parNs > serNs && serNs > 0 {
+			warns = append(warns, fmt.Sprintf("%s/parallel is %.2fx slower than %s/serial (%.0f vs %.0f ns/op)",
+				label, parNs/serNs, label, parNs, serNs))
+		}
+	})
+	sort.Strings(warns)
+	return warns
+}
+
+// eachPair calls fn for every benchmark family with both a variant (name
+// suffix fast) and a baseline (suffix base) in one package, passing the
+// family's label, prefixed with the package base name when the results
+// span several packages, and the two ns/op figures.
+func eachPair(results []Result, fast, base string, fn func(label string, fastNs, baseNs float64)) {
 	byName := map[string]float64{}
 	multi := false
 	for _, r := range results {
 		byName[r.Pkg+"\x00"+r.Name] = r.NsPerOp
-		if r.Pkg != "" {
-			multi = true
-		}
+		multi = multi || r.Pkg != ""
 	}
-	var warns []string
-	for key, parNs := range byName {
+	for key, fastNs := range byName {
 		pkg, name, _ := strings.Cut(key, "\x00")
-		family, ok := strings.CutSuffix(name, "/parallel")
+		family, ok := strings.CutSuffix(name, fast)
 		if !ok {
 			continue
 		}
-		serNs, ok := byName[pkg+"\x00"+family+"/serial"]
-		if !ok || parNs <= serNs || serNs <= 0 {
+		baseNs, ok := byName[pkg+"\x00"+family+base]
+		if !ok {
 			continue
 		}
 		label := family
 		if multi && pkg != "" {
 			label = path.Base(pkg) + "." + family
 		}
-		warns = append(warns, fmt.Sprintf("%s/parallel is %.2fx slower than %s/serial (%.0f vs %.0f ns/op)",
-			label, parNs/serNs, label, parNs, serNs))
+		fn(label, fastNs, baseNs)
 	}
-	sort.Strings(warns)
-	return warns
 }
 
 // pairings maps a variant suffix to its baseline counterpart; the speedup
@@ -217,32 +277,13 @@ var pairings = []struct{ fast, base string }{
 // their package; keys are prefixed with the package base name when the
 // report spans several packages.
 func speedups(results []Result) map[string]float64 {
-	byName := map[string]float64{}
-	multi := false
-	for _, r := range results {
-		byName[r.Pkg+"\x00"+r.Name] = r.NsPerOp
-		if r.Pkg != "" {
-			multi = true
-		}
-	}
 	out := map[string]float64{}
-	for key, fastNs := range byName {
-		pkg, name, _ := strings.Cut(key, "\x00")
-		for _, p := range pairings {
-			family, ok := strings.CutSuffix(name, p.fast)
-			if !ok {
-				continue
+	for _, p := range pairings {
+		eachPair(results, p.fast, p.base, func(label string, fastNs, baseNs float64) {
+			if fastNs > 0 {
+				out[label] = baseNs / fastNs
 			}
-			baseNs, ok := byName[pkg+"\x00"+family+p.base]
-			if !ok || fastNs <= 0 {
-				continue
-			}
-			label := family
-			if multi && pkg != "" {
-				label = path.Base(pkg) + "." + family
-			}
-			out[label] = baseNs / fastNs
-		}
+		})
 	}
 	if len(out) == 0 {
 		return nil
@@ -285,44 +326,32 @@ func readReport(in io.Reader) (*Report, error) {
 	return &rep, nil
 }
 
-func run(out string) error {
-	rep, err := readReport(os.Stdin)
+// run writes the report of the bench run on in to the file out, or to
+// stdout when out is "-".
+func run(stdout io.Writer, in io.Reader, out string) error {
+	rep, err := readReport(in)
 	if err != nil {
 		return err
 	}
 	for _, w := range rep.Warnings {
 		fmt.Fprintln(os.Stderr, "benchjson: warning:", w)
 	}
-	if out == "-" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		_, err = os.Stdout.Write(append(data, '\n'))
-		return err
-	}
-	// File output goes through the durable-I/O layer: CRC-stamped record,
-	// atomic fsync-then-rename replacement, transient-failure retry.
+	// The report is a CRC-stamped record on standard output too, so a
+	// saved copy serves as a -compare baseline; a file is replaced
+	// atomically.
 	data, err := safeio.MarshalRecordIndent(rep)
 	if err != nil {
 		return err
 	}
-	ctx := context.Background()
-	return safeio.Retry(ctx, "bench-report", func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmerr.NewPanic(chaos.StageOf(r, fmerr.StageIO), out, r)
-			}
-		}()
-		if err := chaos.Point(ctx, ptBench); err != nil {
-			return err
-		}
-		return safeio.WriteFileAtomic(ctx, out, data, 0o644)
-	})
+	if out == "-" {
+		_, err = stdout.Write(data)
+		return err
+	}
+	return safeio.WriteFileAtomic(context.Background(), out, data, 0o644)
 }
 
-// loadReport reads a committed benchmark report: a CRC-stamped safeio
-// record (the -o format) or legacy naked JSON.
+// loadReport reads a committed benchmark report, a CRC-stamped safeio
+// record (the -o format). Anything else is corrupt.
 func loadReport(path string) (*Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -330,12 +359,7 @@ func loadReport(path string) (*Report, error) {
 	}
 	var rep Report
 	if err := safeio.UnmarshalRecord(data, &rep); err != nil {
-		if !errors.Is(err, safeio.ErrNotRecord) {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		if jerr := json.Unmarshal(data, &rep); jerr != nil {
-			return nil, fmt.Errorf("%s: %w", path, jerr)
-		}
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &rep, nil
 }
@@ -409,11 +433,18 @@ func compareReports(base, fresh *Report) (deltas []delta, added, removed []strin
 	return deltas, added, removed
 }
 
+// allocTolerance is the allocs/op growth over a committed entry that
+// -compare accepts, whatever -threshold is. Allocation counts barely depend
+// on the host or the run (at -cpu 1 every covering-solver and result-cache
+// entry stays within 1.2 % of its committed figure), so a few percent is
+// room enough, where the ns/op threshold let allocations double.
+const allocTolerance = 0.05
+
 // runCompare diffs a fresh bench run on stdin against the committed
 // report at basePath and fails (non-nil error) when any shared benchmark
 // is more than threshold slower than its committed ns/op, or allocates
-// more than threshold beyond its committed allocs/op. It never writes
-// -o: compare mode is a read-only regression gate.
+// more than allocTolerance beyond its committed allocs/op. It never
+// writes -o: compare mode is a read-only regression gate.
 func runCompare(w io.Writer, in io.Reader, basePath string, threshold float64) error {
 	fresh, err := readReport(in)
 	if err != nil {
@@ -428,14 +459,15 @@ func runCompare(w io.Writer, in io.Reader, basePath string, threshold float64) e
 		return fmt.Errorf("no benchmarks in common with %s", basePath)
 	}
 	var regressed []string
-	fmt.Fprintf(w, "# benchjson compare vs %s (threshold +%.0f%%)\n", basePath, threshold*100)
+	fmt.Fprintf(w, "# benchjson compare vs %s (threshold +%.0f%% ns/op, +%.0f%% allocs/op)\n",
+		basePath, threshold*100, allocTolerance*100)
 	for _, d := range deltas {
 		mark := ""
 		if d.Ratio > 1+threshold {
 			mark = "  REGRESSION"
 			regressed = append(regressed, d.Name)
 		}
-		if d.AllocRatio > 1+threshold {
+		if d.AllocRatio > 1+allocTolerance {
 			mark += "  ALLOC-REGRESSION"
 			regressed = append(regressed, d.Name+" (allocs)")
 		}
@@ -449,8 +481,8 @@ func runCompare(w io.Writer, in io.Reader, basePath string, threshold float64) e
 		fmt.Fprintf(w, "%-48s (missing from this run)\n", n)
 	}
 	if len(regressed) > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed beyond +%.0f%%: %s",
-			len(regressed), threshold*100, strings.Join(regressed, ", "))
+		return fmt.Errorf("%d benchmark(s) regressed beyond +%.0f%% ns/op or +%.0f%% allocs/op: %s",
+			len(regressed), threshold*100, allocTolerance*100, strings.Join(regressed, ", "))
 	}
 	return nil
 }
@@ -458,13 +490,13 @@ func runCompare(w io.Writer, in io.Reader, basePath string, threshold float64) e
 func main() {
 	out := flag.String("o", "BENCH_detect.json", "output path (- for stdout)")
 	compare := flag.String("compare", "", "diff the fresh run on stdin against this committed report instead of writing -o; exit 1 on regression")
-	threshold := flag.Float64("threshold", 0.25, "relative ns/op slowdown or allocs/op growth that fails -compare (0.25 = 25%)")
+	threshold := flag.Float64("threshold", 0.25, "relative ns/op slowdown that fails -compare (0.25 = 25%)")
 	flag.Parse()
 	var err error
 	if *compare != "" {
 		err = runCompare(os.Stdout, os.Stdin, *compare, *threshold)
 	} else {
-		err = run(*out)
+		err = run(os.Stdout, os.Stdin, *out)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)

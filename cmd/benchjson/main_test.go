@@ -1,9 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -202,12 +207,121 @@ func TestComparePassesWithinThreshold(t *testing.T) {
 	}
 }
 
-func TestCompareLoadsNakedJSONBaseline(t *testing.T) {
+// TestCompareFailsOnNakedBaseline: a baseline that is plain JSON, not a
+// CRC-stamped record, is corrupt, and -compare fails on it.
+func TestCompareFailsOnNakedBaseline(t *testing.T) {
 	base := &Report{Benchmarks: []Result{{Name: "BenchmarkDetect/event", NsPerOp: 100}}}
 	path := writeBaseline(t, base, true)
 	var out strings.Builder
-	if err := runCompare(&out, strings.NewReader("BenchmarkDetect/event-8 \t 10\t 100 ns/op\n"), path, 0.25); err != nil {
-		t.Fatalf("legacy naked-JSON baseline rejected: %v", err)
+	err := runCompare(&out, strings.NewReader("BenchmarkDetect/event-8 \t 10\t 100 ns/op\n"), path, 0.25)
+	if !errors.Is(err, safeio.ErrCorrupt) {
+		t.Fatalf("naked-JSON baseline: err %v, want ErrCorrupt", err)
+	}
+}
+
+// TestStdoutReportIsABaseline: -o - prints the same CRC-stamped record
+// that -o writes to a file, so a saved copy gates -compare.
+func TestStdoutReportIsABaseline(t *testing.T) {
+	in := "pkg: example.com/x\nBenchmarkA-2 \t 10\t 100 ns/op\t 8 B/op\t 1 allocs/op\n"
+	var stdout bytes.Buffer
+	if err := run(&stdout, strings.NewReader(in), "-"); err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(t.TempDir(), "BENCH_x.json")
+	if err := run(io.Discard, strings.NewReader(in), file); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stdout.Bytes(), data) {
+		t.Fatalf("stdout report\n%s\ndiffers from the file\n%s", stdout.Bytes(), data)
+	}
+	saved := filepath.Join(t.TempDir(), "saved.json")
+	if err := os.WriteFile(saved, stdout.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := runCompare(&out, strings.NewReader(in), saved, 0.25); err != nil {
+		t.Fatalf("saved stdout report as a baseline: %v\n%s", err, out.String())
+	}
+}
+
+// TestFoldRepeatedRuns: the lines go test -count repeats for a benchmark
+// fold into one entry in place of the first, holding the median of the
+// iterations, ns/op, B/op and allocs/op (the middle pair's mean for an
+// even count), the ns/op range and the run count. A benchmark that ran
+// once keeps its line, with no run count or range.
+func TestFoldRepeatedRuns(t *testing.T) {
+	rep, err := readReport(strings.NewReader(
+		"pkg: fastmon/internal/ilp\n" +
+			"BenchmarkSetCover/serial-2 \t 3\t 300 ns/op\t 90 B/op\t 11 allocs/op\n" +
+			"BenchmarkOnce-2 \t 5\t 70 ns/op\t 8 B/op\t 1 allocs/op\n" +
+			"BenchmarkSetCover/serial-2 \t 3\t 100 ns/op\t 80 B/op\t 10 allocs/op\n" +
+			"BenchmarkSetCover/serial-2 \t 3\t 200 ns/op\t 85 B/op\t 12 allocs/op\n" +
+			"BenchmarkPair-2 \t 4\t 10 ns/op\t 2 B/op\t 3 allocs/op\n" +
+			"BenchmarkPair-2 \t 6\t 20 ns/op\t 4 B/op\t 4 allocs/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Result{
+		{Name: "BenchmarkSetCover/serial", Runs: 3, Iterations: 3, NsPerOp: 200, MinNsPerOp: 100, MaxNsPerOp: 300,
+			BytesPerOp: 85, AllocsPerOp: 11, Benchmem: true},
+		{Name: "BenchmarkOnce", Iterations: 5, NsPerOp: 70, BytesPerOp: 8, AllocsPerOp: 1, Benchmem: true},
+		{Name: "BenchmarkPair", Runs: 2, Iterations: 5, NsPerOp: 15, MinNsPerOp: 10, MaxNsPerOp: 20,
+			BytesPerOp: 3, AllocsPerOp: 4, Benchmem: true},
+	}
+	if !reflect.DeepEqual(rep.Benchmarks, want) {
+		t.Fatalf("folded\n%+v\nwant\n%+v", rep.Benchmarks, want)
+	}
+}
+
+// TestCompareGatesMedian: -compare gates the median of repeated runs, so
+// one slow run does not fail it and a slow median does.
+func TestCompareGatesMedian(t *testing.T) {
+	path := writeBaseline(t, &Report{Benchmarks: []Result{{Name: "BenchmarkDetect/event", NsPerOp: 100}}}, false)
+	for _, tc := range []struct {
+		runs  []int
+		fails bool
+	}{
+		{[]int{110, 400, 120}, false},
+		{[]int{110, 400, 300}, true},
+	} {
+		var in strings.Builder
+		for _, ns := range tc.runs {
+			fmt.Fprintf(&in, "BenchmarkDetect/event-8 \t 10\t %d ns/op\n", ns)
+		}
+		var out strings.Builder
+		if err := runCompare(&out, strings.NewReader(in.String()), path, 1.0); (err != nil) != tc.fails {
+			t.Fatalf("runs %v: err = %v, want failure %v\n%s", tc.runs, err, tc.fails, out.String())
+		}
+	}
+}
+
+// TestCompareAllocTolerance: allocs/op are gated at allocTolerance above
+// the committed figure, however loose -threshold is for ns/op.
+func TestCompareAllocTolerance(t *testing.T) {
+	path := writeBaseline(t, &Report{Benchmarks: []Result{{Name: "BenchmarkSetCover/serial", NsPerOp: 100, AllocsPerOp: 1000}}}, false)
+	for _, tc := range []struct {
+		allocs int
+		fails  bool
+	}{
+		{960, false},
+		{1000, false},
+		{1049, false},
+		{1051, true},
+		{1900, true},
+	} {
+		var out strings.Builder
+		fresh := fmt.Sprintf("BenchmarkSetCover/serial-8 \t 10\t 100 ns/op\t 500 B/op\t %d allocs/op\n", tc.allocs)
+		err := runCompare(&out, strings.NewReader(fresh), path, 1.0)
+		if (err != nil) != tc.fails {
+			t.Fatalf("%d allocs/op against 1000: err = %v, want failure %v\n%s", tc.allocs, err, tc.fails, out.String())
+		}
+		if tc.fails && !strings.Contains(err.Error(), "BenchmarkSetCover/serial (allocs)") {
+			t.Fatalf("%d allocs/op: error does not name the alloc regression: %v", tc.allocs, err)
+		}
 	}
 }
 

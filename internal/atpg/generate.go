@@ -445,7 +445,7 @@ func compact(c *circuit.Circuit, patterns []sim.Pattern, faults []fault.Fault, d
 }
 
 // Verify recomputes the set of fault indices detected by the pattern set
-// (used by tests and the experiment harness to validate coverage claims).
+// (the tests use it to validate coverage claims).
 func Verify(c *circuit.Circuit, patterns []sim.Pattern, faults []fault.Fault) []bool {
 	detected := make([]bool, len(faults))
 	var b logic.Batch

@@ -48,26 +48,15 @@ type Store struct {
 
 	hits      atomic.Int64
 	misses    atomic.Int64
-	shared    atomic.Int64
 	corrupt   atomic.Int64
 	evictions atomic.Int64
 	puts      atomic.Int64
 	writeErrs atomic.Int64
-
-	fmu    sync.Mutex
-	flight map[string]*call
 }
 
 type entry struct {
 	size int64
 	seq  int64
-}
-
-// call is one in-flight singleflight computation.
-type call struct {
-	done chan struct{}
-	data []byte // marshalled record on success, nil otherwise
-	err  error
 }
 
 // Open creates (if needed) and indexes a cache directory. maxBytes <= 0
@@ -82,7 +71,6 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 		dir:     dir,
 		max:     maxBytes,
 		entries: make(map[string]*entry),
-		flight:  make(map[string]*call),
 	}
 	des, err := os.ReadDir(dir)
 	if err != nil {
@@ -135,13 +123,29 @@ func (s *Store) Get(ctx context.Context, key Key, v any) bool {
 		return false
 	}
 	k := key.String()
-	data, ok := s.load(ctx, k, v)
-	if !ok {
-		s.miss(ctx, key)
+	o := obs.From(ctx)
+	data, err := os.ReadFile(s.path(k))
+	if err == nil {
+		// Chaos: model on-disk corruption surfacing at read time.
+		data, _ = chaos.Mutate(ctx, PointRead, data)
+		if err = safeio.UnmarshalRecord(data, v); err != nil {
+			s.corrupt.Add(1)
+			s.drop(k)
+			o.Counter("cache.corrupt").Inc()
+			o.Flight().Record(flight.Event{
+				Kind: flight.KindCache, Name: k, Stage: string(fmerr.StageCache),
+				Detail: "corrupt", Value: int64(len(data)),
+			})
+		}
+	}
+	if err != nil {
+		s.misses.Add(1)
+		o.Counter("cache.misses").Inc()
+		o.Counter("cache.misses." + key.stage).Inc()
 		return false
 	}
+	s.touch(k, int64(len(data)))
 	s.hits.Add(1)
-	o := obs.From(ctx)
 	o.Counter("cache.hits").Inc()
 	o.Counter("cache.hits." + key.stage).Inc()
 	o.Flight().Record(flight.Event{
@@ -151,51 +155,18 @@ func (s *Store) Get(ctx context.Context, key Key, v any) bool {
 	return true
 }
 
-// load reads the entry for k and decodes it into v, returning the record
-// bytes. Any failure reports false; a corrupt entry is also removed and
-// counted. Hits and misses are left to the caller.
-func (s *Store) load(ctx context.Context, k string, v any) ([]byte, bool) {
-	data, err := os.ReadFile(s.path(k))
-	if err != nil {
-		return nil, false
-	}
-	// Chaos: model on-disk corruption surfacing at read time.
-	data, _ = chaos.Mutate(ctx, PointRead, data)
-	if err := safeio.UnmarshalRecord(data, v); err != nil {
-		s.corrupt.Add(1)
-		s.drop(k)
-		o := obs.From(ctx)
-		o.Counter("cache.corrupt").Inc()
-		o.Flight().Record(flight.Event{
-			Kind: flight.KindCache, Name: k, Stage: string(fmerr.StageCache),
-			Detail: "corrupt", Value: int64(len(data)),
-		})
-		return nil, false
-	}
-	s.touch(k, int64(len(data)))
-	return data, true
-}
-
-func (s *Store) miss(ctx context.Context, key Key) {
-	s.misses.Add(1)
-	o := obs.From(ctx)
-	o.Counter("cache.misses").Inc()
-	o.Counter("cache.misses." + key.stage).Inc()
-}
-
 // Put stores v under key, best-effort: marshal or write failures are counted
-// and swallowed (the pipeline already holds the computed value). It returns
-// the clean marshalled record for in-process sharing with singleflight
-// waiters, or nil when marshalling failed.
-func (s *Store) Put(ctx context.Context, key Key, v any) []byte {
+// and swallowed (the pipeline already holds the computed value).
+func (s *Store) Put(ctx context.Context, key Key, v any) {
 	if s == nil {
-		return nil
+		return
 	}
+	o := obs.From(ctx)
 	rec, err := safeio.MarshalRecord(v)
 	if err != nil {
 		s.writeErrs.Add(1)
-		obs.From(ctx).Counter("cache.write_errors").Inc()
-		return nil
+		o.Counter("cache.write_errors").Inc()
+		return
 	}
 	k := key.String()
 	// Chaos: model torn or bit-flipped writes. The mutated bytes still
@@ -204,22 +175,21 @@ func (s *Store) Put(ctx context.Context, key Key, v any) []byte {
 	out, _ := chaos.Mutate(ctx, PointWrite, rec)
 	if err := safeio.WriteFileAtomic(ctx, s.path(k), out, 0o644); err != nil {
 		s.writeErrs.Add(1)
-		obs.From(ctx).Counter("cache.write_errors").Inc()
-		return rec
+		o.Counter("cache.write_errors").Inc()
+		return
 	}
 	s.puts.Add(1)
-	o := obs.From(ctx)
 	o.Counter("cache.puts").Inc()
 	o.Flight().Record(flight.Event{
 		Kind: flight.KindCache, Name: k, Stage: string(fmerr.StageCache),
 		Detail: "put", Value: int64(len(out)),
 	})
 	s.index(ctx, k, int64(len(out)))
-	return rec
 }
 
-// touch bumps the LRU position of an indexed entry (adopting it if the file
-// appeared behind the store's back).
+// touch records an entry's size and bumps its LRU position, indexing it if
+// it is new: freshly written, or a file that appeared behind the store's
+// back.
 func (s *Store) touch(k string, size int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -248,17 +218,9 @@ func (s *Store) drop(k string) {
 // index records a freshly written entry and evicts least-recently-used
 // entries while the byte budget is exceeded.
 func (s *Store) index(ctx context.Context, k string, size int64) {
+	s.touch(k, size)
 	var evicted []string
 	s.mu.Lock()
-	s.seq++
-	if e, ok := s.entries[k]; ok {
-		s.size += size - e.size
-		e.size = size
-		e.seq = s.seq
-	} else {
-		s.entries[k] = &entry{size: size, seq: s.seq}
-		s.size += size
-	}
 	for s.max > 0 && s.size > s.max && len(s.entries) > 1 {
 		oldest, oldestSeq := "", int64(0)
 		for name, e := range s.entries {
@@ -327,7 +289,6 @@ func (s *Store) Report() *obs.CacheReport {
 		Bytes:       bytes,
 		Hits:        s.hits.Load(),
 		Misses:      s.misses.Load(),
-		Shared:      s.shared.Load(),
 		Corrupt:     s.corrupt.Load(),
 		Evictions:   s.evictions.Load(),
 		Puts:        s.puts.Load(),
@@ -335,82 +296,20 @@ func (s *Store) Report() *obs.CacheReport {
 	}
 }
 
-// join registers interest in key's computation. The first caller becomes the
-// leader (second return true) and must call leave; later callers receive the
-// leader's call to wait on.
-func (s *Store) join(key Key) (*call, bool) {
-	k := key.String()
-	s.fmu.Lock()
-	defer s.fmu.Unlock()
-	if c, ok := s.flight[k]; ok {
-		return c, false
-	}
-	c := &call{done: make(chan struct{})}
-	s.flight[k] = c
-	return c, true
-}
-
-// leave publishes the leader's result and releases the waiters.
-func (s *Store) leave(key Key, c *call, data []byte, err error) {
-	c.data, c.err = data, err
-	s.fmu.Lock()
-	delete(s.flight, key.String())
-	s.fmu.Unlock()
-	close(c.done)
-}
-
 // Memo returns the cached value for key, or computes, stores and returns it.
-// Concurrent callers with the same key compute once (in-process
-// singleflight): the leader runs compute, waiters decode their own copy of
-// the marshalled result so no mutable state is shared across goroutines.
-// A caller that missed just before an earlier leader stored the value and
-// left finds the entry when it becomes leader itself, so it does not
-// compute again. Compute errors are never cached. A nil store calls
-// compute directly.
+// Compute errors are never cached. Concurrent callers with the same key
+// each miss, compute and store; the atomic write keeps one whole entry. A
+// nil store calls compute directly.
 func Memo[T any](ctx context.Context, s *Store, key Key, compute func(context.Context) (T, error)) (T, error) {
-	if s == nil {
-		return compute(ctx)
-	}
-	ptr := new(T)
-	if s.Get(ctx, key, ptr) {
-		return *ptr, nil
-	}
-	c, leader := s.join(key)
-	if !leader {
-		select {
-		case <-c.done:
-		case <-ctx.Done():
-			// Canceled while waiting: run compute, which observes the
-			// cancellation and returns the stage's typed error.
-			return compute(ctx)
-		}
-		if c.err == nil && c.data != nil {
-			var v T
-			if err := safeio.UnmarshalRecord(c.data, &v); err == nil {
-				s.shared.Add(1)
-				obs.From(ctx).Counter("cache.shared").Inc()
-				return v, nil
-			}
-		}
-		// The leader failed (or its result did not decode): compute
-		// independently rather than propagating someone else's error.
-		return compute(ctx)
-	}
-	// A leader that finished between our Get and join has already stored
-	// the value: serve it instead of computing twice. This call already
-	// counted its miss.
-	var stored T
-	if data, ok := s.load(ctx, key.String(), &stored); ok {
-		s.leave(key, c, data, nil)
-		return stored, nil
+	var v T
+	if s.Get(ctx, key, &v) {
+		return v, nil
 	}
 	v, err := compute(ctx)
-	if err != nil {
-		s.leave(key, c, nil, err)
-		return v, err
+	if err == nil {
+		s.Put(ctx, key, v)
 	}
-	s.leave(key, c, s.Put(ctx, key, v), nil)
-	return v, nil
+	return v, err
 }
 
 // ctxKey carries the store on a context.

@@ -37,9 +37,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if s.Get(ctx, k, &got) {
 		t.Fatal("Get on empty store reported a hit")
 	}
-	if s.Put(ctx, k, want) == nil {
-		t.Fatal("Put returned nil record")
-	}
+	s.Put(ctx, k, want)
 	if !s.Get(ctx, k, &got) {
 		t.Fatal("Get after Put missed")
 	}
@@ -205,8 +203,8 @@ func TestStoreLRUEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	big := payload{Name: "x", Vals: make([]int, 200)}
-	rec := s.Put(ctx, testKey(t, "probe"), big)
-	budget := int64(len(rec))*2 + 64
+	s.Put(ctx, testKey(t, "probe"), big)
+	budget := s.Bytes()*2 + 64
 	s.drop(testKey(t, "probe").String())
 
 	s, err = Open(dir, budget)
@@ -238,30 +236,32 @@ func TestStoreLRUEviction(t *testing.T) {
 	}
 }
 
-func TestMemoSingleflight(t *testing.T) {
+// TestMemoConcurrentSameKey starts concurrent Memo calls on one key. Each
+// caller either hits or misses, computes and stores; all of them return
+// the value, and the atomic writes leave one whole entry behind.
+func TestMemoConcurrentSameKey(t *testing.T) {
 	ctx := context.Background()
-	s, err := Open(t.TempDir(), 0)
+	dir := t.TempDir()
+	s, err := Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := testKey(t, "shared")
+	want := payload{Name: "computed", Vals: []int{42}}
 	var computes atomic.Int64
-	started := make(chan struct{})
-	gate := make(chan struct{})
+	start := make(chan struct{})
 
-	const waiters = 8
+	const callers = 8
 	var wg sync.WaitGroup
-	results := make([]payload, waiters)
-	for i := 0; i < waiters; i++ {
+	results := make([]payload, callers)
+	for i := range results {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			<-start
 			v, err := Memo(ctx, s, k, func(context.Context) (payload, error) {
-				if computes.Add(1) == 1 {
-					close(started)
-				}
-				<-gate // hold every concurrent caller in-flight
-				return payload{Name: "computed", Vals: []int{42}}, nil
+				computes.Add(1)
+				return payload{Name: want.Name, Vals: []int{42}}, nil
 			})
 			if err != nil {
 				t.Errorf("Memo: %v", err)
@@ -269,26 +269,29 @@ func TestMemoSingleflight(t *testing.T) {
 			results[i] = v
 		}(i)
 	}
-	// Wait until the leader entered compute, then release everyone.
-	<-started
-	close(gate)
+	close(start)
 	wg.Wait()
 
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("compute ran %d times, want 1 (singleflight)", n)
-	}
-	if n := s.Report().Puts; n != 1 {
-		t.Fatalf("stored %d times, want 1 (singleflight)", n)
-	}
 	for i, v := range results {
-		if v.Name != "computed" || len(v.Vals) != 1 || v.Vals[0] != 42 {
-			t.Fatalf("waiter %d got %+v", i, v)
+		if !reflect.DeepEqual(v, want) {
+			t.Fatalf("caller %d got %+v", i, v)
 		}
 	}
-	// Waiters must not share the leader's slices.
-	results[0].Vals[0] = 99
-	if results[1].Vals[0] != 42 {
-		t.Fatal("waiters share mutable state with each other")
+	r := s.Report()
+	t.Logf("%d of %d callers computed", computes.Load(), callers)
+	if n := computes.Load(); r.Misses != n || r.Puts != n || r.Hits+r.Misses != callers || r.Corrupt != 0 {
+		t.Fatalf("%d computes, report %+v: want a put per miss, a hit or miss per caller, nothing corrupt", n, r)
+	}
+	info, err := os.Stat(filepath.Join(dir, k.String()+entrySuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 1 || s.Bytes() != info.Size() {
+		t.Fatalf("store holds %d entries of %d bytes, want 1 of %d", s.Len(), s.Bytes(), info.Size())
+	}
+	var got payload
+	if !s.Get(ctx, k, &got) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Get after the concurrent calls = %+v", got)
 	}
 }
 

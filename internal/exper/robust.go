@@ -8,7 +8,6 @@ import (
 	"fastmon/internal/fmerr"
 	"fastmon/internal/schedule"
 	"fastmon/internal/sim"
-	"fastmon/internal/tunit"
 )
 
 // RobustnessPoint reports how well a schedule survives process variation:
@@ -73,20 +72,10 @@ func VariationRobustness(ctx context.Context, r *Run, s *schedule.Schedule, sigm
 						return pt, err
 					}
 					dets := e.FaultSim(base, f.Injection(flow.Delta), horizon)
-					if len(dets) == 0 {
-						continue
-					}
-					var d tunit.Time = -1
-					if combo.Config >= 0 {
-						d = delays[combo.Config]
-					}
 					for _, det := range dets {
 						diff := det.Diff.FilterShort(flow.DetectCfg.Glitch)
-						if diff.Contains(plan.Period) {
-							ok = true
-							break
-						}
-						if d >= 0 && flow.Placement.Covers(det.Tap) && diff.Shift(d).Contains(plan.Period) {
+						if diff.Contains(plan.Period) || flow.Placement.Covers(det.Tap) &&
+							schedule.ViaMonitor(diff, plan.Period, combo.Config, delays) {
 							ok = true
 							break
 						}

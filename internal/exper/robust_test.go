@@ -26,6 +26,24 @@ func TestVariationRobustness(t *testing.T) {
 	if p0.MeanCoverage < 0.9999 {
 		t.Fatalf("zero-sigma coverage = %f, want 1.0", p0.MeanCoverage)
 	}
+	// So must a schedule whose monitors each pick their own delay element
+	// (ConfigFree combos).
+	opt := r.Flow.ScheduleOptions(schedule.ILP, 1.0)
+	opt.FreeConfig = true
+	free, err := schedule.Build(context.Background(), r.Flow.TargetData, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if free.Size() == 0 || free.Periods[0].Combos[0].Config != schedule.ConfigFree {
+		t.Fatalf("FreeConfig schedule has no ConfigFree combo: %+v", free.Periods)
+	}
+	pf, err := VariationRobustness(context.Background(), r, free, 0, 1, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pf.MeanCoverage < 0.9999 {
+		t.Fatalf("zero-sigma coverage of the FreeConfig schedule = %f, want 1.0", pf.MeanCoverage)
+	}
 
 	// Mild variation (σ = 2%): mid-point capture times must hold up for
 	// the vast majority of scheduled detections.

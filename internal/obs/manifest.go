@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -68,18 +67,15 @@ type Manifest struct {
 // (not in internal/cache, which imports obs) so the manifest stays free of
 // an import cycle; cache.Store.Report constructs it.
 type CacheReport struct {
-	Dir      string `json:"dir"`
-	MaxBytes int64  `json:"max_bytes,omitempty"`
-	Entries  int    `json:"entries"`
-	Bytes    int64  `json:"bytes"`
-	Hits     int64  `json:"hits"`
-	Misses   int64  `json:"misses"`
-	// Shared counts singleflight waiters served from an in-process
-	// leader's result rather than disk.
-	Shared    int64 `json:"shared,omitempty"`
-	Corrupt   int64 `json:"corrupt,omitempty"`
-	Evictions int64 `json:"evictions,omitempty"`
-	Puts      int64 `json:"puts,omitempty"`
+	Dir       string `json:"dir"`
+	MaxBytes  int64  `json:"max_bytes,omitempty"`
+	Entries   int    `json:"entries"`
+	Bytes     int64  `json:"bytes"`
+	Hits      int64  `json:"hits"`
+	Misses    int64  `json:"misses"`
+	Corrupt   int64  `json:"corrupt,omitempty"`
+	Evictions int64  `json:"evictions,omitempty"`
+	Puts      int64  `json:"puts,omitempty"`
 	// WriteErrors counts best-effort Put failures (marshal or disk).
 	WriteErrors int64 `json:"write_errors,omitempty"`
 }
@@ -152,8 +148,8 @@ func (m *Manifest) WriteFile(ctx context.Context, path string) error {
 }
 
 // ReadManifest loads a manifest written by WriteFile, verifying its
-// checksum. Legacy pre-envelope manifests (naked JSON) still load;
-// records that fail verification are reported as corrupt.
+// checksum. A file that is not an intact record, naked JSON included, is
+// reported as corrupt.
 func ReadManifest(path string) (*Manifest, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -161,12 +157,7 @@ func ReadManifest(path string) (*Manifest, error) {
 	}
 	var m Manifest
 	if err := safeio.UnmarshalRecord(data, &m); err != nil {
-		if !errors.Is(err, safeio.ErrNotRecord) {
-			return nil, fmt.Errorf("obs: manifest %s: %w", path, err)
-		}
-		if jerr := json.Unmarshal(data, &m); jerr != nil {
-			return nil, fmt.Errorf("obs: parse manifest %s: %w", path, jerr)
-		}
+		return nil, fmt.Errorf("obs: manifest %s: %w", path, err)
 	}
 	return &m, nil
 }

@@ -3,10 +3,14 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
+
+	"fastmon/internal/safeio"
 )
 
 // TestManifestRoundTrip: a manifest written with WriteFile reads back
@@ -59,6 +63,18 @@ func TestManifestRoundTrip(t *testing.T) {
 	cm, ok := got.Config.(map[string]any)
 	if !ok || cm["scale"] != 0.08 {
 		t.Errorf("config payload = %#v", got.Config)
+	}
+	// The same manifest as naked JSON is no record: it reads as corrupt.
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naked := filepath.Join(t.TempDir(), "naked.json")
+	if err := os.WriteFile(naked, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadManifest(naked); !errors.Is(err, safeio.ErrCorrupt) {
+		t.Errorf("naked-JSON manifest: err %v, want ErrCorrupt", err)
 	}
 }
 

@@ -16,14 +16,13 @@
 //     envelope carrying a CRC32 (Castagnoli) of the compact payload
 //     bytes. A reader that sees a checksum mismatch — a torn write that
 //     did reach disk, a flipped bit — gets ErrCorrupt and must treat
-//     the record as missing (recompute), never serve it. Legacy files
-//     without the envelope yield ErrNotRecord so callers can fall back
-//     to reading naked JSON.
-//   - Retry re-runs an operation on *transient* errors only, at most
-//     four times with a capped exponential backoff, and with a hard
-//     rule: after context cancellation it never retries and it returns
-//     the last typed error from the operation, not a bare context
-//     error.
+//     the record as missing (recompute), never serve it. Bytes without
+//     the envelope, naked JSON included, are ErrCorrupt too.
+//   - Retry re-runs an operation on *transient* errors only (the faults
+//     chaos injects), at most four times with a capped exponential
+//     backoff, and with a hard rule: after context cancellation it never
+//     retries and it returns the last typed error from the operation,
+//     not a bare context error.
 //
 // Chaos integration: WriteFileAtomic passes the outgoing bytes through
 // the "safeio.write" data injection point, so a seeded soak run can
@@ -93,7 +92,7 @@ func WriteFileAtomic(ctx context.Context, path string, data []byte, perm fs.File
 	// bytes — the torn record is on disk at the final path, exactly like
 	// a crash mid-write — and the caller learns the write failed.
 	if injErr != nil {
-		return fmerr.Wrap(fmerr.StageIO, "write", MarkTransient(injErr))
+		return fmerr.Wrap(fmerr.StageIO, "write", injErr)
 	}
 	return nil
 }
@@ -110,15 +109,11 @@ func syncDir(dir string) error {
 
 // --- CRC-stamped records ----------------------------------------------------
 
-// ErrCorrupt marks a record whose checksum does not match its payload,
-// or whose envelope version is unknown. Readers must treat the record
-// as missing — recompute, never serve it.
+// ErrCorrupt marks bytes that are not an intact record: no envelope at
+// all, an unknown envelope version, or a checksum that does not match the
+// payload. Readers must treat the record as missing — recompute, never
+// serve it.
 var ErrCorrupt = errors.New("safeio: record corrupt")
-
-// ErrNotRecord marks bytes that are not a checksummed record envelope
-// at all (e.g. a legacy naked-JSON file). Callers may fall back to
-// decoding the bytes directly.
-var ErrNotRecord = errors.New("safeio: not a checksummed record")
 
 // recordVersion is the current envelope version.
 const recordVersion = 1
@@ -185,11 +180,10 @@ func appendCRC(dst, payload []byte) []byte {
 }
 
 // UnmarshalRecord verifies data's envelope and decodes its payload into
-// v. It returns ErrNotRecord when data is not an envelope (legacy naked
-// JSON) and ErrCorrupt when the envelope is present but the checksum
-// does not verify or the version is unknown. The CRC is computed over
-// the *compacted* payload bytes, so re-indenting a record on disk does
-// not invalidate it.
+// v. It returns ErrCorrupt when data is not an envelope (naked JSON
+// included), the version is unknown or the checksum does not verify. The
+// CRC is computed over the *compacted* payload bytes, so re-indenting a
+// record on disk does not invalidate it.
 //
 // A record in MarshalRecord's compact layout whose stamp matches its
 // payload bytes as stored is decoded in one pass. Every other input —
@@ -210,10 +204,7 @@ func UnmarshalRecord(data []byte, v any) error {
 func unmarshalVerified(data []byte, v any) error {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
-		return fmt.Errorf("%w: %v", ErrNotRecord, err)
-	}
-	if env.CRC32 == "" && env.V == 0 {
-		return ErrNotRecord
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if env.V != recordVersion {
 		return fmt.Errorf("%w: unknown record version %d", ErrCorrupt, env.V)
@@ -258,31 +249,11 @@ func compactPayload(data []byte) ([]byte, bool) {
 
 // --- retry ------------------------------------------------------------------
 
-// transientErr marks an error as retryable.
-type transientErr struct{ err error }
-
-func (e *transientErr) Error() string { return e.err.Error() }
-func (e *transientErr) Unwrap() error { return e.err }
-
-// MarkTransient marks err as transient so Retry will re-run the
-// operation. A nil err returns nil.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientErr{err: err}
-}
-
-// IsTransient reports whether err is retryable: explicitly marked via
-// MarkTransient, or a chaos-injected fault (transient by contract).
-// Cancellation is never transient.
+// IsTransient reports whether err is retryable: a chaos-injected fault,
+// transient by contract. Cancellation is never transient.
 func IsTransient(err error) bool {
 	if err == nil || fmerr.IsCanceled(err) {
 		return false
-	}
-	var t *transientErr
-	if errors.As(err, &t) {
-		return true
 	}
 	var inj *chaos.Injected
 	return chaos.AsInjected(err, &inj)

@@ -115,7 +115,7 @@ func TestRecordDetectsTruncation(t *testing.T) {
 		if err == nil {
 			t.Fatalf("truncated record (%d bytes) accepted", n)
 		}
-		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrNotRecord) {
+		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("truncated record (%d bytes): untyped error %v", n, err)
 		}
 	}
@@ -147,11 +147,14 @@ func TestRecordRejectsVersionSkew(t *testing.T) {
 	}
 }
 
-func TestRecordLegacyFallback(t *testing.T) {
-	var v map[string]int
-	err := UnmarshalRecord([]byte(`{"a": 1}`), &v)
-	if !errors.Is(err, ErrNotRecord) {
-		t.Fatalf("naked JSON: %v, want ErrNotRecord", err)
+// TestRecordNakedJSONIsCorrupt: JSON without the envelope is not a record,
+// so it reads as corrupt, with nothing decoded.
+func TestRecordNakedJSONIsCorrupt(t *testing.T) {
+	for _, data := range []string{`{"a": 1}`, `{"v": 1, "a": 1}`, `[1]`, `null`} {
+		var v map[string]int
+		if err := UnmarshalRecord([]byte(data), &v); !errors.Is(err, ErrCorrupt) || v != nil {
+			t.Fatalf("naked JSON %s: err %v, decoded %v; want ErrCorrupt", data, err, v)
+		}
 	}
 }
 
@@ -232,7 +235,7 @@ func TestRecordDetectsBitFlip(t *testing.T) {
 			if err == nil || v != nil {
 				t.Fatalf("bit %d of byte %d flipped (%q): err %v, decoded %v", bit, i, c, err, v)
 			}
-			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrNotRecord) {
+			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("bit %d of byte %d flipped: untyped error %v", bit, i, err)
 			}
 		}
@@ -273,11 +276,12 @@ func TestRecordLayoutsMatchEnvelope(t *testing.T) {
 }
 
 // FuzzUnmarshalRecord checks UnmarshalRecord against the verifying path
-// alone on arbitrary bytes: both decode the same value or both fail. The
-// two differ on one input only, a compact-layout stamp computed over a
-// payload stored with whitespace, which no writer produces: the one-pass
-// path serves those bytes as stamped, the verifying path compacts them
-// first. Such inputs are skipped.
+// alone on arbitrary bytes: both decode the same value or both fail, and
+// a failure is always ErrCorrupt. The two paths differ on one input only,
+// a compact-layout stamp computed over a payload stored with whitespace,
+// which no writer produces: the one-pass path serves those bytes as
+// stamped, the verifying path compacts them first. Such inputs are
+// skipped.
 func FuzzUnmarshalRecord(f *testing.F) {
 	rec, _ := MarshalRecord(map[string]any{"name": "s9234", "vals": []int{1, 2, 3}})
 	indented, _ := MarshalRecordIndent(map[string]any{"name": "s9234", "vals": []int{1, 2, 3}})
@@ -303,6 +307,9 @@ func FuzzUnmarshalRecord(f *testing.F) {
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("%q: error %v, verifying path %v", data, err, refErr)
 		}
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%q: error %v, want ErrCorrupt", data, err)
+		}
 		if err == nil && !reflect.DeepEqual(got, want) {
 			t.Fatalf("%q: decoded %v, verifying path %v", data, got, want)
 		}
@@ -319,13 +326,17 @@ func stubSleep(t *testing.T, fn func(context.Context, time.Duration) error) {
 
 func noSleep(context.Context, time.Duration) error { return nil }
 
+// flaky returns a chaos-injected fault, the one kind of error Retry
+// retries.
+func flaky() error { return &chaos.Injected{Point: "p", Stage: fmerr.StageIO, Kind: chaos.KindError} }
+
 func TestRetrySucceedsAfterTransients(t *testing.T) {
 	stubSleep(t, noSleep)
 	calls := 0
 	err := Retry(context.Background(), "op", func() error {
 		calls++
 		if calls < 3 {
-			return MarkTransient(errors.New("flaky"))
+			return flaky()
 		}
 		return nil
 	})
@@ -356,10 +367,10 @@ func TestRetryStopsOnPermanentError(t *testing.T) {
 func TestRetryExhaustsAttempts(t *testing.T) {
 	stubSleep(t, noSleep)
 	calls := 0
-	last := errors.New("still flaky")
+	last := flaky()
 	err := Retry(context.Background(), "op", func() error {
 		calls++
-		return MarkTransient(last)
+		return last
 	})
 	if calls != retryAttempts {
 		t.Fatalf("calls = %d, want %d", calls, retryAttempts)
@@ -389,7 +400,7 @@ func TestRetryNeverRetriesAfterCancel(t *testing.T) {
 		})
 		err := Retry(ctx, "op", func() error {
 			calls++
-			return MarkTransient(typed)
+			return typed
 		})
 		cancel()
 		if callsAtCancel >= 0 && calls != callsAtCancel {
@@ -428,7 +439,7 @@ func TestRetryBackoffDeterministicAndBounded(t *testing.T) {
 		got = append(got, d)
 		return nil
 	})
-	Retry(context.Background(), "op", func() error { return MarkTransient(errors.New("flaky")) })
+	Retry(context.Background(), "op", func() error { return flaky() })
 	want := []time.Duration{2 * time.Millisecond, 4 * time.Millisecond, 8 * time.Millisecond}
 	if !slices.Equal(got, want) {
 		t.Fatalf("backoffs %v, want %v", got, want)
@@ -441,12 +452,6 @@ func TestIsTransientClassification(t *testing.T) {
 	}
 	if IsTransient(context.Canceled) {
 		t.Fatal("cancellation transient")
-	}
-	if IsTransient(MarkTransient(context.Canceled)) {
-		t.Fatal("marked cancellation must stay non-transient")
-	}
-	if !IsTransient(MarkTransient(errors.New("x"))) {
-		t.Fatal("marked error not transient")
 	}
 	inj := &chaos.Injected{Point: "p", Kind: chaos.KindError}
 	if !IsTransient(fmerr.Wrap(fmerr.StageIO, "w", inj)) {

@@ -137,7 +137,7 @@ func TestProblemConcurrentBuilds(t *testing.T) {
 // TestMembershipMatchesCombined checks the direct membership test of
 // Step 2 and Validate against the allocating range algebra: a (pattern,
 // config) pair detects at t iff t lies in the observation window and in
-// I_FF, or viaMonitor holds, exactly when CombinedAt (CombinedFree for
+// I_FF, or ViaMonitor holds, exactly when CombinedAt (CombinedFree for
 // ConfigFree) contains t. The probes are every range boundary, shifted by
 // every delay, and their neighbours.
 func TestMembershipMatchesCombined(t *testing.T) {
@@ -176,7 +176,7 @@ func TestMembershipMatchesCombined(t *testing.T) {
 						want = pr.CombinedAt(cfg, -1)
 					}
 					for _, at := range probes {
-						got := at >= lo && at < hi && (pr.FF.Contains(at) || viaMonitor(pr.SR, at, ci, delays))
+						got := at >= lo && at < hi && (pr.FF.Contains(at) || ViaMonitor(pr.SR, at, ci, delays))
 						if got != want.Contains(at) {
 							t.Fatalf("fault %d pattern %d config %d at %s: direct %v, combined range %v says %v",
 								fi, pr.Pattern, ci, at, got, want, !got)

@@ -327,15 +327,15 @@ func comboConfigs(opt Options, delays []tunit.Time) []int {
 	return configs
 }
 
-// viaMonitor reports whether a pattern's shadow-register range sr detects
+// ViaMonitor reports whether a pattern's shadow-register range sr detects
 // its fault at period t under monitor configuration ci: t − d ∈ sr for the
 // config's delay d, for any delay under ConfigFree, never under ConfigOff.
 // A (pattern, config) pair detects at t iff t lies in the observation
-// window and in the pattern's FF range or viaMonitor holds. That equals
+// window and in the pattern's FF range or ViaMonitor holds. That equals
 // membership in CombinedAt (CombinedFree for ConfigFree), because shift,
 // clip and union keep membership. ci must be ConfigOff, ConfigFree or an
 // index into delays.
-func viaMonitor(sr interval.Set, t tunit.Time, ci int, delays []tunit.Time) bool {
+func ViaMonitor(sr interval.Set, t tunit.Time, ci int, delays []tunit.Time) bool {
 	if ci >= 0 {
 		return sr.Contains(t - delays[ci])
 	}
@@ -617,7 +617,7 @@ func solveBudgeted(ctx context.Context, opt Options,
 
 // optimizeCombos fills plan.Combos with a minimal covering set of
 // (pattern, config) combinations for the faults assigned to the period.
-// Membership is tested on the raw ranges (see viaMonitor): the FF range
+// Membership is tested on the raw ranges (see ViaMonitor): the FF range
 // once per pattern, the SR range once per config only where FF misses.
 // The period is a Step-0 candidate, so it lies in the observation window.
 // The caller owns plan; shared schedule bookkeeping goes through record,
@@ -632,7 +632,7 @@ func optimizeCombos(ctx context.Context, data []detect.FaultData, plan *PeriodPl
 		for _, pr := range data[fi].Per {
 			ff := pr.FF.Contains(t)
 			for _, ci := range cfgs {
-				if ff || viaMonitor(pr.SR, t, ci, delays) {
+				if ff || ViaMonitor(pr.SR, t, ci, delays) {
 					k := key{pr.Pattern, ci}
 					if cover[k] == nil {
 						cover[k] = bitset.New(len(data))
@@ -711,7 +711,7 @@ func Validate(data []detect.FaultData, s *Schedule, opt Options) error {
 					continue
 				}
 				for _, pr := range data[fi].Per {
-					if pr.Pattern == c.Pattern && (pr.FF.Contains(t) || viaMonitor(pr.SR, t, c.Config, delays)) {
+					if pr.Pattern == c.Pattern && (pr.FF.Contains(t) || ViaMonitor(pr.SR, t, c.Config, delays)) {
 						ok = true
 						break
 					}
