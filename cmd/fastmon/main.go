@@ -48,7 +48,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		scale     = fs.Float64("scale", 0.1, "size scale for -gen (1.0 = paper size)")
 		method    = fs.String("method", "ilp", "schedule method: conv, heur or ilp")
 		coverage  = fs.Float64("coverage", 1.0, "target coverage of target HDFs (0..1]")
-		sample    = fs.Int("sample", 0, "fault sampling stride (0 = automatic)")
+		sample    = fs.Int("sample", 0, "fault sampling stride: keep every k-th fault (0 or 1 keeps every fault)")
 		budget    = fs.Duration("budget", 10*time.Second, "time budget per exact covering solve")
 		seed      = fs.Int64("seed", 1, "ATPG seed")
 		workers   = fs.Int("workers", 0, "goroutines for every parallel stage: fault simulation and the covering solvers (0 = all CPUs)")

@@ -110,12 +110,7 @@ func ComputeCircuit(ctx context.Context, spec Spec, cfg SuiteConfig, req TableRe
 	var solver schedule.SolverStats
 	for _, s := range built {
 		worst = fmerr.Worse(worst, s.Degradation)
-		solver.Solves += s.Solver.Solves
-		solver.Nodes += s.Solver.Nodes
-		solver.Incumbents += s.Solver.Incumbents
-		if s.Solver.MaxGap > solver.MaxGap {
-			solver.MaxGap = s.Solver.MaxGap
-		}
+		solver.Merge(s.Solver)
 	}
 	res.Degradation = worst.String()
 	span.End()

@@ -8,25 +8,23 @@
 // marginal gains: coverage is submodular, so no set adds more than its
 // gain |S ∖ covered|, and a node is pruned when the largest gains of the
 // sets still allowed can reach neither the quota with fewer sets than the
-// incumbent nor the incumbent's covered count with as many. A
-// context deadline stands in for the commercial ILP tool the paper aborts
-// after a 1-hour timeout: the search then returns its best incumbent, or
-// the heuristic's answer — greedy less its redundant sets — when that is
-// shorter.
+// incumbent nor the incumbent's covered count with as many. Both searches
+// run in one driver (solve.go) on a work-sharing frontier (Options.Workers)
+// under a deterministic incumbent tie-break (parallel.go), so a completed
+// solve's Selected is bit-identical for every worker count. A context
+// deadline stands in for the commercial ILP tool the paper aborts after a
+// 1-hour timeout: the search then returns its best incumbent with a nil
+// error, cancellation returns it with an error wrapping context.Canceled,
+// and either abort returns the heuristic's answer — greedy less its
+// redundant sets — when that is shorter.
 package ilp
 
 import (
 	"context"
 	"sort"
-	"strconv"
-	"sync/atomic"
 
 	"fastmon/internal/bitset"
-	"fastmon/internal/chaos"
 	"fastmon/internal/fmerr"
-	"fastmon/internal/obs"
-	"fastmon/internal/obs/flight"
-	"fastmon/internal/par"
 )
 
 // CoverResult is the outcome of a covering solve.
@@ -77,42 +75,25 @@ type coverTask struct {
 }
 
 // SetCover solves minimum set cover exactly by branch-and-bound with
-// covering presolve. The search runs on a work-sharing frontier
-// (Options.Workers, see par.Frontier): workers expand subproblems
-// depth-first and offload sibling subtrees when the pool runs hungry;
-// incumbents are published through an atomic best length plus a
-// lexicographic tie-break, so the returned Selected set is bit-identical
-// for every worker count (see parallel.go). It returns an error when the
-// universe is not coverable. The context is polled at node granularity:
-// an expired deadline (the paper's solver timeout) returns the best
-// incumbent with a nil error; cancellation returns the incumbent together
-// with an error wrapping context.Canceled. Either abort returns greedy
-// less its redundant sets (dropRedundant) instead when that is shorter,
-// so an aborted solve never reports more sets than the heuristic.
+// covering presolve. It returns an error when the universe is not
+// coverable; its search, determinism and context contract are the
+// package's (see the package doc).
 func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opts Options) (CoverResult, error) {
 	if !Coverable(sets, universe) {
 		return CoverResult{}, fmerr.Errorf(fmerr.StageSolve, "setcover",
 			"universe not coverable by the given sets")
 	}
-	if err := chaos.Point(ctx, ptSolve); err != nil {
-		return CoverResult{}, fmerr.Wrap(fmerr.StageSolve, "setcover", err)
-	}
-	// Entry check: with the budget already spent (or the flow cancelled)
-	// the greedy cover, less its redundant sets, is the whole result.
-	if s := checkCtx(ctx); s != stopNone {
+	heuristic := func() ([]int, error) {
 		g, err := GreedyCover(sets, universe)
 		if err != nil {
-			return CoverResult{}, err
+			return nil, err
 		}
-		g = dropRedundant(sets, universe, universe.Count(), g)
-		res := CoverResult{Selected: g, Gap: 1, Degradation: fmerr.DegradeIncumbent}
-		recordSolve(ctx, 0, 0, false, 1)
-		if s == stopCanceled {
-			return res, fmerr.Wrap(fmerr.StageSolve, "setcover", ctx.Err())
-		}
-		return res, nil
+		return dropRedundant(sets, universe, universe.Count(), g), nil
 	}
-	res := CoverResult{}
+	d, done, res, err := start[coverTask](ctx, "ilp.cover", "setcover", opts, heuristic)
+	if done {
+		return res, err
+	}
 	uncovered := universe.Clone()
 	alive := make([]bool, len(sets))
 	for i := range alive {
@@ -225,9 +206,7 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 
 	if uncovered.Empty() {
 		sort.Ints(chosen)
-		res.Selected, res.Optimal = chosen, true
-		recordSolve(ctx, 0, 0, true, 0)
-		return res, nil
+		return d.result(chosen, 0, heuristic)
 	}
 
 	aliveIdx := aliveList(alive)
@@ -260,79 +239,30 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 	// ties). Subtrees are pruned only when strictly worse than the
 	// incumbent so every optimal cover stays reachable and the bestList
 	// tie-break makes the outcome interleaving-independent.
-	workers := par.ClampWorkers(opts.Workers)
-	best := newBestList(incumbent, 0)
-	frec := obs.From(ctx).Flight()
-	// Resolved once: the injector never changes mid-solve, and the nil
-	// injector is a valid no-op (see chaos package doc).
-	inj := chaos.From(ctx)
-	var (
-		nodes, incumbents, stolen atomic.Int64
-		stop                      stopFlag
-	)
-	fr := par.NewFrontier[coverTask](workers)
-	fr.Push(0, coverTask{unc: uncovered.Clone()})
-	par.Run(workers, func(id int) {
-		defer func() {
-			// A worker dying mid-search must not strand its peers in Pop.
-			if r := recover(); r != nil {
-				fr.Abort()
-				panic(r)
-			}
-		}()
+	best := d.run(incumbent, 0, coverTask{unc: uncovered.Clone()}, func(w worker[coverTask]) {
 		// Per-depth scratch: the DFS is strictly nested, so one uncovered
 		// set and one candidate list per depth replace the per-node clones
 		// and sorts that dominated the allocation profile. Values are
 		// identical to the cloning version; only the storage is reused.
 		var uncScratch []*bitset.Set
-		uncAt := func(d int) *bitset.Set {
-			for len(uncScratch) <= d {
+		uncAt := func(depth int) *bitset.Set {
+			for len(uncScratch) <= depth {
 				uncScratch = append(uncScratch, bitset.New(universe.Len()))
 			}
-			return uncScratch[d]
+			return uncScratch[depth]
 		}
 		type candList struct{ idx, gain []int }
 		var candScratch []candList
-		localNodes := int64(0)
-		// poll is the once-per-window slow path of node accounting: see the
-		// PartialCover twin for the determinism argument. Totals stay
-		// exact: the sub-window remainder is flushed when the worker exits.
-		poll := func() bool {
-			nodes.Add(pollMask + 1)
-			if stop.get() != stopNone {
-				return false
-			}
-			if s := checkCtx(ctx); s != stopNone {
-				stop.set(s)
-				fr.Abort()
-				return false
-			}
-			inj.Disturb(ctx, ptNode)
-			return true
-		}
-		// dead flips when poll observes an abort; it is a plain per-worker
-		// bool so every recursion level can bail immediately without an
-		// atomic read per node.
-		dead := false
 		var dfs func(unc *bitset.Set, cur []int)
 		dfs = func(unc *bitset.Set, cur []int) {
-			if dead {
-				return
-			}
-			localNodes++
-			if localNodes&pollMask == 0 && !poll() {
-				dead = true
+			if !w.node() {
 				return
 			}
 			if unc.Empty() {
-				inj.Disturb(ctx, ptIncumbent)
-				if best.offer(cur, 0) {
-					frec.Record(flight.Event{Kind: flight.KindIncumbent, Name: "ilp.cover", Stage: "solve",
-						Detail: strconv.Itoa(len(cur)) + " sets", Value: incumbents.Add(1)})
-				}
+				w.offer(cur, 0)
 				return
 			}
-			if n, _ := best.bound(); len(cur)+lowerBound(sub, unc) > n {
+			if n, _ := w.bound(); len(cur)+lowerBound(sub, unc) > n {
 				return
 			}
 			// Pick the uncovered element with fewest alive covering sets.
@@ -375,7 +305,7 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 				cands[j+1], gains[j+1] = ci, gi
 			}
 			candScratch[depth] = candList{idx: cands, gain: gains}
-			if len(cands) > 1 && workers > 1 && fr.Hungry() {
+			if len(cands) > 1 && w.hungry() {
 				// Offload every sibling but the first; pushed in reverse
 				// so the LIFO pool hands them out in serial order.
 				for i := len(cands) - 1; i >= 1; i-- {
@@ -385,7 +315,7 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 					nc := make([]int, len(cur)+1)
 					copy(nc, cur)
 					nc[len(cur)] = si
-					fr.Push(id, coverTask{unc: nu, cur: nc})
+					w.push(coverTask{unc: nu, cur: nc})
 				}
 				cands = cands[:1]
 			}
@@ -397,52 +327,14 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 				cur = cur[:len(cur)-1]
 			}
 		}
-		for {
-			t, st, ok := fr.Pop(id)
-			if !ok {
-				break
-			}
-			if st {
-				stolen.Add(1)
-			}
-			dfs(t.unc, t.cur)
-		}
-		nodes.Add(localNodes & pollMask)
+		w.loop(func(t coverTask) { dfs(t.unc, t.cur) })
 	})
-	stopped := stop.get()
-	rootLB := len(chosen) + lowerBound(sub, uncovered)
-	res.Nodes = int(nodes.Load())
-	res.Incumbents = int(incumbents.Load())
-
 	sel := append([]int(nil), chosen...)
-	for _, si := range best.snapshot() {
+	for _, si := range best {
 		sel = append(sel, aliveIdx[si])
 	}
 	sort.Ints(sel)
-	res.Optimal = stopped == stopNone
-	if !res.Optimal {
-		// The search seeds with greedy on the presolved remainder and may
-		// stop before it beats the heuristic's answer, greedy on the whole
-		// instance less its redundant sets; return that when shorter.
-		g, err := GreedyCover(sets, universe)
-		if err != nil {
-			return CoverResult{}, err
-		}
-		if g = dropRedundant(sets, universe, universe.Count(), g); len(g) < len(sel) {
-			sel = g
-		}
-		res.Degradation = fmerr.DegradeIncumbent
-		if total := len(sel); total > rootLB && total > 0 {
-			res.Gap = float64(total-rootLB) / float64(total)
-		}
-	}
-	res.Selected = sel
-	recordSolve(ctx, res.Nodes, res.Incumbents, res.Optimal, res.Gap)
-	recordPool(ctx, workers, stolen.Load())
-	if stopped == stopCanceled {
-		return res, fmerr.Wrap(fmerr.StageSolve, "setcover", ctx.Err())
-	}
-	return res, nil
+	return d.result(sel, len(chosen)+lowerBound(sub, uncovered), heuristic)
 }
 
 // lowerBound returns a valid lower bound on the number of additional sets
@@ -568,34 +460,22 @@ type partialTask struct {
 // still add k sets before it is longer than the incumbent is pruned when
 // the k−1 largest gains |S ∖ C| over the sets not yet decided cannot
 // reach the quota and the k largest cannot reach the incumbent's covered
-// count. It runs on the same work-sharing frontier and
-// deterministic incumbent discipline as SetCover (Options.Workers; the
-// bestList winner, so identical Selected for every worker count). The
-// context contract matches SetCover, including the heuristic fallback:
-// deadline = soft budget, cancellation = incumbent plus error.
+// count. It returns an error when the quota is unreachable; its search,
+// determinism and context contract are SetCover's.
 func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, quota int, opts Options) (CoverResult, error) {
-	res := CoverResult{}
 	if quota <= 0 {
-		res.Optimal = true
-		return res, nil
+		return CoverResult{Optimal: true}, nil
 	}
 	incumbent, err := GreedyPartialCover(sets, universe, quota)
 	if err != nil {
 		return CoverResult{}, err
 	}
-	if err := chaos.Point(ctx, ptSolve); err != nil {
-		return CoverResult{}, fmerr.Wrap(fmerr.StageSolve, "partialcover", err)
+	heuristic := func() ([]int, error) {
+		return dropRedundant(sets, universe, quota, incumbent), nil
 	}
-	// Entry check: see SetCover.
-	if s := checkCtx(ctx); s != stopNone {
-		res.Selected = dropRedundant(sets, universe, quota, incumbent)
-		res.Gap = 1
-		res.Degradation = fmerr.DegradeIncumbent
-		recordSolve(ctx, 0, 0, false, 1)
-		if s == stopCanceled {
-			return res, fmerr.Wrap(fmerr.StageSolve, "partialcover", ctx.Err())
-		}
-		return res, nil
+	d, done, res, err := start[partialTask](ctx, "ilp.partial", "partialcover", opts, heuristic)
+	if done {
+		return res, err
 	}
 
 	// Restrict sets to the universe once; their sizes fix the branching
@@ -621,30 +501,11 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 		return order[a] < order[b]
 	})
 
-	workers := par.ClampWorkers(opts.Workers)
 	seedCov := bitset.New(universe.Len())
 	for _, si := range incumbent {
 		seedCov.Or(sub[si])
 	}
-	best := newBestList(incumbent, seedCov.Count())
-	frec := obs.From(ctx).Flight()
-	// The injector travels in the context and never changes mid-solve;
-	// resolving it once keeps the per-incumbent disturb off the
-	// context-chain walk (nil injectors are valid no-ops).
-	inj := chaos.From(ctx)
-	var (
-		nodes, incumbents, stolen atomic.Int64
-		stop                      stopFlag
-	)
-	fr := par.NewFrontier[partialTask](workers)
-	fr.Push(0, partialTask{covered: bitset.New(universe.Len())})
-	par.Run(workers, func(id int) {
-		defer func() {
-			if r := recover(); r != nil {
-				fr.Abort()
-				panic(r)
-			}
-		}()
+	best := d.run(incumbent, seedCov.Count(), partialTask{covered: bitset.New(universe.Len())}, func(w worker[partialTask]) {
 		// Per-depth scratch: include children at selection depth d always
 		// finish before the parent includes again at the same depth, so one
 		// covered set per depth replaces the per-node Clone that dominated
@@ -655,45 +516,20 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 			gainScratch, topScratch, top1Scratch [][]int
 			buf                                  []int
 		)
-		covAt := func(d int) *bitset.Set {
-			for len(covScratch) <= d {
+		covAt := func(depth int) *bitset.Set {
+			for len(covScratch) <= depth {
 				covScratch = append(covScratch, bitset.New(universe.Len()))
 			}
-			return covScratch[d]
+			return covScratch[depth]
 		}
-		boundAt := func(d int) (gain, top, top1 []int) {
-			for len(gainScratch) <= d {
+		boundAt := func(depth int) (gain, top, top1 []int) {
+			for len(gainScratch) <= depth {
 				gainScratch = append(gainScratch, make([]int, len(order)))
 				topScratch = append(topScratch, make([]int, len(order)+1))
 				top1Scratch = append(top1Scratch, make([]int, len(order)+1))
 			}
-			return gainScratch[d], topScratch[d], top1Scratch[d]
+			return gainScratch[depth], topScratch[depth], top1Scratch[depth]
 		}
-		localNodes := int64(0)
-		// poll is the once-per-window slow path of node accounting: flush
-		// the local tally into the shared atomic, notice peer aborts, poll
-		// the context. Stop reasons only arise on abort paths
-		// (cancellation, budget), so checking them per window instead of
-		// per node leaves the deterministic no-abort search untouched;
-		// node totals stay exact because the sub-window remainder is
-		// flushed when the worker exits.
-		poll := func() bool {
-			nodes.Add(pollMask + 1)
-			if stop.get() != stopNone {
-				return false
-			}
-			if s := checkCtx(ctx); s != stopNone {
-				stop.set(s)
-				fr.Abort()
-				return false
-			}
-			inj.Disturb(ctx, ptNode)
-			return true
-		}
-		// dead flips when poll observes an abort; it is a plain per-worker
-		// bool so every recursion level can bail immediately without an
-		// atomic read per node.
-		dead := false
 		// The exclude branch is tail-recursive (same covered set, next
 		// position), so it runs as a loop; each iteration is one node. The
 		// include branch recurses when "take order[pos]" has a positive
@@ -716,30 +552,21 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 			// their k and k-1 largest (top, top1) are computed once per
 			// frame; k only shrinks, when the incumbent improves, and the
 			// sums are then recomputed.
-			d := len(cur)
-			gain, top, top1 := boundAt(d)
+			depth := len(cur)
+			gain, top, top1 := boundAt(depth)
 			k := 0 // the k the sums hold; 0 until the frame's first node
 			for {
-				if dead {
-					return
-				}
-				localNodes++
-				if localNodes&pollMask == 0 && !poll() {
-					dead = true
+				if !w.node() {
 					return
 				}
 				if cnt >= quota {
-					inj.Disturb(ctx, ptIncumbent)
-					if best.offer(cur, cnt) {
-						frec.Record(flight.Event{Kind: flight.KindIncumbent, Name: "ilp.partial", Stage: "solve",
-							Detail: strconv.Itoa(len(cur)) + " sets", Value: incumbents.Add(1)})
-					}
+					w.offer(cur, cnt)
 					return
 				}
 				// Sets a completion may still add without being longer than
 				// the incumbent.
-				bnd, score := best.bound()
-				allowed := bnd - d
+				bnd, score := w.bound()
+				allowed := bnd - depth
 				if allowed < 1 || pos >= len(order) {
 					return
 				}
@@ -762,24 +589,24 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 				// which skips its gain sweep.
 				si, marginal := order[pos], gain[pos]
 				include := marginal > 0 && marginal+top1[pos+1] >= quota-cnt
-				if workers > 1 && fr.Hungry() {
+				if w.hungry() {
 					// Offload the exclude subtree, recurse include locally
 					// (serial order is include first).
-					fr.Push(id, partialTask{
+					w.push(partialTask{
 						pos:     pos + 1,
 						cur:     append([]int(nil), cur...),
 						covered: covered.Clone(),
 						cnt:     cnt,
 					})
 					if include {
-						nc := covAt(d)
+						nc := covAt(depth)
 						nc.SetOr(covered, sub[si])
 						dfs(pos+1, append(cur, si), nc, cnt+marginal)
 					}
 					return
 				}
 				if include {
-					nc := covAt(d)
+					nc := covAt(depth)
 					nc.SetOr(covered, sub[si])
 					cur = append(cur, si)
 					dfs(pos+1, cur, nc, cnt+marginal)
@@ -788,19 +615,8 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 				pos++ // exclude order[pos]: same covered set, next position
 			}
 		}
-		for {
-			t, st, ok := fr.Pop(id)
-			if !ok {
-				break
-			}
-			if st {
-				stolen.Add(1)
-			}
-			dfs(t.pos, t.cur, t.covered, t.cnt)
-		}
-		nodes.Add(localNodes & pollMask)
+		w.loop(func(t partialTask) { dfs(t.pos, t.cur, t.covered, t.cnt) })
 	})
-	stopped := stop.get()
 	// Root bound for the exit gap: covering the quota needs at least as
 	// many sets as the largest-first size prefix reaching it.
 	rootLB, gain := 0, 0
@@ -808,26 +624,7 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 		gain += size[order[i]]
 		rootLB++
 	}
-	res.Nodes = int(nodes.Load())
-	res.Incumbents = int(incumbents.Load())
-	res.Selected = best.snapshot()
-	res.Optimal = stopped == stopNone
-	if !res.Optimal {
-		// As in SetCover: never return more sets than the heuristic.
-		if g := dropRedundant(sets, universe, quota, incumbent); len(g) < len(res.Selected) {
-			res.Selected = g
-		}
-		res.Degradation = fmerr.DegradeIncumbent
-		if total := len(res.Selected); total > rootLB && total > 0 {
-			res.Gap = float64(total-rootLB) / float64(total)
-		}
-	}
-	recordSolve(ctx, res.Nodes, res.Incumbents, res.Optimal, res.Gap)
-	recordPool(ctx, workers, stolen.Load())
-	if stopped == stopCanceled {
-		return res, fmerr.Wrap(fmerr.StageSolve, "partialcover", ctx.Err())
-	}
-	return res, nil
+	return d.result(best, rootLB, heuristic)
 }
 
 // topSums sets top[j] and top1[j], for every j in [pos, len(gain)], to the

@@ -1,12 +1,9 @@
 package ilp
 
 import (
-	"context"
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"fastmon/internal/obs"
 )
 
 // stopFlag is the shared early-stop state of a parallel search. The first
@@ -105,16 +102,4 @@ func lexLess(a, b []int) bool {
 		}
 	}
 	return len(a) < len(b)
-}
-
-// recordPool rolls one parallel solve's pool stats into the observer: the
-// resolved worker count and how many frontier subproblems were executed
-// by a worker other than the one that produced them.
-func recordPool(ctx context.Context, workers int, stolen int64) {
-	o := obs.From(ctx)
-	if o == nil {
-		return
-	}
-	o.Gauge("ilp.workers").Set(float64(workers))
-	o.Counter("ilp.nodes_stolen").Add(stolen)
 }

@@ -53,22 +53,18 @@ func referenceBuild(ctx context.Context, data []detect.FaultData, opt Options) (
 	var selected []int
 	var err error
 	switch {
-	case opt.Method == ILP && quota == coverable:
-		var res ilp.CoverResult
-		res, err = solveBudgeted(ctx, opt, func(sctx context.Context) (ilp.CoverResult, error) {
-			return ilp.SetCover(sctx, sets, universe, ilp.Options{Workers: opt.Workers})
-		})
-		selected, s.FreqOptimal = res.Selected, res.Optimal
-		s.Degradation = fmerr.Worse(s.Degradation, res.Degradation)
-		s.Solver.add(res)
 	case opt.Method == ILP:
+		sctx, cancel := context.WithTimeout(ctx, opt.budget())
 		var res ilp.CoverResult
-		res, err = solveBudgeted(ctx, opt, func(sctx context.Context) (ilp.CoverResult, error) {
-			return ilp.PartialCover(sctx, sets, universe, quota, ilp.Options{Workers: opt.Workers})
-		})
+		if quota == coverable {
+			res, err = ilp.SetCover(sctx, sets, universe, ilp.Options{Workers: opt.Workers})
+		} else {
+			res, err = ilp.PartialCover(sctx, sets, universe, quota, ilp.Options{Workers: opt.Workers})
+		}
+		cancel()
 		selected, s.FreqOptimal = res.Selected, res.Optimal
 		s.Degradation = fmerr.Worse(s.Degradation, res.Degradation)
-		s.Solver.add(res)
+		s.Solver.Merge(SolverStats{Solves: 1, Nodes: res.Nodes, Incumbents: res.Incumbents, MaxGap: res.Gap})
 	case quota == coverable:
 		selected, err = ilp.GreedyCover(sets, universe)
 	default:
@@ -177,9 +173,9 @@ func referenceOptimizeCombos(ctx context.Context, data []detect.FaultData, plan 
 	}
 	var chosen []int
 	if opt.Method == ILP {
-		res, err := solveBudgeted(ctx, opt, func(sctx context.Context) (ilp.CoverResult, error) {
-			return ilp.SetCover(sctx, sets, target, ilp.Options{Workers: opt.Workers})
-		})
+		sctx, cancel := context.WithTimeout(ctx, opt.budget())
+		res, err := ilp.SetCover(sctx, sets, target, ilp.Options{Workers: opt.Workers})
+		cancel()
 		if err != nil {
 			return err
 		}
@@ -188,7 +184,7 @@ func referenceOptimizeCombos(ctx context.Context, data []detect.FaultData, plan 
 			s.CombosOptimal = false
 		}
 		s.Degradation = fmerr.Worse(s.Degradation, res.Degradation)
-		s.Solver.add(res)
+		s.Solver.Merge(SolverStats{Solves: 1, Nodes: res.Nodes, Incumbents: res.Incumbents, MaxGap: res.Gap})
 	} else {
 		var err error
 		chosen, err = ilp.GreedyCover(sets, target)

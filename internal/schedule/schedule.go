@@ -143,18 +143,16 @@ type SolverStats struct {
 	MaxGap float64 `json:"max_gap,omitempty"`
 }
 
-// add rolls one exact solve's effort into the totals. It is not itself
-// goroutine-safe (SolverStats is a plain value that gets copied and
-// JSON-marshaled); Build serializes concurrent merges under one mutex.
-// Every merged quantity is commutative — sums and a max — so the merged
-// totals are order-independent.
-func (st *SolverStats) add(res ilp.CoverResult) {
-	st.Solves++
-	st.Nodes += res.Nodes
-	st.Incumbents += res.Incumbents
-	if res.Gap > st.MaxGap {
-		st.MaxGap = res.Gap
-	}
+// Merge rolls the effort o into the totals: counts add and MaxGap takes
+// the larger. It is not goroutine-safe (SolverStats is a plain value that
+// gets copied and JSON-marshaled); Build serializes concurrent merges
+// under one mutex. Sums and a max commute, so merged totals do not depend
+// on the merge order.
+func (st *SolverStats) Merge(o SolverStats) {
+	st.Solves += o.Solves
+	st.Nodes += o.Nodes
+	st.Incumbents += o.Incumbents
+	st.MaxGap = max(st.MaxGap, o.MaxGap)
 }
 
 // Schedule is the complete FAST schedule S ⊆ F × P × C.
@@ -179,6 +177,20 @@ type Schedule struct {
 	Degradation fmerr.Degradation
 	// Solver summarizes the exact-solver effort behind this schedule.
 	Solver SolverStats
+}
+
+// merge rolls one covering solve of the schedule into its bookkeeping and
+// reports whether the solve proved optimality. Only the ILP method's
+// solves are exact: a greedy cover proves nothing and costs no solver
+// effort, and the heuristic is the requested algorithm there, not a
+// degradation of it.
+func (s *Schedule) merge(res ilp.CoverResult) bool {
+	if s.Method != ILP {
+		return false
+	}
+	s.Degradation = fmerr.Worse(s.Degradation, res.Degradation)
+	s.Solver.Merge(SolverStats{Solves: 1, Nodes: res.Nodes, Incumbents: res.Incumbents, MaxGap: res.Gap})
+	return res.Optimal
 }
 
 // NumFrequencies returns |F|, the number of selected clock periods.
@@ -455,36 +467,12 @@ func (p *Problem) build(ctx context.Context, opt Options) (*Schedule, error) {
 		sets[i] = c.Faults
 	}
 	quota := Quota(coverable, opt.Coverage)
-	var selected []int
-	switch {
-	case opt.Method == ILP && quota == coverable:
-		res, err := solveBudgeted(ctx, opt, func(sctx context.Context) (ilp.CoverResult, error) {
-			return ilp.SetCover(sctx, sets, universe, ilp.Options{Workers: opt.Workers})
-		})
-		if err != nil {
-			return nil, fmerr.Wrap(fmerr.StageSchedule, "frequency-selection", err)
-		}
-		selected, s.FreqOptimal = res.Selected, res.Optimal
-		s.Degradation = fmerr.Worse(s.Degradation, res.Degradation)
-		s.Solver.add(res)
-	case opt.Method == ILP:
-		res, err := solveBudgeted(ctx, opt, func(sctx context.Context) (ilp.CoverResult, error) {
-			return ilp.PartialCover(sctx, sets, universe, quota, ilp.Options{Workers: opt.Workers})
-		})
-		if err != nil {
-			return nil, fmerr.Wrap(fmerr.StageSchedule, "frequency-selection", err)
-		}
-		selected, s.FreqOptimal = res.Selected, res.Optimal
-		s.Degradation = fmerr.Worse(s.Degradation, res.Degradation)
-		s.Solver.add(res)
-	default:
-		// Greedy; at full coverage the quota is the whole universe.
-		var err error
-		selected, err = ilp.GreedyPartialCover(sets, universe, quota)
-		if err != nil {
-			return nil, fmerr.Wrap(fmerr.StageSchedule, "frequency-selection", err)
-		}
+	res, err := solve(ctx, opt, sets, universe, quota)
+	if err != nil {
+		return nil, fmerr.Wrap(fmerr.StageSchedule, "frequency-selection", err)
 	}
+	selected := res.Selected
+	s.FreqOptimal = s.merge(res)
 
 	// Fault dropping: process the selected periods by decreasing fault
 	// count; each fault is assigned to the first period that detects it.
@@ -546,19 +534,6 @@ func (p *Problem) build(ctx context.Context, opt Options) (*Schedule, error) {
 	cfgs := comboConfigs(opt, delays)
 	var mu sync.Mutex
 	step2Start := time.Now()
-	record := func(res ilp.CoverResult, isILP bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !isILP {
-			s.CombosOptimal = false
-			return
-		}
-		if !res.Optimal {
-			s.CombosOptimal = false
-		}
-		s.Degradation = fmerr.Worse(s.Degradation, res.Degradation)
-		s.Solver.add(res)
-	}
 	busy, err := par.Each(workers, len(plans), func(_, pi int) error {
 		if err := ctx.Err(); err != nil {
 			return fmerr.Wrap(fmerr.StageSchedule, "combo-selection", err)
@@ -566,7 +541,14 @@ func (p *Problem) build(ctx context.Context, opt Options) (*Schedule, error) {
 		if err := chaos.Point(ctx, ptCombo); err != nil {
 			return fmerr.Wrap(fmerr.StageSchedule, "combo-selection", err)
 		}
-		return optimizeCombos(ctx, data, &plans[pi], opt, delays, cfgs, record)
+		res, err := optimizeCombos(ctx, data, &plans[pi], opt, delays, cfgs)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		s.CombosOptimal = s.merge(res) && s.CombosOptimal
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -605,25 +587,32 @@ func Quota(coverable int, coverage float64) int {
 	return int(q)
 }
 
-// solveBudgeted runs one exact covering solve under a child context
-// carrying the per-solve time budget (the paper aborts its ILP after one
-// hour; exceeding the budget falls back to the incumbent).
-func solveBudgeted(ctx context.Context, opt Options,
-	solve func(context.Context) (ilp.CoverResult, error)) (ilp.CoverResult, error) {
+// solve covers quota elements of universe with sets for one step of a
+// schedule: under the ILP method exactly, by SetCover for the whole
+// universe and PartialCover below it, in a child context carrying the
+// per-solve budget (the paper aborts its ILP after one hour); otherwise by
+// the greedy cover of [17], unproven.
+func solve(ctx context.Context, opt Options, sets []*bitset.Set, universe *bitset.Set, quota int) (ilp.CoverResult, error) {
+	if opt.Method != ILP {
+		sel, err := ilp.GreedyPartialCover(sets, universe, quota)
+		return ilp.CoverResult{Selected: sel}, err
+	}
 	sctx, cancel := context.WithTimeout(ctx, opt.budget())
 	defer cancel()
-	return solve(sctx)
+	if quota == universe.Count() {
+		return ilp.SetCover(sctx, sets, universe, ilp.Options{Workers: opt.Workers})
+	}
+	return ilp.PartialCover(sctx, sets, universe, quota, ilp.Options{Workers: opt.Workers})
 }
 
 // optimizeCombos fills plan.Combos with a minimal covering set of
-// (pattern, config) combinations for the faults assigned to the period.
-// Membership is tested on the raw ranges (see ViaMonitor): the FF range
-// once per pattern, the SR range once per config only where FF misses.
-// The period is a Step-0 candidate, so it lies in the observation window.
-// The caller owns plan; shared schedule bookkeeping goes through record,
-// which must be safe for concurrent use (Step 2 fans out across plans).
+// (pattern, config) combinations for the faults assigned to the period
+// and returns the solve for the caller to merge. Membership is tested on
+// the raw ranges (see ViaMonitor): the FF range once per pattern, the SR
+// range once per config only where FF misses. The period is a Step-0
+// candidate, so it lies in the observation window. The caller owns plan.
 func optimizeCombos(ctx context.Context, data []detect.FaultData, plan *PeriodPlan, opt Options,
-	delays []tunit.Time, cfgs []int, record func(res ilp.CoverResult, isILP bool)) error {
+	delays []tunit.Time, cfgs []int) (ilp.CoverResult, error) {
 
 	type key struct{ pattern, config int }
 	cover := map[key]*bitset.Set{}
@@ -660,28 +649,14 @@ func optimizeCombos(ctx context.Context, data []detect.FaultData, plan *PeriodPl
 	for _, fi := range plan.Faults {
 		target.Add(fi)
 	}
-	var chosen []int
-	if opt.Method == ILP {
-		res, err := solveBudgeted(ctx, opt, func(sctx context.Context) (ilp.CoverResult, error) {
-			return ilp.SetCover(sctx, sets, target, ilp.Options{Workers: opt.Workers})
-		})
-		if err != nil {
-			return fmerr.Wrap(fmerr.StageSchedule, fmt.Sprintf("combo-selection@%s", plan.Period), err)
-		}
-		chosen = res.Selected
-		record(res, true)
-	} else {
-		var err error
-		chosen, err = ilp.GreedyCover(sets, target)
-		if err != nil {
-			return fmerr.Wrap(fmerr.StageSchedule, fmt.Sprintf("combo-selection@%s", plan.Period), err)
-		}
-		record(ilp.CoverResult{}, false)
+	res, err := solve(ctx, opt, sets, target, len(plan.Faults))
+	if err != nil {
+		return res, fmerr.Wrap(fmerr.StageSchedule, fmt.Sprintf("combo-selection@%s", plan.Period), err)
 	}
-	for _, i := range chosen {
+	for _, i := range res.Selected {
 		plan.Combos = append(plan.Combos, Combo{Pattern: keys[i].pattern, Config: keys[i].config})
 	}
-	return nil
+	return res, nil
 }
 
 // Validate checks that the schedule really covers every fault it claims:
