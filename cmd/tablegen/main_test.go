@@ -105,6 +105,22 @@ func TestDefaultRunTableI(t *testing.T) {
 	checkGolden(t, "default_table1.golden", []byte(withoutTotal(out.String())))
 }
 
+// TestDefaultLifetime pins the default run's lifetime sweep: -lifetime
+// sweeps the first selected circuit, s9234 by default, so -lifetime
+// -circuits s9234 -workers 2 at the default scale, fault budget and solver
+// budget prints the default run's sweep, and must print
+// testdata/default_lifetime.golden apart from the "# total" line. The run
+// takes about half a second. EXPERIMENTS.md's "Lifetime sweep" block is
+// kept equal to the golden (TestExperimentsLifetime).
+func TestDefaultLifetime(t *testing.T) {
+	cfg := exper.SuiteConfig{Names: []string{"s9234"}, Workers: 2}
+	var out, log strings.Builder
+	if err := run(context.Background(), &out, &log, cfg, options{lifetime: true}, nil); err != nil {
+		t.Fatalf("%v\n%s", err, log.String())
+	}
+	checkGolden(t, "default_lifetime.golden", []byte(withoutTotal(out.String())))
+}
+
 // TestRunStopEmitsPartialTables: a stop requested before the first circuit
 // still renders the (empty) tables with a partial-results banner instead
 // of failing.

@@ -10,14 +10,29 @@ import (
 // the default run's pinned golden: the first code block under its
 // "## Table I" heading must hold exactly the golden's table lines.
 func TestExperimentsTableI(t *testing.T) {
-	const goldenPath = "cmd/tablegen/testdata/default_table1.golden"
+	checkDocTable(t, "## Table I ", "cmd/tablegen/testdata/default_table1.golden", "TABLE I.")
+}
+
+// TestExperimentsLifetime keeps the lifetime sweep of EXPERIMENTS.md in
+// step with the default run's pinned golden: the first code block under
+// its "## Lifetime sweep" heading must hold exactly the golden's table
+// lines.
+func TestExperimentsLifetime(t *testing.T) {
+	checkDocTable(t, "## Lifetime sweep ", "cmd/tablegen/testdata/default_lifetime.golden", "Lifetime sweep:")
+}
+
+// checkDocTable requires the first code block under EXPERIMENTS.md's
+// heading to hold exactly the table that follows the caption line in the
+// golden, up to the next blank line.
+func checkDocTable(t *testing.T, heading, goldenPath, caption string) {
+	t.Helper()
 	golden, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want, ok := strings.Cut(string(golden), "\nTABLE I.")
+	_, want, ok := strings.Cut(string(golden), "\n"+caption)
 	if !ok {
-		t.Fatalf("%s has no Table I", goldenPath)
+		t.Fatalf("%s has no %q caption", goldenPath, caption)
 	}
 	_, want, _ = strings.Cut(want, "\n") // the caption line
 	want, _, _ = strings.Cut(want, "\n\n")
@@ -26,17 +41,17 @@ func TestExperimentsTableI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, section, ok := strings.Cut(string(doc), "\n## Table I ")
+	_, section, ok := strings.Cut(string(doc), "\n"+heading)
 	if !ok {
-		t.Fatal(`EXPERIMENTS.md has no "## Table I" section`)
+		t.Fatalf("EXPERIMENTS.md has no %q section", heading)
 	}
 	_, block, ok := strings.Cut(section, "```\n")
 	if !ok {
-		t.Fatal("EXPERIMENTS.md's Table I section has no code block")
+		t.Fatalf("EXPERIMENTS.md's %q section has no code block", heading)
 	}
 	block, _, _ = strings.Cut(block, "```")
 	if got, want := strings.TrimSpace(block), strings.TrimSpace(want); got != want {
-		t.Errorf("EXPERIMENTS.md's Table I differs from %s; copy the golden's rows:\n%s\n\nEXPERIMENTS.md has:\n%s",
-			goldenPath, want, got)
+		t.Errorf("EXPERIMENTS.md's %q block differs from %s; copy the golden's rows:\n%s\n\nEXPERIMENTS.md has:\n%s",
+			heading, goldenPath, want, got)
 	}
 }

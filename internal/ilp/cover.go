@@ -3,24 +3,33 @@
 // cover and PartialCover the fewest sets that cover a quota of the
 // universe. Both run branch-and-bound seeded with the greedy cover
 // (GreedyCover, GreedyPartialCover), which is also the heuristic of [17].
-// SetCover presolves with essential columns and column dominance and
-// bounds with ⌈|uncovered| / largest gain⌉. PartialCover bounds with
-// marginal gains: coverage is submodular, so no set adds more than its
-// gain |S ∖ covered|, and a node is pruned when the largest gains of the
-// sets still allowed can reach neither the quota with fewer sets than the
-// incumbent nor the incumbent's covered count with as many. Both searches
-// run in one driver (solve.go) on a work-sharing frontier (Options.Workers)
-// under a deterministic incumbent tie-break (parallel.go), so a completed
-// solve's Selected is bit-identical for every worker count. A context
-// deadline stands in for the commercial ILP tool the paper aborts after a
-// 1-hour timeout: the search then returns its best incumbent with a nil
-// error, cancellation returns it with an error wrapping context.Canceled,
-// and either abort returns the heuristic's answer — greedy less its
-// redundant sets — when that is shorter.
+// SetCover presolves with essential columns and column dominance, bounds
+// with ⌈|uncovered| / largest gain⌉ and branches on the uncovered element
+// with the fewest covering sets, a count fixed at the root. PartialCover
+// bounds with marginal gains: coverage is submodular, so no set adds more
+// than its gain |S ∖ covered|, and a node is pruned when the largest gains
+// of the sets still allowed can reach neither the quota with fewer sets
+// than the incumbent nor the incumbent's covered count with as many. Two
+// cuts sharpen it: the lost-fault cut counts the uncovered elements whose
+// every holder the path excluded and prunes a node that cannot reach the
+// quota without them, and the lazy first test bounds a new frame from its
+// parent's gains, computing only those that can change the sums, and
+// sweeps them all only when that test passes. Every cut removes only
+// selections that lose to the incumbent, so each solve returns what the
+// plain bound does. Both searches run in one driver (solve.go) on a
+// work-sharing frontier (Options.Workers) under a deterministic incumbent
+// tie-break (parallel.go), so a completed solve's Selected is
+// bit-identical for every worker count. A context deadline stands in for
+// the commercial ILP tool the paper aborts after a 1-hour timeout: the
+// search then returns its best incumbent with a nil error, cancellation
+// returns it with an error wrapping context.Canceled, and either abort
+// returns the heuristic's answer — greedy less its redundant sets — when
+// that is shorter.
 package ilp
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"fastmon/internal/bitset"
@@ -227,6 +236,13 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 		}
 	}
 
+	// Branch on the uncovered element with the fewest covering sets, the
+	// smallest on ties. Every set of coverOf[e] holds e, so it meets the
+	// uncovered set wherever e is uncovered: the count is len(coverOf[e]) at
+	// every node. elems is sorted by it once (stably, so ties stay
+	// ascending), and a node's pick is its first uncovered element.
+	slices.SortStableFunc(elems, func(a, b int) int { return len(coverOf[a]) - len(coverOf[b]) })
+
 	// Greedy incumbent. Coverability was established above, so a greedy
 	// failure here is an internal inconsistency worth surfacing.
 	incumbent, err := GreedyCover(sub, uncovered)
@@ -234,11 +250,11 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 		return CoverResult{}, err
 	}
 
-	// Branch on the element with the fewest covering sets; children try
-	// each covering set in decreasing gain order (index ascending on
-	// ties). Subtrees are pruned only when strictly worse than the
-	// incumbent so every optimal cover stays reachable and the bestList
-	// tie-break makes the outcome interleaving-independent.
+	// Children try each set covering the picked element in decreasing gain
+	// order (index ascending on ties). Subtrees are pruned only when
+	// strictly worse than the incumbent so every optimal cover stays
+	// reachable and the bestList tie-break makes the outcome
+	// interleaving-independent.
 	best := d.run(incumbent, 0, coverTask{unc: uncovered.Clone()}, func(w worker[coverTask]) {
 		// Per-depth scratch: the DFS is strictly nested, so one uncovered
 		// set and one candidate list per depth replace the per-node clones
@@ -265,23 +281,11 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 			if n, _ := w.bound(); len(cur)+lowerBound(sub, unc) > n {
 				return
 			}
-			// Pick the uncovered element with fewest alive covering sets.
-			pickE, pickCnt := -1, 1<<30
+			pickE := -1
 			for _, e := range elems {
-				if !unc.Has(e) {
-					continue
-				}
-				cnt := 0
-				for _, si := range coverOf[e] {
-					if sub[si].IntersectionCount(unc) > 0 {
-						cnt++
-					}
-				}
-				if cnt < pickCnt {
-					pickE, pickCnt = e, cnt
-					if cnt <= 1 {
-						break
-					}
+				if unc.Has(e) {
+					pickE = e
+					break
 				}
 			}
 			depth := len(cur)
@@ -444,13 +448,16 @@ func GreedyPartialCover(sets []*bitset.Set, universe *bitset.Set, quota int) ([]
 }
 
 // partialTask is one subproblem of the PartialCover search: the next
-// position in the size-ordered set list, the sets chosen so far, and the
-// elements they cover. Each task owns its slice and bitset.
+// position in the size-ordered set list, the sets chosen so far, the
+// elements they cover, and how many of the uncovered elements the sets at
+// the position and after it hold none of (lost). Each task owns its slice
+// and bitset.
 type partialTask struct {
 	pos     int
 	cur     []int
 	covered *bitset.Set
 	cnt     int
+	lost    int
 }
 
 // PartialCover finds a minimum number of sets covering at least quota
@@ -460,8 +467,12 @@ type partialTask struct {
 // still add k sets before it is longer than the incumbent is pruned when
 // the k−1 largest gains |S ∖ C| over the sets not yet decided cannot
 // reach the quota and the k largest cannot reach the incumbent's covered
-// count. It returns an error when the quota is unreachable; its search,
-// determinism and context contract are SetCover's.
+// count. Both sums are capped by the reach, the uncovered elements some
+// undecided set still holds; elements every holder of which the path
+// excluded are lost, and a node whose lost elements leave less than the
+// quota is pruned before its gains are computed. It returns an error when
+// the quota is unreachable; its search, determinism and context contract
+// are SetCover's.
 func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, quota int, opts Options) (CoverResult, error) {
 	if quota <= 0 {
 		return CoverResult{Optimal: true}, nil
@@ -501,11 +512,15 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 		return order[a] < order[b]
 	})
 
+	nU := universe.Count()
+	lh := newLastHolders(sub, order, universe)
 	seedCov := bitset.New(universe.Len())
 	for _, si := range incumbent {
 		seedCov.Or(sub[si])
 	}
-	best := d.run(incumbent, seedCov.Count(), partialTask{covered: bitset.New(universe.Len())}, func(w worker[partialTask]) {
+	// The root's lost elements are those no set holds.
+	root := partialTask{covered: bitset.New(universe.Len()), lost: nU - len(lh.elems)}
+	best := d.run(incumbent, seedCov.Count(), root, func(w worker[partialTask]) {
 		// Per-depth scratch: include children at selection depth d always
 		// finish before the parent includes again at the same depth, so one
 		// covered set per depth replaces the per-node Clone that dominated
@@ -537,21 +552,26 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 		// zero-marginal set (dropping it would shrink the solution), so the
 		// filter cannot hide an optimum from the tie-break — and the bound
 		// does not rule the child out. Both prune only subtrees whose every
-		// selection loses to the incumbent.
-		var dfs func(pos int, cur []int, covered *bitset.Set, cnt int)
-		dfs = func(pos int, cur []int, covered *bitset.Set, cnt int) {
+		// selection loses to the incumbent. up holds the parent frame's
+		// gains (nil for a task's first frame): the child covers more, so
+		// they bound its gains from above.
+		var dfs func(pos int, cur []int, covered *bitset.Set, cnt, lost int, up []int)
+		dfs = func(pos int, cur []int, covered *bitset.Set, cnt, lost int, up []int) {
 			// The bound: with covered fixed, no set adds more than its
 			// marginal gain (coverage is submodular), so a completion with
 			// at most k more sets covers at most cnt plus the k largest
-			// gains over order[pos:]. A node that may add k sets before it
-			// is longer than the incumbent is pruned when the k-1 largest
-			// gains cannot reach the quota (no shorter selection) and the k
-			// largest cannot reach the incumbent's covered count (no equal
-			// one that wins the tie-break). The covered set is constant
-			// along the exclude chain, so the gains and the suffix sums of
-			// their k and k-1 largest (top, top1) are computed once per
-			// frame; k only shrinks, when the incumbent improves, and the
-			// sums are then recomputed.
+			// gains over order[pos:], and at most cnt plus the reach, the
+			// uncovered elements order[pos:] holds. A node that may add k
+			// sets before it is longer than the incumbent is pruned when the
+			// k-1 largest gains cannot reach the quota (no shorter
+			// selection) and the k largest cannot reach the incumbent's
+			// covered count (no equal one that wins the tie-break), each
+			// capped by the reach. The covered set is constant along the
+			// exclude chain, so the gains and the suffix sums of their k and
+			// k-1 largest (top, top1) are computed once per frame; k only
+			// shrinks, when the incumbent improves, and the sums are then
+			// recomputed. The reach only shrinks along the chain, as
+			// excluded sets lose elements no later set holds.
 			depth := len(cur)
 			gain, top, top1 := boundAt(depth)
 			k := 0 // the k the sums hold; 0 until the frame's first node
@@ -567,10 +587,24 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 				// the incumbent.
 				bnd, score := w.bound()
 				allowed := bnd - depth
-				if allowed < 1 || pos >= len(order) {
+				// At pos = len(order) every uncovered element is lost, so
+				// the reach test ends every chain there.
+				reach := nU - cnt - lost
+				if allowed < 1 || reach < quota-cnt {
 					return
 				}
 				if k == 0 {
+					// The frame's first test: the parent's gains bound this
+					// frame's, so lazyTop computes only those that can
+					// change the sums. Most frames end here; the rest sweep
+					// every gain.
+					if up != nil {
+						t, t1, h := lazyTop(sub, order, covered, up, pos, allowed, buf)
+						buf = h
+						if min(t1, reach) < quota-cnt && min(t, reach) < score-cnt {
+							return
+						}
+					}
 					for j := pos; j < len(order); j++ {
 						gain[j] = sub[order[j]].AndNotCount(covered)
 					}
@@ -579,16 +613,19 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 					k = allowed
 					buf = topSums(gain, pos, k, top, top1, buf)
 				}
-				if top1[pos] < quota-cnt && top[pos] < score-cnt {
+				if min(top1[pos], reach) < quota-cnt && min(top[pos], reach) < score-cnt {
 					return // the sums shrink with pos: the chain ends here
 				}
 				// Including order[pos] leaves k-1 sets whose gains over the
 				// grown covered set are at most gain[pos+1:]; the child can
 				// beat or tie the incumbent only if marginal + top1 reaches
 				// the deficit (score ≥ quota), so it is pruned here otherwise,
-				// which skips its gain sweep.
+				// which skips its gain sweep. The included set holds no lost
+				// element, so the child inherits the count; excluding
+				// order[pos] loses the uncovered elements it held last.
 				si, marginal := order[pos], gain[pos]
 				include := marginal > 0 && marginal+top1[pos+1] >= quota-cnt
+				excluded := lh.exclude(pos, covered, lost)
 				if w.hungry() {
 					// Offload the exclude subtree, recurse include locally
 					// (serial order is include first).
@@ -597,11 +634,12 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 						cur:     append([]int(nil), cur...),
 						covered: covered.Clone(),
 						cnt:     cnt,
+						lost:    excluded,
 					})
 					if include {
 						nc := covAt(depth)
 						nc.SetOr(covered, sub[si])
-						dfs(pos+1, append(cur, si), nc, cnt+marginal)
+						dfs(pos+1, append(cur, si), nc, cnt+marginal, lost, gain)
 					}
 					return
 				}
@@ -609,13 +647,14 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 					nc := covAt(depth)
 					nc.SetOr(covered, sub[si])
 					cur = append(cur, si)
-					dfs(pos+1, cur, nc, cnt+marginal)
+					dfs(pos+1, cur, nc, cnt+marginal, lost, gain)
 					cur = cur[:len(cur)-1]
 				}
 				pos++ // exclude order[pos]: same covered set, next position
+				lost = excluded
 			}
 		}
-		w.loop(func(t partialTask) { dfs(t.pos, t.cur, t.covered, t.cnt) })
+		w.loop(func(t partialTask) { dfs(t.pos, t.cur, t.covered, t.cnt, t.lost, nil) })
 	})
 	// Root bound for the exit gap: covering the quota needs at least as
 	// many sets as the largest-first size prefix reaching it.
@@ -625,6 +664,67 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 		rootLB++
 	}
 	return d.result(best, rootLB, heuristic)
+}
+
+// lastHolders lists each element of the universe under the position of
+// its last holder in the size order: elems[end[p+1]:end[p]] holds order[p]
+// last, and end[len(order)] = 0. The sets are restricted to the universe,
+// so elems holds at most its count; both slices are cut from one
+// allocation.
+type lastHolders struct{ end, elems []int }
+
+func newLastHolders(sub []*bitset.Set, order []int, universe *bitset.Set) lastHolders {
+	n := len(order)
+	store := make([]int, n+1+universe.Count())
+	lh := lastHolders{end: store[:n+1], elems: store[n+1 : n+1]}
+	held := coverPool.Get(universe.Len())
+	for p := n - 1; p >= 0; p-- {
+		s := sub[order[p]]
+		for e := s.NextSet(0); e >= 0; e = s.NextSet(e + 1) {
+			if !held.Has(e) {
+				lh.elems = append(lh.elems, e)
+			}
+		}
+		held.Or(s)
+		lh.end[p] = len(lh.elems)
+	}
+	coverPool.Put(held)
+	return lh
+}
+
+// exclude returns the lost count of a path that covers covered once it
+// excludes order[pos]: lost plus the elements order[pos] holds last that
+// covered does not hold.
+func (lh lastHolders) exclude(pos int, covered *bitset.Set, lost int) int {
+	for _, e := range lh.elems[lh.end[pos+1]:lh.end[pos]] {
+		if !covered.Has(e) {
+			lost++
+		}
+	}
+	return lost
+}
+
+// lazyTop returns what topSums would set top[pos] and top1[pos] to, for
+// the gains |sub[order[j]] ∖ covered| over j ≥ pos, given an upper bound
+// up[j] on each. It walks the gains once holding the k largest found so
+// far, and computes a gain only when its bound exceeds the smallest of k
+// held ones: a gain at or below it changes neither sum. buf is the
+// holding buffer's storage; the grown slice is returned for reuse.
+func lazyTop(sub []*bitset.Set, order []int, covered *bitset.Set, up []int, pos, k int, buf []int) (top, top1 int, h []int) {
+	h = buf[:0]
+	for j := pos; j < len(order); j++ {
+		if len(h) == k && up[j] <= h[0] {
+			continue
+		}
+		var d int
+		h, d = pushTop(h, k, sub[order[j]].AndNotCount(covered))
+		top += d
+	}
+	top1 = top
+	if len(h) == k {
+		top1 -= h[0]
+	}
+	return top, top1, h
 }
 
 // topSums sets top[j] and top1[j], for every j in [pos, len(gain)], to the
@@ -638,23 +738,10 @@ func topSums(gain []int, pos, k int, top, top1, buf []int) []int {
 	sum := 0
 	top[len(gain)], top1[len(gain)] = 0, 0
 	for j := len(gain) - 1; j >= pos; j-- {
-		g := gain[j]
-		switch {
-		case len(h) < k:
-			h = append(h, g)
-			i := len(h) - 1
-			for ; i > 0 && h[i-1] > g; i-- {
-				h[i] = h[i-1]
-			}
-			h[i] = g
-			sum += g
-		case g > h[0]:
-			sum += g - h[0]
-			i := 0
-			for ; i+1 < len(h) && h[i+1] < g; i++ {
-				h[i] = h[i+1]
-			}
-			h[i] = g
+		if g := gain[j]; len(h) < k || g > h[0] { // else h and sum stay
+			var d int
+			h, d = pushTop(h, k, g)
+			sum += d
 		}
 		top[j], top1[j] = sum, sum
 		if len(h) == k {
@@ -662,4 +749,28 @@ func topSums(gain []int, pos, k int, top, top1, buf []int) []int {
 		}
 	}
 	return h
+}
+
+// pushTop offers g to h, the ascending buffer of the k ≥ 1 largest values
+// offered so far, and returns the buffer and how much its sum grew.
+func pushTop(h []int, k, g int) ([]int, int) {
+	if len(h) < k {
+		h = append(h, g)
+		i := len(h) - 1
+		for ; i > 0 && h[i-1] > g; i-- {
+			h[i] = h[i-1]
+		}
+		h[i] = g
+		return h, g
+	}
+	if g <= h[0] {
+		return h, 0
+	}
+	d := g - h[0]
+	i := 0
+	for ; i+1 < len(h) && h[i+1] < g; i++ {
+		h[i] = h[i+1]
+	}
+	h[i] = g
+	return h, d
 }

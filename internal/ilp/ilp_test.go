@@ -259,58 +259,93 @@ func bruteForcePartial(sets []*bitset.Set, universe *bitset.Set, quota int) []in
 }
 
 // TestPartialCoverMatchesBruteForce compares PartialCover with the
-// brute-force tie-break winner on small random instances of varied
-// density. A bound that cuts a subtree holding a shorter selection, or an
-// equal one that wins the tie-break, shows here as a different Selected;
-// such instances are rare, hence the many trials.
+// brute-force tie-break winner on small random instances of two shapes: of
+// varied density with a quota drawn uniformly, and sparse, so many
+// elements of the universe have one holder or none, with a quota within 3
+// of the coverable count, where the lost-fault cut fires. A bound that
+// cuts a subtree holding a shorter selection, or an equal one that wins
+// the tie-break, shows here as a different Selected; such instances are
+// rare, hence the many trials. At two workers the root always offloads
+// its exclude subtree, so offloaded tasks carry the lost count. When the
+// greedy seed already wins, no incumbent moves the bound, and both worker
+// counts must expand the same nodes: an offloaded task that cuts less
+// than the serial search shows as extra nodes.
 func TestPartialCoverMatchesBruteForce(t *testing.T) {
 	withProcs(t, 2)
-	for trial := 0; trial < 1500; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
-		nElem := 5 + rng.Intn(12)
-		nSets := 3 + rng.Intn(9)
-		p := 0.2 + 0.4*rng.Float64()
-		sets := make([]*bitset.Set, nSets)
-		for i := range sets {
-			s := bitset.New(nElem)
-			for e := 0; e < nElem; e++ {
-				if rng.Float64() < p {
-					s.Add(e)
+	seedWins := 0
+	for _, shape := range []struct {
+		name                       string
+		minElem, minSets, spanSets int
+		minP, spanP                float64
+		tight                      bool
+	}{
+		{"varied", 5, 3, 9, 0.2, 0.4, false},
+		{"sparse, tight quota", 6, 4, 8, 0.1, 0.15, true},
+	} {
+		for trial := 0; trial < 1500; trial++ {
+			rng := rand.New(rand.NewSource(int64(trial)))
+			nElem := shape.minElem + rng.Intn(12)
+			nSets := shape.minSets + rng.Intn(shape.spanSets)
+			p := shape.minP + shape.spanP*rng.Float64()
+			sets := make([]*bitset.Set, nSets)
+			for i := range sets {
+				s := bitset.New(nElem)
+				for e := 0; e < nElem; e++ {
+					if rng.Float64() < p {
+						s.Add(e)
+					}
+				}
+				sets[i] = s
+			}
+			universe := full(nElem)
+			coverable := bitset.New(nElem)
+			for _, s := range sets {
+				coverable.Or(s)
+			}
+			maxCov := coverable.Count()
+			if maxCov == 0 {
+				continue
+			}
+			quota := 1 + rng.Intn(maxCov)
+			if shape.tight {
+				quota = max(1, maxCov-rng.Intn(4))
+			}
+			want := bruteForcePartial(sets, universe, quota)
+			var serial CoverResult
+			for _, w := range []int{1, 2} {
+				res, err := PartialCover(context.Background(), sets, universe, quota, Options{Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Optimal {
+					t.Fatalf("%s trial %d workers=%d: not proven optimal", shape.name, trial, w)
+				}
+				if !coverEqual(res.Selected, want) {
+					t.Fatalf("%s trial %d workers=%d: got %v, brute force %v (quota %d of %d coverable)",
+						shape.name, trial, w, res.Selected, want, quota, maxCov)
+				}
+				if w == 1 {
+					serial = res
+				} else if serial.Incumbents == 0 && res.Nodes != serial.Nodes {
+					t.Fatalf("%s trial %d: the greedy seed wins, yet 2 workers expanded %d nodes and 1 worker %d",
+						shape.name, trial, res.Nodes, serial.Nodes)
 				}
 			}
-			sets[i] = s
-		}
-		universe := full(nElem)
-		coverable := bitset.New(nElem)
-		for _, s := range sets {
-			coverable.Or(s)
-		}
-		maxCov := coverable.Count()
-		if maxCov == 0 {
-			continue
-		}
-		quota := 1 + rng.Intn(maxCov)
-		want := bruteForcePartial(sets, universe, quota)
-		for _, w := range []int{1, 2} {
-			res, err := PartialCover(context.Background(), sets, universe, quota, Options{Workers: w})
+			if serial.Incumbents == 0 {
+				seedWins++
+			}
+			// Greedy is never better than the optimum.
+			g, err := GreedyPartialCover(sets, universe, quota)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s trial %d: greedy failed on a reachable quota: %v", shape.name, trial, err)
 			}
-			if !res.Optimal {
-				t.Fatalf("trial %d workers=%d: not proven optimal", trial, w)
-			}
-			if !coverEqual(res.Selected, want) {
-				t.Fatalf("trial %d workers=%d: got %v, brute force %v (quota %d)", trial, w, res.Selected, want, quota)
+			if len(g) < len(want) {
+				t.Fatalf("%s trial %d: greedy beat the optimum?!", shape.name, trial)
 			}
 		}
-		// Greedy is never better than the optimum.
-		g, err := GreedyPartialCover(sets, universe, quota)
-		if err != nil {
-			t.Fatalf("trial %d: greedy failed on a reachable quota: %v", trial, err)
-		}
-		if len(g) < len(want) {
-			t.Fatalf("trial %d: greedy beat the optimum?!", trial)
-		}
+	}
+	if seedWins < 100 {
+		t.Fatalf("only %d trials compared node counts", seedWins)
 	}
 }
 
@@ -321,7 +356,12 @@ func TestPartialCoverMatchesBruteForce(t *testing.T) {
 // deficit, read from topSums — must never exceed the brute-force number of
 // allowed sets that completes the quota, and never fall below the
 // size-prefix bound, the fewest r whose r largest set sizes reach it.
-// topSums' two suffix sums are checked against sorting at every position.
+// topSums' two suffix sums are checked against sorting at every position,
+// and lazyTop, given upper bounds at or above the gains, must return
+// topSums' sums at pos. The reach, |U| − cnt − lost with lost counted as
+// the search counts it along the exclude chain, must make cnt + reach the
+// best coverage any selection from order[pos:] reaches: never below it (a
+// valid bound) and never above it (the count misses no lost element).
 func TestPartialCoverBoundIsValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const inf = 1 << 20
@@ -365,14 +405,19 @@ func TestPartialCoverBoundIsValid(t *testing.T) {
 		states++
 
 		gain := make([]int, nSets)
+		up := make([]int, nSets)
 		for j := pos; j < nSets; j++ {
 			gain[j] = sets[order[j]].AndNotCount(covered)
+			up[j] = gain[j] + rng.Intn(3)
 		}
 		top := make([]int, nSets+1)
 		top1 := make([]int, nSets+1)
 		bound := inf
 		for k := 1; k <= nSets-pos; k++ {
 			topSums(gain, pos, k, top, top1, nil)
+			if lt, lt1, _ := lazyTop(sets, order, covered, up, pos, k, nil); lt != top[pos] || lt1 != top1[pos] {
+				t.Fatalf("trial %d: lazyTop for k=%d is %d, %d; topSums %d, %d", trial, k, lt, lt1, top[pos], top1[pos])
+			}
 			for j := pos; j <= nSets; j++ {
 				desc := append([]int(nil), gain[j:]...)
 				sort.Sort(sort.Reverse(sort.IntSlice(desc)))
@@ -396,7 +441,7 @@ func TestPartialCoverBoundIsValid(t *testing.T) {
 				break
 			}
 		}
-		opt := inf
+		opt, bestCov := inf, covered.Count()
 		rest := order[pos:]
 		for mask := 1; mask < 1<<uint(len(rest)); mask++ {
 			cov := covered.Clone()
@@ -410,6 +455,16 @@ func TestPartialCoverBoundIsValid(t *testing.T) {
 			if cov.Count() >= quota && n < opt {
 				opt = n
 			}
+			bestCov = max(bestCov, cov.Count())
+		}
+		lh := newLastHolders(sets, order, full(nElem))
+		lost := nElem - len(lh.elems)
+		for p := 0; p < pos; p++ {
+			lost = lh.exclude(p, covered, lost)
+		}
+		if reach := nElem - covered.Count() - lost; covered.Count()+reach != bestCov {
+			t.Fatalf("trial %d: cnt %d + reach %d, best coverage from position %d is %d",
+				trial, covered.Count(), reach, pos, bestCov)
 		}
 		if bound > opt {
 			t.Fatalf("trial %d: bound %d exceeds the optimum %d", trial, bound, opt)
