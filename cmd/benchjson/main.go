@@ -84,6 +84,10 @@ type Result struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	Benchmem    bool    `json:"benchmem,omitempty"`
+
+	// procs is the GOMAXPROCS the line ran at: the -N that go test
+	// appends to the name when N > 1, else 1. It is not written out.
+	procs int
 }
 
 // Report is the emitted document.
@@ -98,10 +102,12 @@ type Report struct {
 	Benchmarks []Result           `json:"benchmarks"`
 	Speedups   map[string]float64 `json:"speedups,omitempty"`
 	// Warnings flags suspicious-but-not-failing results — currently any
-	// /parallel benchmark slower than its /serial pair, the signature of a
-	// parallelization that stopped paying for its coordination overhead.
-	// They ride in the committed payload so a reader of the BENCH file sees
-	// the caveat without rerunning anything.
+	// /parallel benchmark slower than its /serial pair when both ran on
+	// more than one CPU, the signature of a parallelization that stopped
+	// paying for its coordination overhead (at one CPU both variants run
+	// one worker, so their gap is noise). They ride in the committed
+	// payload so a reader of the BENCH file sees the caveat without
+	// rerunning anything.
 	Warnings []string `json:"warnings,omitempty"`
 
 	curPkg string // package of the lines being parsed right now
@@ -109,7 +115,7 @@ type Report struct {
 
 // benchLine matches a gotest benchmark result, e.g.
 // "BenchmarkDetect/event-8   42   35387135 ns/op   80944 B/op   470 allocs/op".
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(.*)$`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op(.*)$`)
 
 func parseLine(line string, rep *Report) {
 	line = strings.TrimRight(line, "\n")
@@ -137,10 +143,13 @@ func parseLine(line string, rep *Report) {
 	if m == nil {
 		return
 	}
-	r := Result{Name: m[1], Pkg: rep.curPkg}
-	r.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
-	r.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
-	rest := strings.Fields(m[4])
+	r := Result{Name: m[1], Pkg: rep.curPkg, procs: 1}
+	if m[2] != "" {
+		r.procs, _ = strconv.Atoi(m[2])
+	}
+	r.Iterations, _ = strconv.ParseInt(m[3], 10, 64)
+	r.NsPerOp, _ = strconv.ParseFloat(m[4], 64)
+	rest := strings.Fields(m[5])
 	for i := 0; i+1 < len(rest); i += 2 {
 		v, err := strconv.ParseInt(rest[i], 10, 64)
 		if err != nil {
@@ -220,13 +229,15 @@ func median(xs []float64) float64 {
 }
 
 // inversionWarnings reports every /parallel benchmark that ran slower
-// than its /serial counterpart. A speedup below 1.0 is not a gate failure
-// (the -compare threshold handles absolute regressions) but it inverts
-// the pairing's reason to exist, so it is surfaced loudly.
+// than its /serial counterpart, both on more than one CPU. A speedup
+// below 1.0 is not a gate failure (the -compare threshold handles
+// absolute regressions) but it inverts the pairing's reason to exist, so
+// it is surfaced loudly.
 func inversionWarnings(results []Result) []string {
 	var warns []string
-	eachPair(results, "/parallel", "/serial", func(label string, parNs, serNs float64) {
-		if parNs > serNs && serNs > 0 {
+	eachPair(results, "/parallel", "/serial", func(label string, par, ser Result) {
+		parNs, serNs := par.NsPerOp, ser.NsPerOp
+		if par.procs > 1 && ser.procs > 1 && parNs > serNs && serNs > 0 {
 			warns = append(warns, fmt.Sprintf("%s/parallel is %.2fx slower than %s/serial (%.0f vs %.0f ns/op)",
 				label, parNs/serNs, label, parNs, serNs))
 		}
@@ -238,21 +249,21 @@ func inversionWarnings(results []Result) []string {
 // eachPair calls fn for every benchmark family with both a variant (name
 // suffix fast) and a baseline (suffix base) in one package, passing the
 // family's label, prefixed with the package base name when the results
-// span several packages, and the two ns/op figures.
-func eachPair(results []Result, fast, base string, fn func(label string, fastNs, baseNs float64)) {
-	byName := map[string]float64{}
+// span several packages, and the two results.
+func eachPair(results []Result, fast, base string, fn func(label string, fastR, baseR Result)) {
+	byName := map[string]Result{}
 	multi := false
 	for _, r := range results {
-		byName[r.Pkg+"\x00"+r.Name] = r.NsPerOp
+		byName[r.Pkg+"\x00"+r.Name] = r
 		multi = multi || r.Pkg != ""
 	}
-	for key, fastNs := range byName {
+	for key, fastR := range byName {
 		pkg, name, _ := strings.Cut(key, "\x00")
 		family, ok := strings.CutSuffix(name, fast)
 		if !ok {
 			continue
 		}
-		baseNs, ok := byName[pkg+"\x00"+family+base]
+		baseR, ok := byName[pkg+"\x00"+family+base]
 		if !ok {
 			continue
 		}
@@ -260,7 +271,7 @@ func eachPair(results []Result, fast, base string, fn func(label string, fastNs,
 		if multi && pkg != "" {
 			label = path.Base(pkg) + "." + family
 		}
-		fn(label, fastNs, baseNs)
+		fn(label, fastR, baseR)
 	}
 }
 
@@ -279,9 +290,9 @@ var pairings = []struct{ fast, base string }{
 func speedups(results []Result) map[string]float64 {
 	out := map[string]float64{}
 	for _, p := range pairings {
-		eachPair(results, p.fast, p.base, func(label string, fastNs, baseNs float64) {
-			if fastNs > 0 {
-				out[label] = baseNs / fastNs
+		eachPair(results, p.fast, p.base, func(label string, fastR, baseR Result) {
+			if fastR.NsPerOp > 0 {
+				out[label] = baseR.NsPerOp / fastR.NsPerOp
 			}
 		})
 	}

@@ -267,10 +267,10 @@ func TestFoldRepeatedRuns(t *testing.T) {
 	}
 	want := []Result{
 		{Name: "BenchmarkSetCover/serial", Runs: 3, Iterations: 3, NsPerOp: 200, MinNsPerOp: 100, MaxNsPerOp: 300,
-			BytesPerOp: 85, AllocsPerOp: 11, Benchmem: true},
-		{Name: "BenchmarkOnce", Iterations: 5, NsPerOp: 70, BytesPerOp: 8, AllocsPerOp: 1, Benchmem: true},
+			BytesPerOp: 85, AllocsPerOp: 11, Benchmem: true, procs: 2},
+		{Name: "BenchmarkOnce", Iterations: 5, NsPerOp: 70, BytesPerOp: 8, AllocsPerOp: 1, Benchmem: true, procs: 2},
 		{Name: "BenchmarkPair", Runs: 2, Iterations: 5, NsPerOp: 15, MinNsPerOp: 10, MaxNsPerOp: 20,
-			BytesPerOp: 3, AllocsPerOp: 4, Benchmem: true},
+			BytesPerOp: 3, AllocsPerOp: 4, Benchmem: true, procs: 2},
 	}
 	if !reflect.DeepEqual(rep.Benchmarks, want) {
 		t.Fatalf("folded\n%+v\nwant\n%+v", rep.Benchmarks, want)
@@ -356,18 +356,18 @@ func TestCompareNoOverlapIsAnError(t *testing.T) {
 
 func TestInversionWarnings(t *testing.T) {
 	warns := inversionWarnings([]Result{
-		{Name: "BenchmarkSetCover/serial", NsPerOp: 200},
-		{Name: "BenchmarkSetCover/parallel", NsPerOp: 260},
-		{Name: "BenchmarkFine/serial", NsPerOp: 500},
-		{Name: "BenchmarkFine/parallel", NsPerOp: 250},
-		{Name: "BenchmarkLonely/parallel", NsPerOp: 100},
+		{Name: "BenchmarkSetCover/serial", NsPerOp: 200, procs: 2},
+		{Name: "BenchmarkSetCover/parallel", NsPerOp: 260, procs: 2},
+		{Name: "BenchmarkFine/serial", NsPerOp: 500, procs: 2},
+		{Name: "BenchmarkFine/parallel", NsPerOp: 250, procs: 2},
+		{Name: "BenchmarkLonely/parallel", NsPerOp: 100, procs: 2},
 	})
 	if len(warns) != 1 || !strings.Contains(warns[0], "BenchmarkSetCover/parallel is 1.30x slower") {
 		t.Fatalf("warnings = %v, want one SetCover inversion", warns)
 	}
 	if inversionWarnings([]Result{
-		{Name: "BenchmarkFine/serial", NsPerOp: 500},
-		{Name: "BenchmarkFine/parallel", NsPerOp: 250},
+		{Name: "BenchmarkFine/serial", NsPerOp: 500, procs: 2},
+		{Name: "BenchmarkFine/parallel", NsPerOp: 250, procs: 2},
 	}) != nil {
 		t.Fatal("healthy pairing must not warn")
 	}
@@ -384,5 +384,30 @@ func TestWarningsLandInReport(t *testing.T) {
 	}
 	if len(rep.Warnings) != 1 || !strings.Contains(rep.Warnings[0], "BenchmarkSlow/parallel") {
 		t.Fatalf("Warnings = %v", rep.Warnings)
+	}
+}
+
+// TestInversionWarningsNeedSeveralCPUs: go test appends -N to a benchmark
+// name only when GOMAXPROCS is N > 1. Lines without it ran on one CPU,
+// where /parallel and /serial both run one worker, so a slower /parallel
+// is noise and draws no warning; the same lines at -2 draw one.
+func TestInversionWarningsNeedSeveralCPUs(t *testing.T) {
+	for _, tc := range []struct {
+		suffix string
+		warns  int
+	}{
+		{"", 0},
+		{"-2", 1},
+	} {
+		rep, err := readReport(strings.NewReader(
+			"pkg: fastmon/internal/ilp\n" +
+				"BenchmarkPartialCover/serial" + tc.suffix + " \t 20\t 100000 ns/op\n" +
+				"BenchmarkPartialCover/parallel" + tc.suffix + " \t 20\t 108000 ns/op\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Warnings) != tc.warns {
+			t.Errorf("suffix %q: warnings = %v, want %d", tc.suffix, rep.Warnings, tc.warns)
+		}
 	}
 }

@@ -156,6 +156,15 @@ func main() {
 func run(ctx context.Context, out, log io.Writer, cfg exper.SuiteConfig, opts options, stop <-chan struct{}) (err error) {
 	start := time.Now()
 	cfg = cfg.Defaults()
+	if !opts.t1 && !opts.t2 && !opts.t3 {
+		// The studies report on the first selected circuit alone, so a
+		// run that asks for no table computes only that circuit.
+		specs, err := cfg.Select()
+		if err != nil {
+			return err
+		}
+		cfg.Names = []string{specs[0].Name}
+	}
 	req := exper.TableRequest{T1: opts.t1, T2: opts.t2, T3: opts.t3}
 	if opts.fig3 {
 		req.Fig3Steps = opts.steps

@@ -106,19 +106,31 @@ func TestDefaultRunTableI(t *testing.T) {
 }
 
 // TestDefaultLifetime pins the default run's lifetime sweep: -lifetime
-// sweeps the first selected circuit, s9234 by default, so -lifetime
-// -circuits s9234 -workers 2 at the default scale, fault budget and solver
-// budget prints the default run's sweep, and must print
-// testdata/default_lifetime.golden apart from the "# total" line. The run
+// -workers 2 at the default selection, scale, fault budget and solver
+// budget must print testdata/default_lifetime.golden apart from the
+// "# total" line. The sweep covers the first selected circuit, s9234, and
+// a run that asks for no table computes only that circuit, so the test
 // takes about half a second. EXPERIMENTS.md's "Lifetime sweep" block is
 // kept equal to the golden (TestExperimentsLifetime).
 func TestDefaultLifetime(t *testing.T) {
-	cfg := exper.SuiteConfig{Names: []string{"s9234"}, Workers: 2}
 	var out, log strings.Builder
-	if err := run(context.Background(), &out, &log, cfg, options{lifetime: true}, nil); err != nil {
+	if err := run(context.Background(), &out, &log, exper.SuiteConfig{Workers: 2}, options{lifetime: true}, nil); err != nil {
 		t.Fatalf("%v\n%s", err, log.String())
 	}
 	checkGolden(t, "default_lifetime.golden", []byte(withoutTotal(out.String())))
+}
+
+// TestDefaultFig3 pins the default run's Fig. 3 sweep: -fig3 -workers 2
+// at the default selection must print testdata/default_fig3.golden apart
+// from the "# total" line. Like the lifetime sweep it covers s9234 alone
+// and takes well under a second. EXPERIMENTS.md's "Fig. 3" block is kept
+// equal to the golden (TestExperimentsFig3).
+func TestDefaultFig3(t *testing.T) {
+	var out, log strings.Builder
+	if err := run(context.Background(), &out, &log, exper.SuiteConfig{Workers: 2}, options{fig3: true, steps: 10}, nil); err != nil {
+		t.Fatalf("%v\n%s", err, log.String())
+	}
+	checkGolden(t, "default_fig3.golden", []byte(withoutTotal(out.String())))
 }
 
 // TestRunStopEmitsPartialTables: a stop requested before the first circuit

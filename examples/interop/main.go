@@ -1,9 +1,8 @@
 // Interop: exercises the EDA file-format surface around the flow — a
 // structural Verilog netlist is parsed, timing is annotated and exchanged
 // as SDF, ATPG patterns are archived and reloaded through the pattern
-// format, scan chains quantify the per-pattern application cost, and the
-// netlist round-trips to .bench. This is the glue a real test floor needs
-// around the paper's algorithmic core.
+// format, and the netlist round-trips to .bench. This is the glue a real
+// test floor needs around the paper's algorithmic core.
 package main
 
 import (
@@ -72,15 +71,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("pattern archive: %d bytes, %d patterns reloaded\n", patBuf.Len(), len(reloaded))
-
-	// Scan access: how much does one pattern cost to apply?
-	chains := fastmon.BuildScanChains(c, 1)
-	r := fastmon.AnalyzeTiming(c, annot2)
-	clk := r.NominalClock(0.05)
-	shift := fastmon.Freq(50e6).Period()
-	fmt.Printf("scan: %d chain(s), %d shift cycles/pattern, %v for the whole set\n",
-		chains.NumChains(), chains.ShiftCycles(),
-		chains.TestTime(len(reloaded), shift, clk))
 
 	// Full flow on the Verilog-sourced design with the SDF timing.
 	flow, err := fastmon.RunAnnotated(ctx, c, lib, annot2, fastmon.Config{MonitorFraction: 1.0, ATPGSeed: 1})

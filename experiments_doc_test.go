@@ -6,6 +6,14 @@ import (
 	"testing"
 )
 
+// TestExperimentsFig3 keeps the Fig. 3 sweep of EXPERIMENTS.md in step
+// with the default run's pinned golden: the first code block under its
+// "## Fig. 3" heading must hold exactly the golden's table lines, through
+// the circuit line.
+func TestExperimentsFig3(t *testing.T) {
+	checkDocTable(t, "## Fig. 3 ", "cmd/tablegen/testdata/default_fig3.golden", "Fig. 3. HDF coverage vs maximum FAST frequency.")
+}
+
 // TestExperimentsTableI keeps the Table I of EXPERIMENTS.md in step with
 // the default run's pinned golden: the first code block under its
 // "## Table I" heading must hold exactly the golden's table lines.

@@ -36,14 +36,12 @@ import (
 	"fastmon/internal/circuit"
 	"fastmon/internal/core"
 	"fastmon/internal/detect"
-	"fastmon/internal/diagnose"
 	"fastmon/internal/exper"
 	"fastmon/internal/fault"
 	"fastmon/internal/interval"
 	"fastmon/internal/monitor"
 	"fastmon/internal/obs"
 	"fastmon/internal/patio"
-	"fastmon/internal/scan"
 	"fastmon/internal/schedule"
 	"fastmon/internal/sdf"
 	"fastmon/internal/sim"
@@ -255,13 +253,6 @@ func ReadPatterns(r io.Reader, c *Circuit) ([]Pattern, error) { return patio.Rea
 // WritePatterns writes a pattern set in the fastmon pattern format.
 func WritePatterns(w io.Writer, c *Circuit, ps []Pattern) error { return patio.Write(w, c, ps) }
 
-// ScanChains is a partition of the flip-flops into scan chains.
-type ScanChains = scan.Chains
-
-// BuildScanChains stitches the circuit's flip-flops into n balanced
-// chains.
-func BuildScanChains(c *Circuit, n int) *ScanChains { return scan.Build(c, n) }
-
 // GenerateTests runs the ATPG substrate directly: compacted
 // transition-fault pattern pairs for the given fault list.
 func GenerateTests(ctx context.Context, c *Circuit, faults []Fault, seed int64) ([]Pattern, ATPGStats, error) {
@@ -270,20 +261,6 @@ func GenerateTests(ctx context.Context, c *Circuit, faults []Fault, seed int64) 
 
 // ATPGStats summarizes a test-generation run.
 type ATPGStats = atpg.Stats
-
-// DiagnosisObservation is one applied test with its observed outcome.
-type DiagnosisObservation = diagnose.Observation
-
-// DiagnosisCandidate is one ranked diagnosis result.
-type DiagnosisCandidate = diagnose.Candidate
-
-// Diagnose ranks candidate small delay faults against observed FAST
-// failures (cause-effect matching with the timing-accurate simulator).
-func Diagnose(flow *Flow, candidates []Fault, observations []DiagnosisObservation) ([]DiagnosisCandidate, error) {
-	e := sim.NewEngine(flow.Circuit, flow.Annot)
-	return diagnose.Run(e, flow.Placement, flow.Patterns, candidates, observations,
-		diagnose.Config{Delta: flow.Delta, Glitch: flow.DetectCfg.Glitch})
-}
 
 // SimulatePattern runs the fault-free timing-accurate simulation of one
 // pattern pair and returns the waveform of every gate.

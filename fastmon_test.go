@@ -128,14 +128,6 @@ func TestFacadePatternsAndATPG(t *testing.T) {
 	}
 }
 
-func TestFacadeScanChains(t *testing.T) {
-	c := MustParseBench("s27", S27)
-	ch := BuildScanChains(c, 2)
-	if ch.NumChains() != 2 || ch.MaxLength() != 2 {
-		t.Fatalf("chains=%d maxlen=%d", ch.NumChains(), ch.MaxLength())
-	}
-}
-
 func TestFacadeSuite(t *testing.T) {
 	if len(PaperSuite()) != 12 {
 		t.Fatal("paper suite must have 12 circuits")
@@ -150,26 +142,7 @@ func TestFacadeSuite(t *testing.T) {
 	}
 }
 
-func TestFacadeDiagnose(t *testing.T) {
-	c := MustParseBench("s27", S27)
-	flow, err := Run(context.Background(), c, NanGate45(), Config{MonitorFraction: 1.0, ATPGSeed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Observe a real fault, then recover it.
-	faults := FaultUniverse(c)
-	obs := []DiagnosisObservation{
-		{Period: flow.TMin + (flow.Clk-flow.TMin)/3, Pattern: 0, Config: 3},
-		{Period: flow.TMin + (flow.Clk-flow.TMin)/2, Pattern: 1 % len(flow.Patterns), Config: 1},
-	}
-	cands, err := Diagnose(flow, faults, obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = cands // any result (incl. none) is valid for all-passing observations
-}
-
-func TestFacadeVCDAndSim(t *testing.T) {
+func TestFacadeSimulatePattern(t *testing.T) {
 	c := MustParseBench("s27", S27)
 	a := Annotate(c, NanGate45())
 	n := len(c.Sources())

@@ -142,3 +142,27 @@ func TestPhaseString(t *testing.T) {
 		t.Fatal("unknown phase must render")
 	}
 }
+
+// BenchmarkAgingLifecycle measures the Fig. 2 guard-band lifecycle over
+// four lifetime checkpoints.
+func BenchmarkAgingLifecycle(b *testing.B) {
+	c := circuit.MustGenerate(circuit.GenSpec{Name: "b", Gates: 600, FFs: 48, Inputs: 12, Outputs: 8, Depth: 18, Seed: 42})
+	lib := cell.NanGate45()
+	a := cell.Annotate(c, lib)
+	r := sta.Analyze(c, a)
+	clk := r.CPL * 2
+	placement := monitor.Place(r, 0.25, monitor.StandardDelays(clk))
+	nsrc := len(c.Sources())
+	pat := sim.Pattern{V1: make([]bool, nsrc), V2: make([]bool, nsrc)}
+	for i := 0; i < nsrc; i++ {
+		pat.V2[i] = i%3 != 0
+	}
+	model := Model{A: 0.85, N: 0.35, Seed: 7}
+	years := []float64{0, 10, 20, 40}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Simulate(c, a, placement, pat, clk, model, years); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -165,6 +165,23 @@ func TestRunCircuitAndTables(t *testing.T) {
 	}
 }
 
+// BenchmarkFig3CoverageSweep measures the Fig. 3 coverage-vs-f_max sweep
+// (conventional vs monitor-assisted HDF coverage) on the detection data of
+// a scaled s9234.
+func BenchmarkFig3CoverageSweep(b *testing.B) {
+	spec, _ := SpecByName("s9234")
+	r, err := RunCircuit(context.Background(), spec, SuiteConfig{Scale: 0.05, MaxFaults: 900})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if pts := Fig3(r, 10); len(pts) != 11 {
+			b.Fatal("bad sweep")
+		}
+	}
+}
+
 func TestRunSuiteSubset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite run in short mode")

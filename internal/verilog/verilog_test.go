@@ -184,3 +184,21 @@ func TestSanitize(t *testing.T) {
 		t.Fatalf("sanitize empty = %q", got)
 	}
 }
+
+// BenchmarkVerilogParse measures the structural-Verilog front end on a
+// generated netlist.
+func BenchmarkVerilogParse(b *testing.B) {
+	c := circuit.MustGenerate(circuit.GenSpec{Name: "vp", Gates: 1000, FFs: 80, Inputs: 16, Outputs: 12, Depth: 20, Seed: 3})
+	var buf bytes.Buffer
+	if err := Write(&buf, c); err != nil {
+		b.Fatal(err)
+	}
+	src := buf.String()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse("vp", strings.NewReader(src)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
