@@ -58,51 +58,47 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	rt.Register(fs)
 	fs.Parse(args) //nolint:errcheck // ExitOnError: a bad command line exits
 
-	ctx, env, err := rt.Start(ctx, stderr, nil)
+	// Check the command line before the runtime starts, so that a usage
+	// error leaves no manifest and no flight dump behind.
+	spec, known := exper.SpecByName(*genName)
+	switch {
+	case *benchPath != "" || *vlogPath != "":
+	case *genName == "":
+		return fmt.Errorf("need -bench FILE, -verilog FILE or -gen NAME")
+	case !known:
+		return fmt.Errorf("unknown suite circuit %q (try s9234..p141k)", *genName)
+	}
+	methods := map[string]fastmon.Method{"conv": fastmon.MethodConventional, "heur": fastmon.MethodHeuristic, "ilp": fastmon.MethodILP}
+	m, ok := methods[*method]
+	if !ok {
+		return fmt.Errorf("unknown method %q", *method)
+	}
+	cfg := fastmon.Config{FaultSampleK: *sample, ATPGSeed: *seed, SolverBudget: *budget, Workers: *workers}
+
+	// The manifest records the netlist, the schedule request and the flow
+	// configuration, and its payload is the circuit's result once the
+	// flow has run.
+	manifestConfig := struct {
+		Bench, Verilog, Top, SDF, Gen string `json:",omitempty"`
+		Scale, Coverage               float64
+		Method                        string
+		Flow                          fastmon.Config
+	}{*benchPath, *vlogPath, *topName, *sdfPath, *genName, *scale, *coverage, *method, cfg.Defaults()}
+	ctx, env, err := rt.Start(ctx, stderr, "fastmon", manifestConfig)
 	if err != nil {
 		return err
 	}
+	var circuits []*exper.CircuitResult
 	defer func() {
-		if cerr := env.Close(); err == nil {
+		if cerr := env.Close(circuits, err); err == nil {
 			err = cerr
 		}
 	}()
 
 	lib := fastmon.NanGate45()
-	var c *fastmon.Circuit
-	switch {
-	case *benchPath != "":
-		f, err := os.Open(*benchPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		c, err = fastmon.ParseBench(*benchPath, f)
-		if err != nil {
-			return err
-		}
-	case *vlogPath != "":
-		f, err := os.Open(*vlogPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		c, err = fastmon.ParseVerilogHierarchy(*vlogPath, f, *topName)
-		if err != nil {
-			return err
-		}
-	case *genName != "":
-		spec, ok := exper.SpecByName(*genName)
-		if !ok {
-			return fmt.Errorf("unknown suite circuit %q (try s9234..p141k)", *genName)
-		}
-		var err error
-		c, err = spec.Build(*scale)
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("need -bench FILE, -verilog FILE or -gen NAME")
+	c, err := readCircuit(*benchPath, *vlogPath, *topName, spec, *scale)
+	if err != nil {
+		return err
 	}
 
 	var annot *fastmon.Annotation
@@ -119,24 +115,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		annot = a
 	}
 
-	var m fastmon.Method
-	switch *method {
-	case "conv":
-		m = fastmon.MethodConventional
-	case "heur":
-		m = fastmon.MethodHeuristic
-	case "ilp":
-		m = fastmon.MethodILP
-	default:
-		return fmt.Errorf("unknown method %q", *method)
-	}
-
-	cfg := fastmon.Config{FaultSampleK: *sample, ATPGSeed: *seed, SolverBudget: *budget, Workers: *workers}
 	start := time.Now()
 	flow, err := fastmon.RunAnnotated(ctx, c, lib, annot, cfg)
 	if err != nil {
 		return err
 	}
+	row := exper.TableI(&exper.Run{Spec: exper.Spec{Name: c.Name}, Flow: flow})
+	res := &exper.CircuitResult{Name: c.Name, T1: &row}
+	circuits = append(circuits, res)
+	defer func() { res.Elapsed = time.Since(start) }() // before Close writes it
 
 	st := c.Stats()
 	fmt.Fprintf(stdout, "circuit   %s\n", st)
@@ -177,9 +164,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	if err := fastmon.ValidateSchedule(flow.TargetData, s, flow.ScheduleOptions(m, *coverage)); err != nil {
 		return fmt.Errorf("schedule validation failed: %w", err)
 	}
+	res.Degradation = s.Degradation.String()
 	fmt.Fprintf(stdout, "schedule  method=%v coverage=%d/%d |F|=%d |S|=%d (freq-optimal=%v)\n",
 		s.Method, s.Covered, s.Coverable, s.NumFrequencies(), s.Size(), s.FreqOptimal)
 	if s.Solver.Solves > 0 {
+		res.Solver = &s.Solver
 		fmt.Fprintf(stdout, "solver    %d exact solves, %d nodes, %d incumbents (max gap %.2f)\n",
 			s.Solver.Solves, s.Solver.Nodes, s.Solver.Incumbents, s.Solver.MaxGap)
 	}
@@ -191,4 +180,27 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 	fmt.Fprintf(stdout, "elapsed   %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
+}
+
+// readCircuit reads the netlist the command line names: the .bench file
+// at benchPath, else the structural Verilog file at vlogPath (top module
+// top), else the suite circuit spec at scale.
+func readCircuit(benchPath, vlogPath, top string, spec exper.Spec, scale float64) (*fastmon.Circuit, error) {
+	switch {
+	case benchPath != "":
+		f, err := os.Open(benchPath)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return fastmon.ParseBench(benchPath, f)
+	case vlogPath != "":
+		f, err := os.Open(vlogPath)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return fastmon.ParseVerilogHierarchy(vlogPath, f, top)
+	}
+	return spec.Build(scale)
 }

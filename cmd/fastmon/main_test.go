@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,7 +28,7 @@ func TestRunGolden(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out bytes.Buffer
-			if err := run(context.Background(), tc.args, &out, io.Discard); err != nil {
+			if err := run(context.Background(), append(tc.args, outputFlags(t.TempDir())...), &out, io.Discard); err != nil {
 				t.Fatal(err)
 			}
 			var kept []string
@@ -53,5 +55,78 @@ func TestRunGolden(t *testing.T) {
 					golden, got, want)
 			}
 		})
+	}
+}
+
+// outputFlags puts the manifest and the flight dump into dir, so that a
+// test run writes nothing into the package directory.
+func outputFlags(dir string) []string {
+	return []string{"-manifest", filepath.Join(dir, "run.json"), "-flight", filepath.Join(dir, "flight.jsonl")}
+}
+
+// TestManifestMatchesTablegen: fastmon's run.json has the payload keys
+// of tablegen's (cmd/tablegen/testdata/run_golden.json), plus "cache"
+// under -cache.dir, and its circuit uses keys of tablegen's circuits.
+func TestManifestMatchesTablegen(t *testing.T) {
+	want, wantCircuit := manifestKeys(t, filepath.Join("..", "tablegen", "testdata", "run_golden.json"))
+	for _, cacheDir := range []string{"", t.TempDir()} {
+		dir := t.TempDir()
+		args := append([]string{"-gen", "s27", "-cache.dir", cacheDir}, outputFlags(dir)...)
+		if err := run(context.Background(), args, io.Discard, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		got, circuit := manifestKeys(t, filepath.Join(dir, "run.json"))
+		if cacheDir != "" {
+			want["cache"] = true
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("-cache.dir %q: payload keys %v, want %v", cacheDir, got, want)
+		}
+		for k := range circuit {
+			if !wantCircuit[k] {
+				t.Errorf("circuit key %q is not in tablegen's circuits", k)
+			}
+		}
+	}
+}
+
+// manifestKeys returns the key sets of the manifest record at path: its
+// payload's and its first circuit's.
+func manifestKeys(t *testing.T, path string) (payload, circuit map[string]bool) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec struct{ Payload map[string]any }
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	circuits, _ := rec.Payload["circuits"].([]any)
+	if len(circuits) == 0 {
+		t.Fatalf("%s: no circuit", path)
+	}
+	payload, circuit = map[string]bool{}, map[string]bool{}
+	for k := range rec.Payload {
+		payload[k] = true
+	}
+	for k := range circuits[0].(map[string]any) {
+		circuit[k] = true
+	}
+	return payload, circuit
+}
+
+// TestUsageErrorWritesNothing: a command line that names an unknown
+// method fails before the runtime starts, so it leaves neither a
+// manifest nor a flight dump.
+func TestUsageErrorWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	args := append([]string{"-gen", "s27", "-method", "bogus"}, outputFlags(dir)...)
+	err := run(context.Background(), args, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), `unknown method "bogus"`) {
+		t.Fatalf("err = %v, want the unknown method", err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("usage error left %v (%v), want no file", ents, err)
 	}
 }

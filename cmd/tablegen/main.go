@@ -25,16 +25,11 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"fastmon/internal/aging"
-	"fastmon/internal/cache"
-	"fastmon/internal/chaos"
 	"fastmon/internal/cli"
 	"fastmon/internal/exper"
-	"fastmon/internal/obs"
-	"fastmon/internal/obs/flight"
 	"fastmon/internal/schedule"
 )
 
@@ -45,18 +40,6 @@ type options struct {
 	robust     bool
 	lifetime   bool
 	steps      int
-
-	manifest string // -manifest: run.json output path ("" disables)
-
-	// chaosRate > 0 enables deterministic fault injection at every
-	// registered chaos point, driven by chaosSeed (see internal/chaos).
-	chaosSeed int64
-	chaosRate float64
-
-	// rec is the flight recorder shared between main (SIGQUIT dumps) and
-	// the run (event recording, failure dumps); nil when disabled with
-	// -flight "".
-	rec *flight.Recorder
 
 	cli.Flags
 }
@@ -78,12 +61,6 @@ func main() {
 		budget   = flag.Duration("budget", def.SolverBudget, "time budget per exact covering solve")
 		steps    = flag.Int("steps", 10, "sweep points for -fig3")
 		workers  = flag.Int("workers", 0, "goroutines for every parallel stage: concurrent circuits, fault simulation and the covering solvers (0 = all CPUs)")
-
-		chaosSeed = flag.Int64("chaos.seed", 0, "seed for deterministic fault injection (same seed, same faults)")
-		chaosRate = flag.Float64("chaos.rate", 0, "per-point fault injection probability in [0,1] (0 disables chaos)")
-
-		flightOut = flag.String("flight", "flight.jsonl", "flight-recorder dump path, written on panics/failures/SIGQUIT (empty disables the recorder)")
-		manifest  = flag.String("manifest", "run.json", "write the run manifest here (empty disables)")
 	)
 	var rt cli.Flags
 	rt.Register(flag.CommandLine)
@@ -101,15 +78,7 @@ func main() {
 	opts := options{
 		t1: *t1, t2: *t2, t3: *t3, fig3: *fig3,
 		ablate: *ablate, robust: *robust, lifetime: *lifetime, steps: *steps,
-		manifest: *manifest, chaosSeed: *chaosSeed, chaosRate: *chaosRate,
 		Flags: rt,
-	}
-	// The flight recorder journals structured pipeline events into a
-	// fixed-size ring; it is dumped as JSONL on recovered panics, failed
-	// runs and SIGQUIT.
-	if *flightOut != "" {
-		opts.rec = flight.New(flight.DefaultCapacity)
-		opts.rec.DumpPath = *flightOut
 	}
 
 	// Two-stage interrupt handling: the first SIGINT requests a graceful
@@ -128,23 +97,6 @@ func main() {
 		<-sigCh
 		fmt.Fprintln(os.Stderr, "# second interrupt: aborting")
 		cancel()
-	}()
-
-	// SIGQUIT dumps the flight recorder on demand without stopping the
-	// run — a live post-mortem of the last ~8k pipeline events.
-	quitCh := make(chan os.Signal, 1)
-	signal.Notify(quitCh, syscall.SIGQUIT)
-	defer signal.Stop(quitCh)
-	go func() {
-		for range quitCh {
-			path, err := opts.rec.AutoDump("SIGQUIT")
-			switch {
-			case err != nil:
-				fmt.Fprintf(os.Stderr, "# flight: dump failed: %v\n", err)
-			case path != "":
-				fmt.Fprintf(os.Stderr, "# flight: dumped %s\n", path)
-			}
-		}
 	}()
 
 	if err := run(ctx, os.Stdout, os.Stderr, cfg, opts, stop); err != nil {
@@ -172,63 +124,27 @@ func run(ctx context.Context, out, log io.Writer, cfg exper.SuiteConfig, opts op
 
 	// The shared runtime: profiles, telemetry (spans and metrics are
 	// always collected, the manifest needs them; log output depends on -v
-	// and -json-logs), the flight recorder riding the observer so every
-	// stage can journal events, and the result cache.
-	ctx, env, err := opts.Start(ctx, log, opts.rec)
+	// and -json-logs), the flight recorder, the result cache and the
+	// manifest, which Close writes with the suite's results. A suite
+	// failure also dumps the flight recorder there.
+	ctx, env, err := opts.Start(ctx, log, "tablegen", cfg)
 	if err != nil {
 		return err
 	}
+	var (
+		results []*exper.CircuitResult
+		runErr  error
+	)
 	defer func() {
-		if cerr := env.Close(); err == nil {
+		if cerr := env.Close(results, runErr); err == nil {
 			err = cerr
 		}
 	}()
-	o, rec := env.Observer, opts.rec
 
-	// Deterministic fault injection: -chaos.rate attaches an injector to
-	// the context, arming every registered chaos point in the pipeline.
-	// The injection decisions are a pure function of -chaos.seed, so a
-	// failing run replays from its seed alone. Every fired fault is
-	// counted per point (chaos.fired.<point>) and journaled in the
-	// flight recorder, so a crash dump names the injection that caused it.
-	var inj *chaos.Injector
-	if opts.chaosRate > 0 {
-		inj = chaos.New(chaos.Config{Seed: opts.chaosSeed, Rate: opts.chaosRate,
-			OnFault: func(f chaos.Fault) {
-				o.Counter("chaos.fired." + f.Point).Add(1)
-				rec.Record(flight.Event{Kind: flight.KindChaos, Name: f.Point,
-					Stage: string(f.Stage), Detail: f.Kind.String(), Value: int64(f.Seq)})
-			}})
-		ctx = chaos.With(ctx, inj)
-		fmt.Fprintf(log, "# chaos: injecting faults at rate %g (seed %d)\n", opts.chaosRate, opts.chaosSeed)
-		defer func() {
-			fmt.Fprintf(log, "# chaos: %d faults injected %v\n", inj.Fired(), inj.Snapshot())
-		}()
-	}
-
-	var results []*exper.CircuitResult
-	if opts.manifest != "" {
-		man := obs.NewManifest("tablegen", cfg)
-		defer func() {
-			man.Circuits = results
-			if inj != nil {
-				man.Chaos = &obs.ChaosReport{Seed: inj.Seed(), Rate: opts.chaosRate,
-					Fired: inj.Fired(), Points: inj.Snapshot()}
-			}
-			man.Cache = cache.From(ctx).Report() // nil without -cache.dir
-			man.Finish(o)
-			// The manifest must land even when the run itself was
-			// cancelled, so the write uses a fresh context — keeping the
-			// chaos injector, which tears manifests too.
-			wctx := chaos.With(context.Background(), chaos.From(ctx))
-			if err := man.WriteFile(wctx, opts.manifest); err != nil {
-				fmt.Fprintf(log, "# manifest: %v\n", err)
-				return
-			}
-			fmt.Fprintf(log, "# wrote manifest %s\n", opts.manifest)
-		}()
-	}
-
+	// The single-circuit studies share the first circuit's flow, which
+	// the suite hands over with its completion event.
+	studies := opts.ablate || opts.robust || opts.lifetime
+	var first *exper.Run
 	progress := func(ev exper.SuiteEvent) {
 		pos := fmt.Sprintf("[%d/%d]", ev.Index+1, ev.Total)
 		if ev.Res == nil {
@@ -237,18 +153,11 @@ func run(ctx context.Context, out, log io.Writer, cfg exper.SuiteConfig, opts op
 		}
 		fmt.Fprintf(log, "# %s %-8s computed in %v (degradation: %s)\n",
 			pos, ev.Res.Name, ev.Res.Elapsed.Round(time.Millisecond), ev.Res.Degradation)
-	}
-	var runErr error
-	results, runErr = exper.RunSuite(ctx, cfg, req, stop, progress)
-	if runErr != nil {
-		// Post-mortem: dump the flight ring alongside the failure so the
-		// event journal leading up to it is preserved.
-		if path, derr := rec.AutoDump("suite error: " + runErr.Error()); derr != nil {
-			fmt.Fprintf(log, "# flight: dump failed: %v\n", derr)
-		} else if path != "" {
-			fmt.Fprintf(log, "# flight: dumped %s\n", path)
+		if ev.Index == 0 && studies {
+			first = ev.Run
 		}
 	}
+	results, runErr = exper.RunSuite(ctx, cfg, req, stop, progress)
 	if runErr != nil && len(results) == 0 {
 		return runErr
 	}
@@ -300,44 +209,31 @@ func run(ctx context.Context, out, log io.Writer, cfg exper.SuiteConfig, opts op
 		return nil
 	}
 
-	// The single-circuit studies need a live flow; they rerun the first
-	// selected circuit (suite results hold only derived rows).
-	if opts.ablate || opts.robust || opts.lifetime {
-		specs, err := cfg.Select()
+	if opts.ablate {
+		if err := runAblations(ctx, out, cfg, first); err != nil {
+			return err
+		}
+	}
+	if opts.robust {
+		if err := runRobustness(ctx, out, first); err != nil {
+			return err
+		}
+	}
+	if opts.lifetime {
+		model := aging.Model{A: 0.3, N: 0.3, Seed: 5}
+		pts, err := exper.LifetimeSweep(ctx, first.Spec, cfg, model, []float64{0, 2, 5, 10, 15, 20})
 		if err != nil {
 			return err
 		}
-		spec := specs[0]
-		r, err := exper.RunCircuit(ctx, spec, cfg)
-		if err != nil {
-			return err
-		}
-		if opts.ablate {
-			if err := runAblations(ctx, out, spec, cfg, r); err != nil {
-				return err
-			}
-		}
-		if opts.robust {
-			if err := runRobustness(ctx, out, r); err != nil {
-				return err
-			}
-		}
-		if opts.lifetime {
-			model := aging.Model{A: 0.3, N: 0.3, Seed: 5}
-			pts, err := exper.LifetimeSweep(ctx, spec, cfg, model, []float64{0, 2, 5, 10, 15, 20})
-			if err != nil {
-				return err
-			}
-			exper.WriteLifetime(out, pts)
-			fmt.Fprintln(out)
-		}
+		exper.WriteLifetime(out, pts)
+		fmt.Fprintln(out)
 	}
 	fmt.Fprintf(out, "# total %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
-func runAblations(ctx context.Context, out io.Writer, spec exper.Spec, cfg exper.SuiteConfig, r *exper.Run) error {
-	fr, err := exper.AblateMonitorFraction(ctx, spec, cfg, []float64{0.10, 0.25, 0.50, 1.0})
+func runAblations(ctx context.Context, out io.Writer, cfg exper.SuiteConfig, r *exper.Run) error {
+	fr, err := exper.AblateMonitorFraction(ctx, r.Spec, cfg, []float64{0.10, 0.25, 0.50, 1.0})
 	if err != nil {
 		return err
 	}
@@ -345,7 +241,7 @@ func runAblations(ctx context.Context, out io.Writer, spec exper.Spec, cfg exper
 	if err != nil {
 		return err
 	}
-	gr, err := exper.AblateGlitch(ctx, spec, cfg, []float64{0, 1, 2})
+	gr, err := exper.AblateGlitch(ctx, r.Spec, cfg, []float64{0, 1, 2})
 	if err != nil {
 		return err
 	}

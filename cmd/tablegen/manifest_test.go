@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"fastmon/internal/cli"
 	"fastmon/internal/obs"
 )
 
@@ -19,7 +20,7 @@ var update = flag.Bool("update", false, "rewrite the goldens in testdata")
 func runWithManifest(t *testing.T, manifestPath string) *obs.Manifest {
 	t.Helper()
 	cfg := smallCfg()
-	opts := options{t1: true, t2: true, t3: true, manifest: manifestPath}
+	opts := options{t1: true, t2: true, t3: true, Flags: cli.Flags{Manifest: manifestPath}}
 	var out, log strings.Builder
 	if err := run(context.Background(), &out, &log, cfg, opts, nil); err != nil {
 		t.Fatal(err)

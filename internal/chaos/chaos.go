@@ -22,12 +22,12 @@
 // draws which decision may vary with scheduling, but the multiset of
 // injected faults per point does not.
 //
-// Fault kinds: typed errors (transient by contract — retry layers may
-// mask them), panics (exercising the worker-pool isolation), bounded
-// delays (exercising budget and timeout paths), and — at data points
-// only — short writes and bit flips (exercising the safeio durability
-// contract: CRC-stamped records must be detected as corrupt and
-// recomputed on resume, never served).
+// Fault kinds: typed errors (exercising stage attribution), panics
+// (exercising the worker-pool isolation), bounded delays (exercising
+// budget and timeout paths), and — at data points only — short writes
+// and bit flips (exercising the safeio durability contract: CRC-stamped
+// records must be detected as corrupt and recomputed on resume, never
+// served).
 package chaos
 
 import (
@@ -46,9 +46,7 @@ import (
 type Kind uint8
 
 const (
-	// KindError returns a typed *Injected error from the point. Injected
-	// errors are transient by contract: retry policies are allowed (and
-	// expected) to mask them.
+	// KindError returns a typed *Injected error from the point.
 	KindError Kind = iota + 1
 	// KindPanic panics with the *Injected as panic value, exercising the
 	// worker-pool panic isolation paths.
@@ -162,22 +160,6 @@ type Config struct {
 	// DataKinds are the fault kinds drawn at data points (Mutate);
 	// default {ShortWrite, BitFlip}.
 	DataKinds []Kind
-	// OnFault, when set, observes every fired injection decision just
-	// before the fault takes effect — the hook CLIs use to count per-point
-	// injections on the obs registry and journal them in the flight
-	// recorder. It is called from whatever goroutine hit the point, so it
-	// must be safe for concurrent use and cheap; it must not panic.
-	OnFault func(Fault)
-}
-
-// Fault describes one fired injection decision, as seen by
-// Config.OnFault observers.
-type Fault struct {
-	Point string
-	Stage fmerr.Stage
-	Kind  Kind
-	// Seq is the per-point call sequence number that fired.
-	Seq uint64
 }
 
 func (c Config) defaults() Config {
@@ -213,14 +195,6 @@ type pointState struct {
 // New returns an injector for the configuration.
 func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg.defaults(), points: map[string]*pointState{}}
-}
-
-// Seed returns the seed the injector was built with (0 for nil).
-func (in *Injector) Seed() int64 {
-	if in == nil {
-		return 0
-	}
-	return in.cfg.Seed
 }
 
 // Fired returns the total number of faults injected so far (0 for nil).
@@ -313,9 +287,6 @@ func (in *Injector) decide(name string, kinds []Kind) (kind Kind, seq uint64, fi
 	}
 	ps.fired.Add(1)
 	kind = kinds[splitmix64(h)%uint64(len(kinds))]
-	if in.cfg.OnFault != nil {
-		in.cfg.OnFault(Fault{Point: name, Stage: StageOfPoint(name), Kind: kind, Seq: seq})
-	}
 	return kind, seq, true
 }
 

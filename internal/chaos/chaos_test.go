@@ -25,7 +25,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 		t.Fatalf("nil Mutate: %q, %v", got, err)
 	}
 	var in *Injector
-	if in.Seed() != 0 || in.Fired() != 0 || in.Snapshot() != nil {
+	if in.Fired() != 0 || in.Snapshot() != nil {
 		t.Fatal("nil accessor not inert")
 	}
 }
@@ -228,60 +228,5 @@ func TestStageOfFallsBack(t *testing.T) {
 	}
 	if got := StageOf(errors.New("plain"), fmerr.StageATPG); got != fmerr.StageATPG {
 		t.Fatalf("plain error fallback = %q", got)
-	}
-}
-
-// TestOnFaultHookSeesEveryFiredDecision: the observer hook fires exactly
-// once per injected fault — for control points, valueless points and
-// data points alike — and its counts agree with Snapshot.
-func TestOnFaultHookSeesEveryFiredDecision(t *testing.T) {
-	Register("hook.ctl", fmerr.StageSolve)
-	Register("hook.data", fmerr.StageIO)
-	var mu sync.Mutex
-	seen := map[string]int64{}
-	var kinds []Kind
-	in := New(Config{
-		Seed: 3, Rate: 0.5,
-		Kinds:     []Kind{KindError, KindDelay}, // no panics: keep the loop simple
-		DataKinds: []Kind{KindBitFlip},
-		OnFault: func(f Fault) {
-			mu.Lock()
-			seen[f.Point]++
-			kinds = append(kinds, f.Kind)
-			mu.Unlock()
-			if f.Stage == "" {
-				t.Errorf("hook saw fault at %s with empty stage", f.Point)
-			}
-		},
-	})
-	ctx := context.Background()
-	// Disturb draws from the fixed {panic, delay} menu, so absorb its
-	// panics the way a worker pool would.
-	disturb := func() {
-		defer func() { _ = recover() }()
-		in.Disturb(ctx, "hook.ctl")
-	}
-	for i := 0; i < 200; i++ {
-		_ = in.Point(ctx, "hook.ctl")
-		disturb()
-		_, _ = in.Mutate("hook.data", []byte("payload"))
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	var total int64
-	for _, n := range seen {
-		total += n
-	}
-	if total == 0 {
-		t.Fatal("hook never fired at 50% rate over 600 calls")
-	}
-	if total != in.Fired() {
-		t.Fatalf("hook fired %d times, injector reports %d", total, in.Fired())
-	}
-	snap := in.Snapshot()
-	for pt, n := range seen {
-		if snap[pt] != n {
-			t.Errorf("point %s: hook %d vs snapshot %d", pt, n, snap[pt])
-		}
 	}
 }

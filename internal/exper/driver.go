@@ -35,10 +35,10 @@ type TableRequest struct {
 // manifest lists one per circuit.
 type CircuitResult struct {
 	Name string `json:"name"`
-	// Scale and MaxFaults record the configuration the result was
-	// computed under.
-	Scale     float64 `json:"scale"`
-	MaxFaults int     `json:"max_faults"`
+	// Scale and MaxFaults record the suite configuration the result was
+	// computed under (neither is ever 0 there); fastmon leaves them out.
+	Scale     float64 `json:"scale,omitempty"`
+	MaxFaults int     `json:"max_faults,omitempty"`
 
 	T1   *T1Row      `json:"t1,omitempty"`
 	T2   *T2Row      `json:"t2,omitempty"`
@@ -62,11 +62,12 @@ type CircuitResult struct {
 }
 
 // ComputeCircuit runs one suite circuit end to end and derives the
-// requested artifacts. When an observer is attached to ctx the whole
-// computation runs under a span named after the circuit, and the result
-// carries the per-stage wall-clock breakdown extracted from the direct
-// child spans (build, sta, classify, atpg, detect, extract, schedule).
-func ComputeCircuit(ctx context.Context, spec Spec, cfg SuiteConfig, req TableRequest) (*CircuitResult, error) {
+// requested artifacts. It returns the result and the flow it was derived
+// from. When an observer is attached to ctx the whole computation runs
+// under a span named after the circuit, and the result carries the
+// per-stage wall-clock breakdown extracted from the direct child spans
+// (build, sta, classify, atpg, detect, extract, schedule).
+func ComputeCircuit(ctx context.Context, spec Spec, cfg SuiteConfig, req TableRequest) (*CircuitResult, *Run, error) {
 	cfg = cfg.Defaults()
 	o := obs.From(ctx)
 	mark := o.Mark()
@@ -75,7 +76,7 @@ func ComputeCircuit(ctx context.Context, spec Spec, cfg SuiteConfig, req TableRe
 	r, err := RunCircuit(cctx, spec, cfg)
 	if err != nil {
 		span.End()
-		return nil, err
+		return nil, nil, err
 	}
 	res := &CircuitResult{Name: spec.Name, Scale: cfg.Scale, MaxFaults: cfg.MaxFaults}
 	var built []*schedule.Schedule
@@ -87,7 +88,7 @@ func ComputeCircuit(ctx context.Context, spec Spec, cfg SuiteConfig, req TableRe
 		row, schedules, err := TableII(cctx, r)
 		if err != nil {
 			span.End()
-			return nil, err
+			return nil, nil, err
 		}
 		res.T2 = &row
 		for _, s := range schedules {
@@ -98,7 +99,7 @@ func ComputeCircuit(ctx context.Context, spec Spec, cfg SuiteConfig, req TableRe
 		row, schedules, err := TableIII(cctx, r)
 		if err != nil {
 			span.End()
-			return nil, err
+			return nil, nil, err
 		}
 		res.T3 = &row
 		built = append(built, schedules...)
@@ -121,7 +122,7 @@ func ComputeCircuit(ctx context.Context, spec Spec, cfg SuiteConfig, req TableRe
 	if stages := stageBreakdown(o.SpansSince(mark), spec.Name); len(stages) > 0 {
 		res.Stages = stages
 	}
-	return res, nil
+	return res, r, nil
 }
 
 // stageBreakdown sums the direct child spans of the circuit span into a
@@ -154,6 +155,10 @@ type SuiteEvent struct {
 	Spec  Spec
 	// Res is nil for a start event, the circuit's result otherwise.
 	Res *CircuitResult
+	// Run is nil for a start event, the circuit's flow otherwise. The
+	// suite keeps no flow once the event is delivered, so a caller that
+	// needs one (the single-circuit studies) keeps it from here.
+	Run *Run
 }
 
 // SuiteProgress receives SuiteEvents during a suite run.
@@ -221,7 +226,7 @@ func RunSuite(ctx context.Context, cfg SuiteConfig, req TableRequest,
 	// panic, or a chaos-injected one — becomes a typed *fmerr.PanicError
 	// attributed to the stage it fired in, so one crashing circuit fails
 	// the run with attribution instead of killing the process.
-	runOne := func(spec Spec, creq TableRequest) (res *CircuitResult, err error) {
+	runOne := func(spec Spec, creq TableRequest) (res *CircuitResult, run *Run, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				pe := fmerr.NewPanic(chaos.StageOf(r, fmerr.StageExper), spec.Name, r)
@@ -232,13 +237,13 @@ func RunSuite(ctx context.Context, cfg SuiteConfig, req TableRequest,
 			}
 		}()
 		if err := chaos.Point(ctx, ptCircuit); err != nil {
-			return nil, fmerr.Wrap(fmerr.StageExper, spec.Name, err)
+			return nil, nil, fmerr.Wrap(fmerr.StageExper, spec.Name, err)
 		}
-		res, err = ComputeCircuit(ctx, spec, cfg, creq)
+		res, run, err = ComputeCircuit(ctx, spec, cfg, creq)
 		if err != nil {
-			return nil, fmerr.Wrap(fmerr.StageExper, spec.Name, err)
+			return nil, nil, fmerr.Wrap(fmerr.StageExper, spec.Name, err)
 		}
-		return res, nil
+		return res, run, nil
 	}
 	_, err = par.Each(workers, len(specs), func(_, i int) error {
 		if stopped() {
@@ -258,7 +263,7 @@ func RunSuite(ctx context.Context, cfg SuiteConfig, req TableRequest,
 			mu.Unlock()
 		}
 		o.Gauge("exper.circuits_inflight").Set(float64(inflight.Add(1)))
-		res, err := runOne(spec, creq)
+		res, run, err := runOne(spec, creq)
 		o.Gauge("exper.circuits_inflight").Set(float64(inflight.Add(-1)))
 		if err != nil {
 			return err
@@ -266,7 +271,7 @@ func RunSuite(ctx context.Context, cfg SuiteConfig, req TableRequest,
 		mu.Lock()
 		slots[i] = res
 		if progress != nil {
-			progress(SuiteEvent{Index: i, Total: len(specs), Spec: spec, Res: res})
+			progress(SuiteEvent{Index: i, Total: len(specs), Spec: spec, Res: res, Run: run})
 		}
 		mu.Unlock()
 		return nil

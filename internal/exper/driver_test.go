@@ -104,7 +104,7 @@ func TestSuiteCanceled(t *testing.T) {
 func TestComputeCircuitReportsTableIIIDegradation(t *testing.T) {
 	cfg := SuiteConfig{Scale: 0.05, MaxFaults: 600, Workers: 1, SolverBudget: time.Nanosecond}
 	spec, _ := SpecByName("s9234")
-	res, err := ComputeCircuit(context.Background(), spec, cfg, TableRequest{T3: true})
+	res, _, err := ComputeCircuit(context.Background(), spec, cfg, TableRequest{T3: true})
 	if err != nil {
 		t.Fatal(err)
 	}

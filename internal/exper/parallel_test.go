@@ -113,7 +113,8 @@ func stripNondeterministic(res []*CircuitResult) []*CircuitResult {
 // TestSuiteParallelMatchesSerial runs the suite driver serially and with
 // concurrent circuits; the ordered results (tables, Fig. 3 points,
 // degradation rungs) must be identical and progress events must cover
-// every circuit exactly once.
+// every circuit exactly once, each completion carrying the flow its
+// result was derived from.
 func TestSuiteParallelMatchesSerial(t *testing.T) {
 	withProcs(t, 8)
 	cfg := smallCfg()
@@ -136,7 +137,13 @@ func TestSuiteParallelMatchesSerial(t *testing.T) {
 	)
 	parallel, err := RunSuite(ctx, cfg, req, nil, func(ev SuiteEvent) {
 		if ev.Res == nil {
+			if ev.Run != nil {
+				t.Errorf("start event of %s carries a flow", ev.Spec.Name)
+			}
 			return
+		}
+		if ev.Run == nil || ev.Run.Spec.Name != ev.Spec.Name || TableI(ev.Run) != *ev.Res.T1 {
+			t.Errorf("completion event of %s does not carry the flow of its Table I row", ev.Spec.Name)
 		}
 		mu.Lock()
 		completed = append(completed, fmt.Sprintf("%d:%s", ev.Index, ev.Spec.Name))

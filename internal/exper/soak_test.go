@@ -31,7 +31,7 @@ import (
 //	go test -run TestChaosSoak ./internal/exper -soak.seeds=8 -race
 //
 // Failing seeds replay deterministically: rerun with -soak.first=SEED
-// -soak.seeds=1, or at the CLI with tablegen -chaos.seed=SEED.
+// -soak.seeds=1.
 var (
 	soakSeeds     = flag.Int("soak.seeds", 8, "number of chaos soak seeds")
 	soakFirst     = flag.Int64("soak.first", 0, "first soak seed (replay a failing seed with -soak.seeds=1)")

@@ -41,8 +41,7 @@ const (
 	StageSchedule Stage = "schedule"
 	StageExper    Stage = "exper"
 	// StageIO marks failures of the durable-I/O layer (internal/safeio):
-	// atomic file replacement, fsync, record checksum verification and
-	// the retry machinery around them.
+	// atomic file replacement, fsync and record checksum verification.
 	StageIO Stage = "io"
 	// StageCache marks faults injected into the result-cache I/O paths
 	// (internal/cache). The cache itself never surfaces errors — corrupt

@@ -3,9 +3,9 @@
 // through the context-carried observer. Where the metrics registry
 // answers "how much" and spans answer "how long", the flight recorder
 // answers "what happened, in what order, right before it went wrong" —
-// the last few thousand span transitions, chaos injection decisions,
-// solver incumbent updates and result-cache traffic, cheap enough to
-// leave on for every run.
+// the last few thousand span transitions, solver incumbent updates,
+// result-cache traffic and recovered panics, cheap enough to leave on
+// for every run.
 //
 // The ring is a power-of-two slot array of atomic event pointers plus an
 // atomic head counter. Writers claim a sequence number with one atomic
@@ -49,10 +49,6 @@ const (
 	// slash-joined span path ("s9234/detect").
 	KindSpanBegin Kind = "span.begin"
 	KindSpanEnd   Kind = "span.end"
-	// KindChaos is one fired chaos injection decision; Name is the
-	// injection point, Detail the fault kind, Value the per-point call
-	// sequence number that fired.
-	KindChaos Kind = "chaos"
 	// KindIncumbent is a branch-and-bound incumbent improvement; Value is
 	// the new objective value (cover size).
 	KindIncumbent Kind = "incumbent"
@@ -76,17 +72,16 @@ type Event struct {
 	Seq  uint64    `json:"seq"`
 	Time time.Time `json:"t"`
 	Kind Kind      `json:"kind"`
-	// Name locates the event: a span path, chaos point, cache key,
-	// circuit, or solver label.
+	// Name locates the event: a span path, cache key, circuit, or solver
+	// label.
 	Name string `json:"name,omitempty"`
 	// Stage is the fmerr pipeline stage the event attributes to, when one
 	// applies ("detect", "solve", "exper", ...).
 	Stage string `json:"stage,omitempty"`
-	// Detail is free-form context: a fault kind, an error message, a
-	// cache outcome.
+	// Detail is free-form context: an error message, a cache outcome.
 	Detail string `json:"detail,omitempty"`
 	// Value is the kind-specific number: duration in nanoseconds for span
-	// ends, the chaos call sequence, a cache entry size, an incumbent cost.
+	// ends, a cache entry size, an incumbent cost.
 	Value int64 `json:"value,omitempty"`
 }
 
@@ -104,7 +99,7 @@ type Recorder struct {
 }
 
 // DefaultCapacity holds roughly the last few minutes of a busy suite run
-// (spans are per stage, chaos and incumbents per decision) in ~1 MiB.
+// (spans are per stage, incumbents per improvement) in ~1 MiB.
 const DefaultCapacity = 8192
 
 // New returns a recorder holding the most recent capacity events
@@ -198,7 +193,7 @@ func (r *Recorder) DumpFile(ctx context.Context, path string) error {
 
 // AutoDump records a KindDump event naming the trigger and writes the
 // journal to DumpPath. It is the hook the pipeline calls on recovered
-// panics, soak failures and SIGQUIT; with no recorder or no configured
+// panics, failed runs, soak failures and SIGQUIT; with no recorder or no configured
 // path it is a no-op returning "". The write deliberately uses a
 // context detached from the (likely dying) run.
 func (r *Recorder) AutoDump(reason string) (string, error) {

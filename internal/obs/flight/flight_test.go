@@ -147,7 +147,7 @@ func TestConcurrentWriters(t *testing.T) {
 
 func TestWriteJSONLRoundTrip(t *testing.T) {
 	r := New(16)
-	r.Record(Event{Kind: KindChaos, Name: "ilp.node", Stage: "solve", Detail: "panic", Value: 7})
+	r.Record(Event{Kind: KindPanic, Name: "ilp.node", Stage: "solve", Detail: "boom", Value: 7})
 	r.Record(Event{Kind: KindSpanEnd, Name: "s9234/detect", Value: 12345})
 	var buf bytes.Buffer
 	if err := r.WriteJSONL(&buf); err != nil {
@@ -165,8 +165,8 @@ func TestWriteJSONLRoundTrip(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("decoded %d events, want 2", len(got))
 	}
-	if got[0].Kind != KindChaos || got[0].Name != "ilp.node" || got[0].Stage != "solve" ||
-		got[0].Detail != "panic" || got[0].Value != 7 {
+	if got[0].Kind != KindPanic || got[0].Name != "ilp.node" || got[0].Stage != "solve" ||
+		got[0].Detail != "boom" || got[0].Value != 7 {
 		t.Fatalf("event 0 = %+v", got[0])
 	}
 	if got[1].Kind != KindSpanEnd || got[1].Name != "s9234/detect" {

@@ -13,19 +13,14 @@ import (
 	"strings"
 	"time"
 
-	"fastmon/internal/chaos"
-	"fastmon/internal/fmerr"
 	"fastmon/internal/safeio"
 )
-
-// ptManifestWrite is the chaos injection point for manifest emission.
-var ptManifestWrite = chaos.Register("obs.manifest.write", fmerr.StageIO)
 
 // Manifest is the machine-readable record of one run ("run.json"): build
 // provenance, the configuration it ran under (plus a fingerprint for
 // cheap equality checks), aggregated per-stage timings, the full metrics
-// snapshot, and an optional tool-specific payload (the experiment
-// harness attaches its per-circuit results there).
+// snapshot, and an optional tool-specific payload (both CLIs attach
+// their per-circuit results there).
 type Manifest struct {
 	Tool      string    `json:"tool"`
 	GitRev    string    `json:"git_rev"`
@@ -45,15 +40,9 @@ type Manifest struct {
 	// Stages aggregates leaf spans by name (see StageTimings).
 	Stages []StageTiming `json:"stages,omitempty"`
 
-	// Circuits is the tool-specific per-circuit payload (the harness
-	// stores its per-circuit results here).
+	// Circuits is the tool-specific per-circuit payload (both CLIs store
+	// one exper.CircuitResult per circuit here).
 	Circuits any `json:"circuits,omitempty"`
-
-	// Chaos summarizes deterministic fault injection when the run was
-	// chaos-armed: the seed, the configured rate, and the per-point fired
-	// counts — enough to attribute a soak failure to a specific injection
-	// point and replay it from the manifest alone.
-	Chaos *ChaosReport `json:"chaos,omitempty"`
 
 	// Cache summarizes the content-addressed result cache when the run
 	// was cache-armed: directory, budget, and hit/miss/eviction traffic.
@@ -78,15 +67,6 @@ type CacheReport struct {
 	Puts      int64  `json:"puts,omitempty"`
 	// WriteErrors counts best-effort Put failures (marshal or disk).
 	WriteErrors int64 `json:"write_errors,omitempty"`
-}
-
-// ChaosReport is the manifest's fault-injection summary.
-type ChaosReport struct {
-	Seed  int64   `json:"seed"`
-	Rate  float64 `json:"rate"`
-	Fired int64   `json:"fired"`
-	// Points maps each injection point that fired to its fault count.
-	Points map[string]int64 `json:"points,omitempty"`
 }
 
 // StageTiming is the aggregate of every leaf span with one name.
@@ -125,26 +105,13 @@ func (m *Manifest) Finish(o *Observer) {
 
 // WriteFile durably writes the manifest as a CRC-stamped record:
 // fsync-then-rename atomic replacement (safeio) so a crash never leaves
-// a torn or missing run.json behind a completed run. Transient failures
-// are retried with backoff under ctx.
+// a torn or missing run.json behind a completed run.
 func (m *Manifest) WriteFile(ctx context.Context, path string) error {
 	data, err := safeio.MarshalRecordIndent(m)
 	if err != nil {
 		return fmt.Errorf("obs: marshal manifest: %w", err)
 	}
-	return safeio.Retry(ctx, "manifest", func() (err error) {
-		// The manifest writer has no worker pool above it to isolate a
-		// panic (injected or real); convert it to a typed error here.
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmerr.NewPanic(chaos.StageOf(r, fmerr.StageIO), path, r)
-			}
-		}()
-		if err := chaos.Point(ctx, ptManifestWrite); err != nil {
-			return err
-		}
-		return safeio.WriteFileAtomic(ctx, path, data, 0o644)
-	})
+	return safeio.WriteFileAtomic(ctx, path, data, 0o644)
 }
 
 // ReadManifest loads a manifest written by WriteFile, verifying its

@@ -38,8 +38,9 @@ func ClampWorkers(w int) int {
 // ClampWorkersFor applies ClampWorkers and additionally caps the pool at
 // the number of work items, never below one: a fan-out over n items gains
 // nothing from more than n workers. This is the shared rule for
-// item-bounded pools (the exper suite fan-out over circuits, diagnosis
-// over candidate faults).
+// item-bounded pools (the exper suite fan-out over circuits, ATPG and
+// fault simulation over faults, the Step-2 schedule fan-out over
+// periods).
 func ClampWorkersFor(w, items int) int {
 	w = ClampWorkers(w)
 	if w > items {

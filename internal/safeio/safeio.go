@@ -1,8 +1,7 @@
 // Package safeio is the pipeline's durable-I/O layer: atomic file
-// replacement that survives crashes, CRC32-stamped JSON records that
+// replacement that survives crashes, and CRC32-stamped JSON records that
 // make torn or silently corrupted files *detectable* instead of
-// *believable*, and a context-aware retry with exponential backoff for
-// transient failures.
+// *believable*.
 //
 // The durability contract, relied on by the result cache and the run
 // manifest:
@@ -18,11 +17,6 @@
 //     did reach disk, a flipped bit — gets ErrCorrupt and must treat
 //     the record as missing (recompute), never serve it. Bytes without
 //     the envelope, naked JSON included, are ErrCorrupt too.
-//   - Retry re-runs an operation on *transient* errors only (the faults
-//     chaos injects), at most four times with a capped exponential
-//     backoff, and with a hard rule: after context cancellation it never
-//     retries and it returns the last typed error from the operation,
-//     not a bare context error.
 //
 // Chaos integration: WriteFileAtomic passes the outgoing bytes through
 // the "safeio.write" data injection point, so a seeded soak run can
@@ -39,7 +33,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"time"
 
 	"fastmon/internal/chaos"
 	"fastmon/internal/fmerr"
@@ -245,69 +238,4 @@ func compactPayload(data []byte) ([]byte, bool) {
 	}
 	var sum [8]byte
 	return payload, bytes.Equal(appendCRC(sum[:0], payload), stamp)
-}
-
-// --- retry ------------------------------------------------------------------
-
-// IsTransient reports whether err is retryable: a chaos-injected fault,
-// transient by contract. Cancellation is never transient.
-func IsTransient(err error) bool {
-	if err == nil || fmerr.IsCanceled(err) {
-		return false
-	}
-	var inj *chaos.Injected
-	return chaos.AsInjected(err, &inj)
-}
-
-// Retry's policy: at most retryAttempts calls, with a backoff that
-// starts at retryBase, doubles after each failure and stops at retryMax.
-const (
-	retryAttempts = 4
-	retryBase     = 2 * time.Millisecond
-	retryMax      = 100 * time.Millisecond
-)
-
-// sleep waits out one backoff and returns ctx.Err() if the context is
-// cancelled first. Tests replace it.
-var sleep = func(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// Retry runs fn up to retryAttempts times, backing off between attempts.
-// It retries only transient errors (IsTransient) and never after the
-// context is cancelled — in both cases it returns the last error fn
-// produced, stage-attributed to the I/O layer, so callers see the typed
-// failure rather than a bare context error.
-func Retry(ctx context.Context, op string, fn func() error) error {
-	var last error
-	backoff := retryBase
-	for i := 0; i < retryAttempts; i++ {
-		if err := ctx.Err(); err != nil {
-			if last == nil {
-				return fmerr.Wrap(fmerr.StageIO, op, err)
-			}
-			return fmerr.Wrap(fmerr.StageIO, op, last)
-		}
-		last = fn()
-		if last == nil {
-			return nil
-		}
-		if !IsTransient(last) || i == retryAttempts-1 {
-			break
-		}
-		if err := sleep(ctx, backoff); err != nil {
-			// Cancelled mid-backoff: surface the operation's own last
-			// typed error, never retry again.
-			break
-		}
-		backoff = min(2*backoff, retryMax)
-	}
-	return fmerr.Wrap(fmerr.StageIO, op, last)
 }

@@ -10,10 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"fastmon/internal/chaos"
 	"fastmon/internal/fmerr"
@@ -75,9 +73,6 @@ func TestWriteFileAtomicChaosShortWrite(t *testing.T) {
 	var inj *chaos.Injected
 	if err == nil || !chaos.AsInjected(err, &inj) || inj.Kind != chaos.KindShortWrite {
 		t.Fatalf("short write err = %v", err)
-	}
-	if !IsTransient(err) {
-		t.Fatal("injected short write not classified transient")
 	}
 	// The torn bytes reached the final path — exactly like a crash.
 	got, rerr := os.ReadFile(path)
@@ -314,150 +309,4 @@ func FuzzUnmarshalRecord(f *testing.F) {
 			t.Fatalf("%q: decoded %v, verifying path %v", data, got, want)
 		}
 	})
-}
-
-// stubSleep replaces Retry's backoff sleep for the test with fn.
-func stubSleep(t *testing.T, fn func(context.Context, time.Duration) error) {
-	t.Helper()
-	old := sleep
-	sleep = fn
-	t.Cleanup(func() { sleep = old })
-}
-
-func noSleep(context.Context, time.Duration) error { return nil }
-
-// flaky returns a chaos-injected fault, the one kind of error Retry
-// retries.
-func flaky() error { return &chaos.Injected{Point: "p", Stage: fmerr.StageIO, Kind: chaos.KindError} }
-
-func TestRetrySucceedsAfterTransients(t *testing.T) {
-	stubSleep(t, noSleep)
-	calls := 0
-	err := Retry(context.Background(), "op", func() error {
-		calls++
-		if calls < 3 {
-			return flaky()
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("err=%v calls=%d", err, calls)
-	}
-}
-
-func TestRetryStopsOnPermanentError(t *testing.T) {
-	stubSleep(t, noSleep)
-	calls := 0
-	perm := errors.New("permanent")
-	err := Retry(context.Background(), "op", func() error {
-		calls++
-		return perm
-	})
-	if calls != 1 {
-		t.Fatalf("retried a permanent error %d times", calls)
-	}
-	if !errors.Is(err, perm) {
-		t.Fatalf("lost the typed error: %v", err)
-	}
-	if fmerr.StageOf(err) != fmerr.StageIO {
-		t.Fatalf("stage = %q", fmerr.StageOf(err))
-	}
-}
-
-func TestRetryExhaustsAttempts(t *testing.T) {
-	stubSleep(t, noSleep)
-	calls := 0
-	last := flaky()
-	err := Retry(context.Background(), "op", func() error {
-		calls++
-		return last
-	})
-	if calls != retryAttempts {
-		t.Fatalf("calls = %d, want %d", calls, retryAttempts)
-	}
-	if !errors.Is(err, last) {
-		t.Fatalf("lost last error: %v", err)
-	}
-}
-
-// TestRetryNeverRetriesAfterCancel: whichever backoff the context is
-// cancelled in, Retry must never invoke fn again after the cancellation,
-// and must always return the last typed error fn produced (not a bare
-// context error) once fn has run.
-func TestRetryNeverRetriesAfterCancel(t *testing.T) {
-	for cancelAfter := 0; cancelAfter < retryAttempts; cancelAfter++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		typed := &chaos.Injected{Point: "p", Stage: fmerr.StageIO, Kind: chaos.KindError}
-		calls, callsAtCancel := 0, -1
-		sleeps := 0
-		stubSleep(t, func(c context.Context, _ time.Duration) error {
-			if sleeps == cancelAfter {
-				cancel()
-				callsAtCancel = calls
-			}
-			sleeps++
-			return c.Err()
-		})
-		err := Retry(ctx, "op", func() error {
-			calls++
-			return typed
-		})
-		cancel()
-		if callsAtCancel >= 0 && calls != callsAtCancel {
-			t.Fatalf("cancel in backoff %d: fn called %d times after cancellation", cancelAfter, calls-callsAtCancel)
-		}
-		var inj *chaos.Injected
-		if !chaos.AsInjected(err, &inj) {
-			t.Fatalf("cancel in backoff %d: lost the typed error, got %v", cancelAfter, err)
-		}
-		if errors.Is(err, context.Canceled) {
-			t.Fatalf("cancel in backoff %d: returned context error instead of typed op error: %v", cancelAfter, err)
-		}
-	}
-}
-
-// TestRetryCancelledBeforeFirstAttempt: if the context is already dead
-// and fn never ran, the context error is the only truthful answer.
-func TestRetryCancelledBeforeFirstAttempt(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	calls := 0
-	err := Retry(ctx, "op", func() error { calls++; return nil })
-	if calls != 0 {
-		t.Fatalf("fn ran %d times on a dead context", calls)
-	}
-	if !fmerr.IsCanceled(err) {
-		t.Fatalf("err = %v, want cancellation", err)
-	}
-}
-
-// TestRetryBackoffDeterministicAndBounded: the backoffs between the four
-// attempts are fixed: 2 ms, doubling each time.
-func TestRetryBackoffDeterministicAndBounded(t *testing.T) {
-	var got []time.Duration
-	stubSleep(t, func(_ context.Context, d time.Duration) error {
-		got = append(got, d)
-		return nil
-	})
-	Retry(context.Background(), "op", func() error { return flaky() })
-	want := []time.Duration{2 * time.Millisecond, 4 * time.Millisecond, 8 * time.Millisecond}
-	if !slices.Equal(got, want) {
-		t.Fatalf("backoffs %v, want %v", got, want)
-	}
-}
-
-func TestIsTransientClassification(t *testing.T) {
-	if IsTransient(nil) {
-		t.Fatal("nil transient")
-	}
-	if IsTransient(context.Canceled) {
-		t.Fatal("cancellation transient")
-	}
-	inj := &chaos.Injected{Point: "p", Kind: chaos.KindError}
-	if !IsTransient(fmerr.Wrap(fmerr.StageIO, "w", inj)) {
-		t.Fatal("wrapped chaos fault not transient")
-	}
-	if IsTransient(errors.New("plain")) {
-		t.Fatal("plain error transient")
-	}
 }
