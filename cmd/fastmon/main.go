@@ -11,6 +11,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,16 +30,27 @@ func main() {
 	// run hanging.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errBadFlags):
+		os.Exit(2)
+	default:
 		fmt.Fprintln(os.Stderr, "fastmon:", err)
 		os.Exit(1)
 	}
 }
 
+// errBadFlags marks a command line the flag set rejected; the flag set
+// has already printed why, with the usage text.
+var errBadFlags = errors.New("bad command line")
+
 // run parses the command line args, runs the flow and writes its report
-// to stdout; the runtime's logs and status lines go to stderr.
+// to stdout; the runtime's logs and status lines, and the usage text, go
+// to stderr. -h returns flag.ErrHelp.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
-	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		benchPath = fs.String("bench", "", "netlist to test (.bench format)")
 		vlogPath  = fs.String("verilog", "", "netlist to test (structural Verilog; hierarchies are flattened)")
@@ -56,7 +68,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	)
 	var rt cli.Flags
 	rt.Register(fs)
-	fs.Parse(args) //nolint:errcheck // ExitOnError: a bad command line exits
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %w", errBadFlags, err)
+	}
 
 	// Check the command line before the runtime starts, so that a usage
 	// error leaves no manifest and no flight dump behind.

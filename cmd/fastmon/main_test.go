@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"io"
 	"maps"
@@ -128,5 +129,26 @@ func TestUsageErrorWritesNothing(t *testing.T) {
 	}
 	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
 		t.Fatalf("usage error left %v (%v), want no file", ents, err)
+	}
+}
+
+// TestBadFlagsReturnError: a command line the flag set rejects fails run
+// with the usage text on run's stderr instead of exiting the process, and
+// -h returns flag.ErrHelp.
+func TestBadFlagsReturnError(t *testing.T) {
+	var stderr strings.Builder
+	err := run(context.Background(), []string{"-bogus"}, io.Discard, &stderr)
+	if !errors.Is(err, errBadFlags) || errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-bogus: err = %v, want a bad command line", err)
+	}
+	if !strings.Contains(stderr.String(), "-bogus") || !strings.Contains(stderr.String(), "-gen") {
+		t.Fatalf("-bogus: stderr lacks the reason or the usage text:\n%s", stderr.String())
+	}
+	stderr.Reset()
+	if err := run(context.Background(), []string{"-h"}, io.Discard, &stderr); err != flag.ErrHelp {
+		t.Fatalf("-h: err = %v, want flag.ErrHelp", err)
+	}
+	if !strings.Contains(stderr.String(), "-gen") {
+		t.Fatalf("-h: stderr lacks the usage text:\n%s", stderr.String())
 	}
 }

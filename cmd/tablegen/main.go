@@ -209,14 +209,22 @@ func run(ctx context.Context, out, log io.Writer, cfg exper.SuiteConfig, opts op
 		return nil
 	}
 
-	if opts.ablate {
-		if err := runAblations(ctx, out, cfg, first); err != nil {
+	if opts.ablate || opts.robust {
+		// Ablations A, B and D and the robustness study share the first
+		// circuit's full-coverage ILP schedule.
+		base, err := first.Flow.BuildSchedule(ctx, schedule.ILP, 1.0)
+		if err != nil {
 			return err
 		}
-	}
-	if opts.robust {
-		if err := runRobustness(ctx, out, first); err != nil {
-			return err
+		if opts.ablate {
+			if err := runAblations(ctx, out, first, base); err != nil {
+				return err
+			}
+		}
+		if opts.robust {
+			if err := runRobustness(ctx, out, first, base); err != nil {
+				return err
+			}
 		}
 	}
 	if opts.lifetime {
@@ -232,21 +240,21 @@ func run(ctx context.Context, out, log io.Writer, cfg exper.SuiteConfig, opts op
 	return nil
 }
 
-func runAblations(ctx context.Context, out io.Writer, cfg exper.SuiteConfig, r *exper.Run) error {
-	fr, err := exper.AblateMonitorFraction(ctx, r.Spec, cfg, []float64{0.10, 0.25, 0.50, 1.0})
+func runAblations(ctx context.Context, out io.Writer, r *exper.Run, base *schedule.Schedule) error {
+	fr, err := exper.AblateMonitorFraction(ctx, r, base, []float64{0.10, 0.25, 0.50, 1.0})
 	if err != nil {
 		return err
 	}
-	dr, err := exper.AblateDelayConfigs(ctx, r)
+	dr, err := exper.AblateDelayConfigs(ctx, r, base)
 	if err != nil {
 		return err
 	}
-	gr, err := exper.AblateGlitch(ctx, r.Spec, cfg, []float64{0, 1, 2})
+	gr, err := exper.AblateGlitch(ctx, r, []float64{0, 1, 2})
 	if err != nil {
 		return err
 	}
 	exper.WriteAblation(out, fr, dr, gr)
-	fc, err := exper.AblateFreeConfig(ctx, r)
+	fc, err := exper.AblateFreeConfig(ctx, r, base)
 	if err != nil {
 		return err
 	}
@@ -254,11 +262,7 @@ func runAblations(ctx context.Context, out io.Writer, cfg exper.SuiteConfig, r *
 	return nil
 }
 
-func runRobustness(ctx context.Context, out io.Writer, r *exper.Run) error {
-	s, err := r.Flow.BuildSchedule(ctx, schedule.ILP, 1.0)
-	if err != nil {
-		return err
-	}
+func runRobustness(ctx context.Context, out io.Writer, r *exper.Run, s *schedule.Schedule) error {
 	var pts []exper.RobustnessPoint
 	for _, sigma := range []float64{0, 0.02, 0.05, 0.10} {
 		p, err := exper.VariationRobustness(ctx, r, s, sigma, 5, 1234)

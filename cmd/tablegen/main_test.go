@@ -133,6 +133,22 @@ func TestDefaultFig3(t *testing.T) {
 	checkGolden(t, "default_fig3.golden", []byte(withoutTotal(out.String())))
 }
 
+// TestDefaultRobust pins the default run's robustness study: -robust
+// -workers 2 at the default selection, scale and fault budget must print
+// testdata/default_robust.golden apart from the "# total" line. The study
+// covers s9234 alone and takes about two seconds. Its full-coverage
+// schedule is solved exactly at the default 5 s budget; the minute here
+// keeps it exact on a slower host. EXPERIMENTS.md's "Robustness" block is
+// kept equal to the golden (TestExperimentsRobustness).
+func TestDefaultRobust(t *testing.T) {
+	var out, log strings.Builder
+	cfg := exper.SuiteConfig{Workers: 2, SolverBudget: time.Minute}
+	if err := run(context.Background(), &out, &log, cfg, options{robust: true}, nil); err != nil {
+		t.Fatalf("%v\n%s", err, log.String())
+	}
+	checkGolden(t, "default_robust.golden", []byte(withoutTotal(out.String())))
+}
+
 // TestRunStopEmitsPartialTables: a stop requested before the first circuit
 // still renders the (empty) tables with a partial-results banner instead
 // of failing.

@@ -104,6 +104,38 @@ func TestManifestGoldenShape(t *testing.T) {
 	checkGolden(t, "run_golden.json", append(got, '\n'))
 }
 
+// TestStudiesShareFlowAndSchedule: -ablate -robust takes the first
+// circuit's flow from the suite and reruns it only at the ablation points
+// away from its own setting (fractions 0.10, 0.50 and 1.0, glitch scales
+// 0 and 2), and it builds the flow's full-coverage ILP schedule once for
+// Ablations A, B and D and the robustness study: 6 ATPG stages (the
+// suite's and five varied flows) and 8 schedule builds (the base, three
+// varied fractions, three delay subsets and the per-monitor model).
+func TestStudiesShareFlowAndSchedule(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.json")
+	opts := options{ablate: true, robust: true, Flags: cli.Flags{Manifest: path}}
+	var out, log strings.Builder
+	if err := run(context.Background(), &out, &log, smallCfg(), opts, nil); err != nil {
+		t.Fatalf("%v\n%s", err, log.String())
+	}
+	man, err := obs.ReadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := man.Metrics.Counters["schedule.builds"]; got != 8 {
+		t.Errorf("schedule.builds = %d, want 8", got)
+	}
+	atpg := 0
+	for _, s := range man.Stages {
+		if s.Name == "atpg" {
+			atpg = s.Count
+		}
+	}
+	if atpg != 6 {
+		t.Errorf("%d atpg stages, want 6", atpg)
+	}
+}
+
 // checkGolden compares got with testdata/name, or rewrites the file
 // under -update.
 func checkGolden(t *testing.T, name string, got []byte) {

@@ -29,6 +29,14 @@ func TestExperimentsLifetime(t *testing.T) {
 	checkDocTable(t, "## Lifetime sweep ", "cmd/tablegen/testdata/default_lifetime.golden", "Lifetime sweep:")
 }
 
+// TestExperimentsRobustness keeps the robustness study of EXPERIMENTS.md
+// in step with the default run's pinned golden: the first code block
+// under its "## Robustness" heading must hold exactly the golden's table
+// lines.
+func TestExperimentsRobustness(t *testing.T) {
+	checkDocTable(t, "## Robustness ", "cmd/tablegen/testdata/default_robust.golden", "Schedule robustness under process variation")
+}
+
 // checkDocTable requires the first code block under EXPERIMENTS.md's
 // heading to hold exactly the table that follows the caption line in the
 // golden, up to the next blank line.

@@ -36,20 +36,22 @@ var (
 	ptExtract  = chaos.Register("core.extract", fmerr.StageDetect)
 )
 
+// The paper's clocking. Every flow runs under it; the monitors' delay
+// elements are monitor.StandardDelays of the nominal clock.
+const (
+	// ClockMargin m sets clk := (1+m)·cpl.
+	ClockMargin = 0.05
+	// FMaxFactor k bounds FAST: f_max = k·f_nom, t_min = clk/k (following
+	// the paper's refs. [9–11]).
+	FMaxFactor = 3
+)
+
 // Config parameterizes a flow run. The zero value is completed with the
 // paper's evaluation setup by Defaults.
 type Config struct {
-	// ClockMargin m sets clk := (1+m)·cpl (0.05 in the paper).
-	ClockMargin float64
-	// FMaxFactor k bounds FAST: f_max = k·f_nom, t_min = clk/k (3 in the
-	// paper, following [9–11]).
-	FMaxFactor float64
 	// MonitorFraction of pseudo primary outputs receives monitors at long
 	// path ends (0.25 in the paper).
 	MonitorFraction float64
-	// DelayFractions are the programmable delay elements as fractions of
-	// clk ({0.05, 0.10, 0.15, ⅓} in the paper).
-	DelayFractions []float64
 	// FaultSampleK keeps every k-th fault of the universe (1 = all);
 	// large circuits use sampling exactly like the paper used GPU-farm
 	// parallelism.
@@ -71,17 +73,8 @@ type Config struct {
 
 // Defaults fills unset fields with the paper's evaluation parameters.
 func (c Config) Defaults() Config {
-	if c.ClockMargin == 0 {
-		c.ClockMargin = 0.05
-	}
-	if c.FMaxFactor == 0 {
-		c.FMaxFactor = 3
-	}
 	if c.MonitorFraction == 0 {
 		c.MonitorFraction = 0.25
-	}
-	if len(c.DelayFractions) == 0 {
-		c.DelayFractions = []float64{0.05, 0.10, 0.15, 1.0 / 3.0}
 	}
 	if c.FaultSampleK < 1 {
 		c.FaultSampleK = 1
@@ -159,14 +152,10 @@ func Run(ctx context.Context, c *circuit.Circuit, lib *cell.Library, annot *cell
 	}
 	_, staSpan := obs.StartSpan(ctx, "sta")
 	f.Timing = sta.Analyze(c, annot)
-	f.Clk = f.Timing.NominalClock(cfg.ClockMargin)
-	f.TMin = f.Clk.Scale(1 / cfg.FMaxFactor)
+	f.Clk = f.Timing.NominalClock(ClockMargin)
+	f.TMin = f.Clk.Scale(1.0 / FMaxFactor)
 	f.Delta = lib.FaultSize()
-	delays := make([]tunit.Time, len(cfg.DelayFractions))
-	for i, fr := range cfg.DelayFractions {
-		delays[i] = f.Clk.Scale(fr)
-	}
-	f.Placement = monitor.Place(f.Timing, cfg.MonitorFraction, delays)
+	f.Placement = monitor.Place(f.Timing, cfg.MonitorFraction, monitor.StandardDelays(f.Clk))
 	staSpan.End(
 		slog.String("clk", f.Clk.String()),
 		slog.Int("monitors", len(f.Placement.Taps)))
@@ -229,7 +218,7 @@ func Run(ctx context.Context, c *circuit.Circuit, lib *cell.Library, annot *cell
 		if !ffRange.Empty() {
 			f.ConvDetected = append(f.ConvDetected, i)
 		}
-		comb := fd.Combined(f.DetectCfg, delays)
+		comb := fd.Combined(f.DetectCfg, f.Placement.Delays)
 		if comb.Empty() {
 			continue
 		}
@@ -238,7 +227,7 @@ func Run(ctx context.Context, c *circuit.Circuit, lib *cell.Library, annot *cell
 		// fault at the nominal period; no FAST frequency needed.
 		atSpeed := false
 		sr := fd.SRUnion()
-		for _, d := range delays {
+		for _, d := range f.Placement.Delays {
 			if sr.Shift(d).Contains(f.Clk) {
 				atSpeed = true
 				break

@@ -11,6 +11,7 @@ import (
 	"fastmon/internal/circuit"
 	"fastmon/internal/fault"
 	"fastmon/internal/fmerr"
+	"fastmon/internal/monitor"
 	"fastmon/internal/obs"
 	"fastmon/internal/schedule"
 )
@@ -27,16 +28,22 @@ func runS27(t *testing.T) *Flow {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.Defaults()
-	if c.ClockMargin != 0.05 || c.FMaxFactor != 3 || c.MonitorFraction != 0.25 {
-		t.Fatalf("defaults = %+v", c)
-	}
-	if len(c.DelayFractions) != 4 || c.FaultSampleK != 1 {
+	if c.MonitorFraction != 0.25 || c.FaultSampleK != 1 || c.GlitchScale != 1 {
 		t.Fatalf("defaults = %+v", c)
 	}
 	// Explicit values survive.
-	c2 := Config{ClockMargin: 0.1, FMaxFactor: 2}.Defaults()
-	if c2.ClockMargin != 0.1 || c2.FMaxFactor != 2 {
+	c2 := Config{MonitorFraction: 0.5, GlitchScale: 2}.Defaults()
+	if c2.MonitorFraction != 0.5 || c2.GlitchScale != 2 {
 		t.Fatalf("overrides lost: %+v", c2)
+	}
+	// Every flow runs under the paper's clocking: a 5 % margin, f_max =
+	// 3·f_nom and the four standard delay elements.
+	f := runS27(t)
+	if f.Clk != f.Timing.NominalClock(0.05) || f.TMin != f.Clk.Scale(1.0/3) {
+		t.Fatalf("clocks: clk=%v tmin=%v", f.Clk, f.TMin)
+	}
+	if !reflect.DeepEqual(f.Delays(), monitor.StandardDelays(f.Clk)) {
+		t.Fatalf("delays = %v", f.Delays())
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"fastmon/internal/cell"
 	"fastmon/internal/core"
 	"fastmon/internal/schedule"
 	"fastmon/internal/tunit"
@@ -27,21 +26,17 @@ type FractionRow struct {
 	Size     int // |S|
 }
 
-// AblateMonitorFraction reruns the flow with different monitor budgets.
-// The paper fixes 25%; the ablation shows the coverage/test-time trade-off
-// around that choice.
-func AblateMonitorFraction(ctx context.Context, spec Spec, cfg SuiteConfig, fractions []float64) ([]FractionRow, error) {
-	cfg = cfg.Defaults()
-	c, err := spec.Build(cfg.Scale)
-	if err != nil {
-		return nil, err
-	}
-	lib := cell.NanGate45()
-	fcfg := cfg.flowConfig(spec, c)
+// AblateMonitorFraction reruns the first circuit's flow with different
+// monitor budgets. The paper fixes 25%; the ablation shows the
+// coverage/test-time trade-off around that choice. A point at the run's
+// own fraction reads the run and base, its full-coverage ILP schedule
+// (r.Flow.BuildSchedule(ctx, schedule.ILP, 1.0)).
+func AblateMonitorFraction(ctx context.Context, r *Run, base *schedule.Schedule, fractions []float64) ([]FractionRow, error) {
 	var rows []FractionRow
 	for _, fr := range fractions {
-		fcfg.MonitorFraction = fr
-		flow, err := core.Run(ctx, c, lib, nil, fcfg)
+		cfg := r.Flow.Config
+		cfg.MonitorFraction = fr
+		flow, err := r.flowAt(ctx, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("fraction %.2f: %w", fr, err)
 		}
@@ -53,15 +48,26 @@ func AblateMonitorFraction(ctx context.Context, spec Spec, cfg SuiteConfig, frac
 			Target:   len(flow.TargetIdx),
 		}
 		if len(flow.TargetData) > 0 {
-			s, err := flow.BuildSchedule(ctx, schedule.ILP, 1.0)
-			if err != nil {
-				return nil, err
+			s := base
+			if flow != r.Flow {
+				if s, err = flow.BuildSchedule(ctx, schedule.ILP, 1.0); err != nil {
+					return nil, err
+				}
 			}
 			row.Freqs, row.Size = s.NumFrequencies(), s.Size()
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// flowAt is the run's flow under cfg: the run's own flow at its own
+// configuration, else a rerun on its circuit, library and annotation.
+func (r *Run) flowAt(ctx context.Context, cfg core.Config) (*core.Flow, error) {
+	if cfg == r.Flow.Config {
+		return r.Flow, nil
+	}
+	return core.Run(ctx, r.Flow.Circuit, r.Flow.Library, r.Flow.Annot, cfg)
 }
 
 // DelayRow is one delay-element ablation point.
@@ -76,14 +82,11 @@ type DelayRow struct {
 // AblateDelayConfigs re-schedules a completed run with subsets of the
 // programmable delay elements. The single ⅓·clk element corresponds to the
 // fixed monitors of [14]; the full set is the paper's programmable
-// monitor. Detection data is reused — only the shifting and scheduling
-// change.
-func AblateDelayConfigs(ctx context.Context, r *Run) ([]DelayRow, error) {
+// monitor, whose row is base, the run's full-coverage ILP schedule.
+// Detection data is reused — only the shifting and scheduling change.
+func AblateDelayConfigs(ctx context.Context, r *Run, base *schedule.Schedule) ([]DelayRow, error) {
 	flow := r.Flow
 	all := flow.Delays()
-	if len(all) != 4 {
-		return nil, fmt.Errorf("ablation expects the paper's 4 delay elements, have %d", len(all))
-	}
 	subsets := []struct {
 		label  string
 		delays []tunit.Time
@@ -95,14 +98,17 @@ func AblateDelayConfigs(ctx context.Context, r *Run) ([]DelayRow, error) {
 	}
 	var rows []DelayRow
 	for _, sub := range subsets {
-		opt := flow.ScheduleOptions(schedule.ILP, 1.0)
-		opt.Delays = sub.delays
-		if sub.delays == nil {
-			opt.Method = schedule.Conventional
-		}
-		s, err := schedule.Build(ctx, flow.TargetData, opt)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sub.label, err)
+		s := base // the full set
+		if len(sub.delays) < len(all) {
+			opt := flow.ScheduleOptions(schedule.ILP, 1.0)
+			opt.Delays = sub.delays
+			if sub.delays == nil {
+				opt.Method = schedule.Conventional
+			}
+			var err error
+			if s, err = schedule.Build(ctx, flow.TargetData, opt); err != nil {
+				return nil, fmt.Errorf("%s: %w", sub.label, err)
+			}
 		}
 		rows = append(rows, DelayRow{
 			Label:     sub.label,
@@ -125,29 +131,28 @@ type FreeConfigRow struct {
 }
 
 // AblateFreeConfig re-schedules a completed run with and without the
-// shared-setting restriction. Frequency selection is identical (the
+// shared-setting restriction; the shared row is base, the run's
+// full-coverage ILP schedule. Frequency selection is identical (the
 // coverable union does not depend on the restriction); only the
 // per-frequency pattern-configuration count changes.
-func AblateFreeConfig(ctx context.Context, r *Run) ([]FreeConfigRow, error) {
+func AblateFreeConfig(ctx context.Context, r *Run, base *schedule.Schedule) ([]FreeConfigRow, error) {
 	flow := r.Flow
-	var rows []FreeConfigRow
-	for _, free := range []bool{false, true} {
-		opt := flow.ScheduleOptions(schedule.ILP, 1.0)
-		opt.FreeConfig = free
-		s, err := schedule.Build(ctx, flow.TargetData, opt)
-		if err != nil {
-			return nil, err
-		}
-		if err := schedule.Validate(flow.TargetData, s, opt); err != nil {
-			return nil, err
-		}
-		label := "shared setting (paper)"
-		if free {
-			label = "per-monitor (bound)"
-		}
-		rows = append(rows, FreeConfigRow{Label: label, Freqs: s.NumFrequencies(), Size: s.Size()})
+	opt := flow.ScheduleOptions(schedule.ILP, 1.0)
+	if err := schedule.Validate(flow.TargetData, base, opt); err != nil {
+		return nil, err
 	}
-	return rows, nil
+	opt.FreeConfig = true
+	free, err := schedule.Build(ctx, flow.TargetData, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := schedule.Validate(flow.TargetData, free, opt); err != nil {
+		return nil, err
+	}
+	return []FreeConfigRow{
+		{Label: "shared setting (paper)", Freqs: base.NumFrequencies(), Size: base.Size()},
+		{Label: "per-monitor (bound)", Freqs: free.NumFrequencies(), Size: free.Size()},
+	}, nil
 }
 
 // GlitchRow is one glitch-threshold ablation point.
@@ -158,26 +163,21 @@ type GlitchRow struct {
 	Prop   int
 }
 
-// AblateGlitch reruns the flow with scaled pulse-filtering thresholds to
-// quantify the cost of the pessimistic filtering of Fig. 1 (scale 0 =
-// optimistic, no filtering).
-func AblateGlitch(ctx context.Context, spec Spec, cfg SuiteConfig, scales []float64) ([]GlitchRow, error) {
-	cfg = cfg.Defaults()
-	c, err := spec.Build(cfg.Scale)
-	if err != nil {
-		return nil, err
-	}
-	lib := cell.NanGate45()
-	gcfg := cfg.flowConfig(spec, c)
+// AblateGlitch reruns the first circuit's flow with scaled
+// pulse-filtering thresholds to quantify the cost of the pessimistic
+// filtering of Fig. 1 (scale 0 = optimistic, no filtering). A point at the
+// run's own scale reads the run.
+func AblateGlitch(ctx context.Context, r *Run, scales []float64) ([]GlitchRow, error) {
 	var rows []GlitchRow
 	for _, sc := range scales {
-		gcfg.GlitchScale = sc
+		cfg := r.Flow.Config
+		cfg.GlitchScale = sc
 		if sc == 0 {
 			// Defaults() maps 0 to 1; use a tiny positive value for the
 			// "no filtering" point.
-			gcfg.GlitchScale = 1e-9
+			cfg.GlitchScale = 1e-9
 		}
-		flow, err := core.Run(ctx, c, lib, nil, gcfg)
+		flow, err := r.flowAt(ctx, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("glitch scale %.1f: %w", sc, err)
 		}

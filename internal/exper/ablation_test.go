@@ -4,11 +4,42 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"fastmon/internal/core"
+	"fastmon/internal/schedule"
 )
 
+// baseRun runs the named circuit's suite flow at smallCfg and builds its
+// full-coverage ILP schedule, the base the ablations share.
+func baseRun(t *testing.T, name string) (*Run, *schedule.Schedule) {
+	t.Helper()
+	r, err := RunCircuit(context.Background(), mustSpec(t, name), smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := r.Flow.BuildSchedule(context.Background(), schedule.ILP, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, base
+}
+
+// rerun runs r's flow again with cfg varied, as a study run at cfg.
+func rerun(t *testing.T, r *Run, vary func(*core.Config)) *Run {
+	t.Helper()
+	cfg := r.Flow.Config
+	vary(&cfg)
+	f, err := core.Run(context.Background(), r.Flow.Circuit, r.Flow.Library, r.Flow.Annot, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Run{Spec: r.Spec, Flow: f}
+}
+
 func TestAblateMonitorFraction(t *testing.T) {
-	spec := mustSpec(t, "s9234")
-	rows, err := AblateMonitorFraction(context.Background(), spec, smallCfg(), []float64{0.10, 0.25, 1.0})
+	ctx := context.Background()
+	r, base := baseRun(t, "s9234")
+	rows, err := AblateMonitorFraction(ctx, r, base, []float64{0.10, 0.25, 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,14 +58,27 @@ func TestAblateMonitorFraction(t *testing.T) {
 			t.Fatalf("conv coverage changed with monitor fraction: %+v", rows)
 		}
 	}
-}
-
-func TestAblateDelayConfigs(t *testing.T) {
-	r, err := RunCircuit(context.Background(), mustSpec(t, "s9234"), smallCfg())
+	// The 0.25 row reads the run itself. Seen from a run at fraction 1,
+	// where that point is rerun and the 1.0 point is read, both rows must
+	// be the same.
+	full := rerun(t, r, func(c *core.Config) { c.MonitorFraction = 1.0 })
+	fullBase, err := full.Flow.BuildSchedule(ctx, schedule.ILP, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := AblateDelayConfigs(context.Background(), r)
+	again, err := AblateMonitorFraction(ctx, full, fullBase, []float64{0.25, 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again[0] != rows[1] || again[1] != rows[2] {
+		t.Fatalf("rows depend on the run's own fraction:\n%+v\n%+v", rows[1:], again)
+	}
+}
+
+func TestAblateDelayConfigs(t *testing.T) {
+	ctx := context.Background()
+	r, base := baseRun(t, "s9234")
+	rows, err := AblateDelayConfigs(ctx, r, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +95,21 @@ func TestAblateDelayConfigs(t *testing.T) {
 	if rows[3].Coverable != len(r.Flow.TargetData) {
 		t.Fatalf("4-element subset coverable=%d, want %d", rows[3].Coverable, len(r.Flow.TargetData))
 	}
+	// The 4-element row is the base schedule, which a one-shot build of
+	// the same options reproduces.
+	s, err := schedule.Build(ctx, r.Flow.TargetData, r.Flow.ScheduleOptions(schedule.ILP, 1.0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rows[3]; got.Freqs != s.NumFrequencies() || got.Size != s.Size() || got.Coverable != s.Coverable {
+		t.Fatalf("4-element row %+v, one-shot build |F|=%d |S|=%d coverable=%d",
+			got, s.NumFrequencies(), s.Size(), s.Coverable)
+	}
 }
 
 func TestAblateGlitch(t *testing.T) {
-	spec := mustSpec(t, "s9234")
-	rows, err := AblateGlitch(context.Background(), spec, smallCfg(), []float64{0, 1, 2})
+	r, _ := baseRun(t, "s9234")
+	rows, err := AblateGlitch(context.Background(), r, []float64{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +125,17 @@ func TestAblateGlitch(t *testing.T) {
 	if rows[0].Glitch != 0 && rows[0].Scale == 0 {
 		// Scale 0 maps to a 1e-9 threshold, which rounds to zero ps.
 		t.Fatalf("scale-0 threshold = %v", rows[0].Glitch)
+	}
+	// The scale-1 row reads the run itself. Seen from a run at scale 2,
+	// where that point is rerun and the scale-2 point is read, both rows
+	// must be the same.
+	strict := rerun(t, r, func(c *core.Config) { c.GlitchScale = 2 })
+	again, err := AblateGlitch(context.Background(), strict, []float64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again[0] != rows[1] || again[1] != rows[2] {
+		t.Fatalf("rows depend on the run's own scale:\n%+v\n%+v", rows[1:], again)
 	}
 }
 
@@ -96,11 +161,8 @@ func TestWriteAblation(t *testing.T) {
 }
 
 func TestAblateFreeConfig(t *testing.T) {
-	r, err := RunCircuit(context.Background(), mustSpec(t, "s13207"), smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := AblateFreeConfig(context.Background(), r)
+	r, base := baseRun(t, "s13207")
+	rows, err := AblateFreeConfig(context.Background(), r, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +177,10 @@ func TestAblateFreeConfig(t *testing.T) {
 	// Per-monitor tuning can only reduce the application count.
 	if free.Size > shared.Size {
 		t.Fatalf("free config larger: %d vs %d", free.Size, shared.Size)
+	}
+	// The shared row is the base schedule.
+	if shared.Freqs != base.NumFrequencies() || shared.Size != base.Size() {
+		t.Fatalf("shared row %+v, base |F|=%d |S|=%d", shared, base.NumFrequencies(), base.Size())
 	}
 	var sb strings.Builder
 	WriteFreeConfig(&sb, rows)

@@ -46,7 +46,7 @@ func LifetimeSweep(ctx context.Context, spec Spec, cfg SuiteConfig, model aging.
 	lib := cell.NanGate45()
 	fresh := cell.Annotate(c, lib)
 	freshSTA := sta.Analyze(c, fresh)
-	freshClk := freshSTA.NominalClock(0.05)
+	freshClk := freshSTA.NominalClock(core.ClockMargin)
 	fcfg := cfg.flowConfig(spec, c)
 
 	var out []LifetimePoint
@@ -56,16 +56,16 @@ func LifetimeSweep(ctx context.Context, spec Spec, cfg SuiteConfig, model aging.
 		if err != nil {
 			return nil, fmt.Errorf("year %.1f: %w", y, err)
 		}
-		// Structural at-speed classification against the FRESH device's
-		// shipping clock: the test floor does not re-time the part.
-		agedSTA := sta.Analyze(c, aged)
+		// Structural at-speed classification of the aged timing
+		// (flow.Timing) against the FRESH device's shipping clock: the
+		// test floor does not re-time the part.
 		atSpeed := 0
 		ccfg := fault.ClassifyConfig{
 			Clk: freshClk, TMin: flow.TMin, Delta: flow.Delta,
 			MaxMonitorDelay: flow.Placement.MaxDelay(),
 		}
 		for _, f := range flow.Universe {
-			if fault.Classify(f, agedSTA, ccfg) == fault.AtSpeedDetectable {
+			if fault.Classify(f, flow.Timing, ccfg) == fault.AtSpeedDetectable {
 				atSpeed++
 			}
 		}
@@ -74,7 +74,7 @@ func LifetimeSweep(ctx context.Context, spec Spec, cfg SuiteConfig, model aging.
 			AtSpeed:      atSpeed,
 			HDFConv:      len(flow.ConvDetected),
 			HDFProp:      len(flow.PropDetected),
-			CPLGrowthPct: (float64(agedSTA.CPL)/float64(freshSTA.CPL) - 1) * 100,
+			CPLGrowthPct: (float64(flow.Timing.CPL)/float64(freshSTA.CPL) - 1) * 100,
 		})
 	}
 	return out, nil

@@ -167,16 +167,16 @@ type Fig3Point struct {
 	PropPct    float64 // monitor-assisted coverage, percent
 }
 
-// Fig3 sweeps the maximum FAST frequency from f_nom to 3·f_nom and reports
-// HDF coverage with and without monitors. Per the figure's setup the
-// monitors use the single delay ⅓·t_nom.
+// Fig3 sweeps the maximum FAST frequency from f_nom to core.FMaxFactor·f_nom
+// (3·f_nom) and reports HDF coverage with and without monitors. Per the
+// figure's setup the monitors use the single delay ⅓·t_nom.
 func Fig3(r *Run, steps int) []Fig3Point {
 	f := r.Flow
 	delays := f.Delays()
 	d13 := delays[len(delays)-1:] // ⅓·clk element
 	out := make([]Fig3Point, 0, steps+1)
 	for i := 0; i <= steps; i++ {
-		k := 1 + 2*float64(i)/float64(steps) // 1.0 … 3.0
+		k := 1 + (core.FMaxFactor-1)*float64(i)/float64(steps) // 1.0 … 3.0
 		conv, prop := f.CoverageAt(k, d13)
 		out = append(out, Fig3Point{FMaxFactor: k, ConvPct: conv * 100, PropPct: prop * 100})
 	}

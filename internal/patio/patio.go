@@ -39,26 +39,15 @@ func Write(w io.Writer, c *circuit.Circuit, patterns []sim.Pattern) error {
 			return fmt.Errorf("patio: pattern %d has %d/%d values for %d sources", pi, len(p.V1), len(p.V2), nsrc)
 		}
 		line := make([]byte, 0, 2*nsrc+1)
-		line = appendVector(line, p.V1)
+		line = sim.AppendBits(line, p.V1)
 		line = append(line, ' ')
-		line = appendVector(line, p.V2)
+		line = sim.AppendBits(line, p.V2)
 		line = append(line, '\n')
 		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
-}
-
-func appendVector(dst []byte, v []bool) []byte {
-	for _, b := range v {
-		if b {
-			dst = append(dst, '1')
-		} else {
-			dst = append(dst, '0')
-		}
-	}
-	return dst
 }
 
 // Read parses a pattern file for the given circuit. The source list in the
@@ -121,15 +110,5 @@ func parseVector(s string, n int) ([]bool, error) {
 	if len(s) != n {
 		return nil, fmt.Errorf("vector has %d bits, want %d", len(s), n)
 	}
-	out := make([]bool, n)
-	for i := 0; i < n; i++ {
-		switch s[i] {
-		case '0':
-		case '1':
-			out[i] = true
-		default:
-			return nil, fmt.Errorf("invalid vector character %q", s[i])
-		}
-	}
-	return out, nil
+	return sim.ParseBits(s)
 }

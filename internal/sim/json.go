@@ -8,21 +8,24 @@ import (
 // Patterns serialize as {"v1":"0110...","v2":"1010..."} — one character per
 // source bit — rather than JSON bool arrays. The compact form keeps cached
 // pattern sets (internal/cache) an order of magnitude smaller and is
-// unambiguous to round-trip.
+// unambiguous to round-trip. Pattern files (internal/patio) write their
+// vectors the same way.
 
-func packBits(bits []bool) string {
-	b := make([]byte, len(bits))
-	for i, v := range bits {
+// AppendBits appends one '0' or '1' per bit to dst.
+func AppendBits(dst []byte, bits []bool) []byte {
+	for _, v := range bits {
 		if v {
-			b[i] = '1'
+			dst = append(dst, '1')
 		} else {
-			b[i] = '0'
+			dst = append(dst, '0')
 		}
 	}
-	return string(b)
+	return dst
 }
 
-func unpackBits(s string) ([]bool, error) {
+// ParseBits decodes a string of '0' and '1' characters, as AppendBits
+// writes them.
+func ParseBits(s string) ([]bool, error) {
 	bits := make([]bool, len(s))
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
@@ -44,7 +47,9 @@ type patternJSON struct {
 
 // MarshalJSON encodes the pattern in the compact bit-string form.
 func (p Pattern) MarshalJSON() ([]byte, error) {
-	return json.Marshal(patternJSON{V1: packBits(p.V1), V2: packBits(p.V2)})
+	v1 := AppendBits(make([]byte, 0, len(p.V1)), p.V1)
+	v2 := AppendBits(make([]byte, 0, len(p.V2)), p.V2)
+	return json.Marshal(patternJSON{V1: string(v1), V2: string(v2)})
 }
 
 // UnmarshalJSON decodes the compact bit-string form. Mismatched vector
@@ -59,9 +64,9 @@ func (p *Pattern) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("sim: pattern vector lengths differ (%d vs %d)", len(pj.V1), len(pj.V2))
 	}
 	var err error
-	if p.V1, err = unpackBits(pj.V1); err != nil {
+	if p.V1, err = ParseBits(pj.V1); err != nil {
 		return err
 	}
-	p.V2, err = unpackBits(pj.V2)
+	p.V2, err = ParseBits(pj.V2)
 	return err
 }
