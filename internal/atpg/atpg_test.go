@@ -76,12 +76,20 @@ func newMachine(c *circuit.Circuit, f fault.Fault, stuck value) *machine {
 	return newMachineWith(newAnalysis(c), f, stuck)
 }
 
+// run is one PODEM search for the launch vector at the given limit,
+// without the SAT prover.
+func (m *machine) run(limit int) podemResult {
+	m.start()
+	return m.search(limit)
+}
+
 // justify searches for a source assignment that sets net to target on a
 // fresh analysis and returns a copy of it.
 func justify(c *circuit.Circuit, net int, target value, maxBacktracks int) ([]value, podemResult) {
 	an := newAnalysis(c)
 	m := newMachineWith(an, fault.Fault{Gate: net, Pin: -1}, target.not())
-	_, res := m.justify(net, target, maxBacktracks)
+	m.begin()
+	res := m.justify(net, target, maxBacktracks)
 	var assign []value
 	if res == testFound {
 		assign = append([]value(nil), m.assign...)

@@ -52,33 +52,29 @@ func BenchmarkGenerate(b *testing.B) {
 var benchSink int
 
 // BenchmarkPodem measures the per-fault kernel of the deterministic phase
-// on the benchWorkload netlist: for every fault of its universe, a PODEM
-// run for the launch vector and, when it finds a test, the justification
-// of the pre-transition site value, as produceCandidate runs them but
-// without the don't-care fill, and without fault dropping, so every op
-// does the same work. Machines come from the analysis pool. Two passes
-// before the timer starts grow their scratch slices: a pooled machine can
-// serve a fault in either role, so one pass can leave a machine short of
-// a fault it meets next. The kernel then allocates nothing: the committed
-// 0 allocs/op is gated by benchjson -compare.
+// on the benchWorkload netlist: solveFault, the function produceCandidate
+// runs, for every fault of its universe, so each op times the PODEM
+// prefix, the SAT proofs and the resumed searches of the launch vector
+// and the pre-transition site value, without the don't-care fill and
+// without fault dropping, so every op does the same work. Machines come
+// from the analysis pool, and one prover serves every query, as a
+// worker's does. Two passes before the timer starts grow their scratch
+// slices: a pooled machine can serve a fault in either role, so one pass
+// can leave a machine short of a fault it meets next. The kernel then
+// allocates nothing: the committed 0 allocs/op is gated by benchjson
+// -compare.
 func BenchmarkPodem(b *testing.B) {
 	c, faults, cfg := benchWorkload(b)
 	an := newAnalysis(c)
+	p := &prover{analysis: an}
 	pass := func() int {
 		bt := 0
 		for _, f := range faults {
-			stuck := v0
-			if !f.Rising {
-				stuck = v1
-			}
-			m := newMachineWith(an, f, stuck)
-			if m.run(cfg.MaxBacktracks) == testFound {
-				jm := newMachineWith(an, fault.Fault{Gate: m.siteNet(), Pin: -1}, stuck.not())
-				jbt, _ := jm.justify(m.siteNet(), stuck, cfg.MaxBacktracks)
-				bt += jbt
+			cd, m, jm := solveFault(an, p, f, cfg.MaxBacktracks)
+			bt += cd.runBt + cd.jBt
+			if jm != nil {
 				an.release(jm)
 			}
-			bt += m.backtracks
 			an.release(m)
 		}
 		return bt

@@ -55,12 +55,17 @@ func DefaultConfig(seed int64) Config {
 	return Config{RandomBatches: 48, MaxBacktracks: 600, Seed: seed, Compact: true}
 }
 
-// Stats summarizes one generation run.
+// Stats summarizes one generation run. A search PODEM has not decided
+// after a short backtrack prefix goes to a SAT prover (DESIGN.md §14):
+// Untestable counts its UNSAT proofs with PODEM's own verdicts, Aborted
+// only the faults whose search ran out of backtracks after SAT found the
+// miter satisfiable, gave up at its conflict limit or skipped it as over
+// budget, and Backtracks PODEM's decision flips alone.
 type Stats struct {
 	Faults         int // faults targeted
 	Detected       int // faults with a test in the final set
-	Untestable     int // proven untestable (no pattern pair exists)
-	Aborted        int // backtrack limit exceeded
+	Untestable     int // proven untestable by PODEM or SAT (no pattern pair exists)
+	Aborted        int // backtrack limit exceeded, SAT did not prove untestable
 	RandomDetected int // faults covered by the random phase
 	RawPatterns    int // patterns before compaction
 	Patterns       int // final pattern count
@@ -147,36 +152,99 @@ type candidate struct {
 	jRes    podemResult // valid only when runRes == testFound
 	jBt     int
 	pat     sim.Pattern // valid only when runRes == jRes == testFound
+	sat     satCounts
 }
 
-// produceCandidate runs the full per-fault deterministic pipeline: PODEM
-// for the launch vector V2, justification of the pre-transition site value
-// for V1, and per-fault-keyed don't-care fill. It is a pure function of
-// (analysis, fault, index, config) — machines are pooled scratch, and the
-// fill stream is keyed on the fault index, never on shared mutable state —
-// which is what makes speculative execution sound.
-func produceCandidate(an *analysis, f fault.Fault, fi int, cfg Config) candidate {
+// satCounts tallies the SAT queries of one fault's searches, or of a
+// run's committed faults.
+type satCounts struct {
+	calls      int // queries the solver decided or gave up on
+	untestable int // queries that proved their search untestable
+	overBudget int // searches whose miter was too large to ask
+}
+
+// proven counts one query and reports whether it proved its search
+// untestable.
+func (sc *satCounts) proven(v satResult) bool {
+	if v == satOverBudget {
+		sc.overBudget++
+		return false
+	}
+	sc.calls++
+	if v == satUnsat {
+		sc.untestable++
+		return true
+	}
+	return false
+}
+
+func (sc *satCounts) add(o satCounts) {
+	sc.calls += o.calls
+	sc.untestable += o.untestable
+	sc.overBudget += o.overBudget
+}
+
+// solveFault runs one fault's searches: PODEM for the launch vector V2,
+// then, when it finds one, the justification of the pre-transition site
+// value for V1. Each search first runs satPrefix backtracks. One still
+// undecided goes to the SAT prover: an UNSAT miter makes it untestable,
+// and any other verdict resumes the same search up to maxBacktracks, so
+// a search ends exactly as it would without SAT unless SAT proves it
+// untestable. p is the calling worker's SAT arena. It returns the outcome
+// and the machines holding V2 and V1; jm is nil when the launch search
+// found no test. The caller releases them.
+func solveFault(an *analysis, p *prover, f fault.Fault, maxBacktracks int) (cd candidate, m, jm *machine) {
 	stuck := v0
 	if !f.Rising {
 		stuck = v1
 	}
-	m := newMachineWith(an, f, stuck)
-	res := m.run(cfg.MaxBacktracks)
-	cd := candidate{runRes: res, runBt: m.backtracks}
-	if res != testFound {
-		an.release(m)
-		return cd
+	prefix := min(satPrefix, maxBacktracks)
+	m = newMachineWith(an, f, stuck)
+	m.start()
+	cd.runRes = m.search(prefix)
+	if cd.runRes == aborted {
+		if cd.sat.proven(p.launch(f, stuck)) {
+			cd.runRes = untestable
+		} else if prefix < maxBacktracks {
+			cd.runRes = m.search(maxBacktracks)
+		}
 	}
-	site := m.siteNet()
-	// Justify V1 on a second machine while m still holds the V2 assignment
-	// (saves the defensive copy the serial path used to make).
-	jm := newMachineWith(an, fault.Fault{Gate: site, Pin: -1}, stuck.not())
-	cd.jBt, cd.jRes = jm.justify(site, stuck, cfg.MaxBacktracks)
-	if cd.jRes == testFound {
-		rng := newFillRNG(cfg.Seed, fi)
-		cd.pat = sim.Pattern{V1: fill(jm.assign, &rng), V2: fill(m.assign, &rng)}
+	cd.runBt = m.backtracks
+	if cd.runRes == testFound {
+		// Justify V1 on a second machine while m still holds the V2
+		// assignment.
+		site := m.siteNet()
+		jm = newMachineWith(an, fault.Fault{Gate: site, Pin: -1}, stuck.not())
+		jm.begin()
+		cd.jRes = jm.justify(site, stuck, prefix)
+		if cd.jRes == aborted {
+			if cd.sat.proven(p.justify(site, stuck)) {
+				cd.jRes = untestable
+			} else if prefix < maxBacktracks {
+				cd.jRes = jm.justify(site, stuck, maxBacktracks)
+			}
+		}
+		cd.jBt = jm.backtracks
 	}
-	an.release(jm)
+	return cd, m, jm
+}
+
+// produceCandidate runs the full per-fault deterministic pipeline:
+// solveFault's searches, and per-fault-keyed don't-care fill. It is a
+// pure function of (analysis, fault, index, config) — machines are pooled
+// scratch, the prover is the worker's own scratch and every SAT query
+// starts from a fresh solver state, and the fill stream is keyed on the
+// fault index, never on shared mutable state — which is what makes
+// speculative execution sound.
+func produceCandidate(an *analysis, p *prover, f fault.Fault, fi int, cfg Config) candidate {
+	cd, m, jm := solveFault(an, p, f, cfg.MaxBacktracks)
+	if jm != nil {
+		if cd.jRes == testFound {
+			rng := newFillRNG(cfg.Seed, fi)
+			cd.pat = sim.Pattern{V1: fill(jm.assign, &rng), V2: fill(m.assign, &rng)}
+		}
+		an.release(jm)
+	}
 	an.release(m)
 	return cd
 }
@@ -187,6 +255,7 @@ func generate(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, cfg
 	nsrc := len(c.Sources())
 	st := Stats{Faults: len(faults)}
 	var discards, busyNs atomic.Int64
+	var sat satCounts
 	workers := par.ClampWorkersFor(cfg.Workers, len(faults))
 	_, span := obs.StartSpan(ctx, "atpg")
 	phaseStart := time.Now()
@@ -199,6 +268,9 @@ func generate(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, cfg
 		o.Counter("atpg.untestable").Add(int64(st.Untestable))
 		o.Counter("atpg.random_detected").Add(int64(st.RandomDetected))
 		o.Counter("atpg.speculative_discards").Add(discards.Load())
+		o.Counter("atpg.sat_calls").Add(int64(sat.calls))
+		o.Counter("atpg.sat_untestable").Add(int64(sat.untestable))
+		o.Counter("atpg.sat_over_budget").Add(int64(sat.overBudget))
 		if wall := time.Since(phaseStart); wall > 0 && workers > 0 {
 			o.Gauge("atpg.worker_utilization").Set(
 				float64(busyNs.Load()) / float64(int64(wall)*int64(workers)))
@@ -300,6 +372,10 @@ func generate(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, cfg
 	// for faults that a later-committed pattern already covers is simply
 	// discarded (counted in atpg.speculative_discards).
 	an := newAnalysis(c)
+	provers := make([]prover, workers)
+	for id := range provers {
+		provers[id].analysis = an
+	}
 	hints := make([]atomic.Bool, len(faults))
 	for fi, d := range detected {
 		if d {
@@ -323,7 +399,7 @@ func generate(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, cfg
 				// leads it, so the committer's own check stays decisive.
 				return candidate{skipped: true}
 			}
-			return produceCandidate(an, faults[fi], fi, cfg)
+			return produceCandidate(an, &provers[id], faults[fi], fi, cfg)
 		},
 		func(fi int, cd candidate) bool {
 			if fi&63 == 0 {
@@ -345,9 +421,10 @@ func generate(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, cfg
 			if cd.skipped {
 				// Unreachable under the hint invariant; regenerate inline
 				// rather than corrupt the output if it is ever violated.
-				cd = produceCandidate(an, faults[fi], fi, cfg)
+				cd = produceCandidate(an, &prover{analysis: an}, faults[fi], fi, cfg)
 			}
 			st.Backtracks += cd.runBt
+			sat.add(cd.sat)
 			switch cd.runRes {
 			case untestable:
 				st.Untestable++

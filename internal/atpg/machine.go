@@ -310,7 +310,7 @@ func (m *machine) reset(f fault.Fault, stuck value) {
 }
 
 // findSiteTaps fills siteTaps with a walk of the site net's fanout cone.
-// Only run needs them: justification never checks detection.
+// Only start needs them: justification never checks detection.
 func (m *machine) findSiteTaps() {
 	site := m.siteNet()
 	m.siteTaps = m.siteTaps[:0]

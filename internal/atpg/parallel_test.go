@@ -143,7 +143,9 @@ func TestFillScheduleIndependent(t *testing.T) {
 
 // TestProduceCandidatePure checks that speculative production is a pure
 // function of (analysis, fault, index, config): concurrent producers
-// racing over the same pooled analysis yield exactly the serial result.
+// racing over the same pooled analysis, each with its own prover that has
+// served other faults than the serial one's, yield exactly the serial
+// result, SAT verdicts included.
 func TestProduceCandidatePure(t *testing.T) {
 	withProcs(t, 8)
 	c := circuit.MustGenerate(circuit.GenSpec{
@@ -152,8 +154,9 @@ func TestProduceCandidatePure(t *testing.T) {
 	cfg := DefaultConfig(77)
 	an := newAnalysis(c)
 	want := make([]candidate, len(faults))
+	p := &prover{analysis: an}
 	for fi, f := range faults {
-		want[fi] = produceCandidate(an, f, fi, cfg)
+		want[fi] = produceCandidate(an, p, f, fi, cfg)
 	}
 	got := make([]candidate, len(faults))
 	var wg sync.WaitGroup
@@ -161,17 +164,25 @@ func TestProduceCandidatePure(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			p := &prover{analysis: an}
 			for fi := w; fi < len(faults); fi += 8 {
-				got[fi] = produceCandidate(an, faults[fi], fi, cfg)
+				got[fi] = produceCandidate(an, p, faults[fi], fi, cfg)
 			}
 		}(w)
 	}
 	wg.Wait()
+	var sat satCounts
 	for fi := range faults {
 		if !reflect.DeepEqual(want[fi], got[fi]) {
 			t.Fatalf("fault %d: concurrent candidate diverged from serial", fi)
 		}
+		sat.add(want[fi].sat)
 	}
+	// The SAT path must be drawn: proofs, and queries that resume PODEM.
+	if sat.untestable == 0 || sat.calls == sat.untestable {
+		t.Fatalf("SAT path not exercised: %+v", sat)
+	}
+	t.Logf("SAT: %+v", sat)
 }
 
 // TestGenerateWorkersOutsideCacheKey pins the determinism contract that

@@ -146,18 +146,28 @@ func (m *machine) backtrack(maxBacktracks int) (res podemResult, ok bool) {
 	return untestable, false
 }
 
-// run executes the PODEM decision loop. On success the source assignment
-// (with X for don't-cares) is left in m.assign.
-func (m *machine) run(maxBacktracks int) podemResult {
+// start sets up a PODEM search for the machine's fault: the observation
+// points of the site cone and the all-X assignment.
+func (m *machine) start() {
 	m.findSiteTaps()
 	m.begin()
+}
+
+// search runs the PODEM decision loop from the state start or an earlier
+// search left, until it finds a test, runs out of decisions, or a flip
+// takes the run's backtracks above limit. The limit is checked only after
+// a flip, with the flip done, so a search aborted at one limit and
+// resumed at a larger one ends exactly as one run at the larger limit:
+// the same result, assignment and backtrack count. On success the source
+// assignment (with X for don't-cares) is left in m.assign.
+func (m *machine) search(limit int) podemResult {
 	for {
 		if m.detected() {
 			return testFound
 		}
 		if src, v, ok := m.next(); ok {
 			m.decide(src, v)
-		} else if res, ok := m.backtrack(maxBacktracks); !ok {
+		} else if res, ok := m.backtrack(limit); !ok {
 			return res
 		}
 	}
@@ -186,18 +196,18 @@ func (m *machine) next() (src int, v value, ok bool) {
 	return m.backtrace(net, val)
 }
 
-// justify runs the justification decision loop on this machine: it
-// searches for a source assignment with m.good(net) == target, reporting
-// the number of backtracks spent (the ATPG effort metric). On success the
-// assignment is left in m.assign; copy it out before releasing the
-// machine. The machine must have been acquired with the trivial fault
-// {Gate: net, Pin: -1} and stuck = target.not() so the good machine is
-// authoritative.
-func (m *machine) justify(net int, target value, maxBacktracks int) (int, podemResult) {
-	m.begin()
+// justify runs the justification decision loop on this machine from the
+// state begin or an earlier justify left: it searches for a source
+// assignment with m.good(net) == target, and its limit works as search's
+// does. m.backtracks counts the flips (the ATPG effort metric). On
+// success the assignment is left in m.assign; copy it out before
+// releasing the machine. The machine must have been acquired with the
+// trivial fault {Gate: net, Pin: -1} and stuck = target.not() so the good
+// machine is authoritative.
+func (m *machine) justify(net int, target value, limit int) podemResult {
 	for {
 		if m.good(net) == target {
-			return m.backtracks, testFound
+			return testFound
 		}
 		if m.good(net) == vX {
 			if src, v, ok := m.backtrace(net, target); ok {
@@ -206,8 +216,8 @@ func (m *machine) justify(net int, target value, maxBacktracks int) (int, podemR
 			}
 		}
 		// Defined-but-wrong value or no X path: backtrack.
-		if res, ok := m.backtrack(maxBacktracks); !ok {
-			return m.backtracks, res
+		if res, ok := m.backtrack(limit); !ok {
+			return res
 		}
 	}
 }

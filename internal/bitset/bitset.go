@@ -103,16 +103,6 @@ func (s *Set) AndNotCount(o *Set) int {
 	return c
 }
 
-// OrCount returns |s ∪ o| without allocating.
-func (s *Set) OrCount(o *Set) int {
-	c := 0
-	a, b := s.words, o.words[:len(s.words)]
-	for i, w := range a {
-		c += bits.OnesCount64(w | b[i])
-	}
-	return c
-}
-
 // SetOr sets s = a ∪ b in one word-level pass, resizing s as needed. It
 // fuses the CopyFrom+Or pair of the branch-and-bound include step so each
 // word is written once instead of copied and then read back.

@@ -44,7 +44,12 @@ import (
 // Epoch 3: PartialCover bounds with marginal gains, and an aborted
 // covering solve never returns more sets than greedy less its redundant
 // sets — a budget-bound schedule under the same key can now differ.
-const SchemaVersion = 3
+//
+// Epoch 4: ATPG proves the searches PODEM does not decide within a short
+// backtrack prefix untestable with a SAT solver. Pattern sets are
+// unchanged, but a cached atpg entry's Stats (Untestable, Aborted,
+// Backtracks) move under an unchanged key.
+const SchemaVersion = 4
 
 // Key addresses one cached stage result. The zero Key is invalid.
 type Key struct {

@@ -87,7 +87,7 @@ func TestCircuitFingerprintSemantic(t *testing.T) {
 // the key derivation changed: if that is intentional, bump SchemaVersion
 // (so stale entries become unreachable) and update the constants.
 func TestGoldenKeys(t *testing.T) {
-	if SchemaVersion != 3 {
+	if SchemaVersion != 4 {
 		t.Fatalf("SchemaVersion = %d: update the golden values below for the new epoch", SchemaVersion)
 	}
 	if got := CircuitFingerprint(parse(t, circuit.S27)); got != goldenS27 {
@@ -118,7 +118,7 @@ func TestGoldenKeys(t *testing.T) {
 const (
 	goldenS27    = "297fc8d2a4f3b03222a97eb71c174b1d427bd3c67ad04ac615ba1ba93917a4c7"
 	goldenC17    = "e0c26edd8afaccc2fe7429ce03f30da4086d6b70acf91d513b9f8894d4a65e58"
-	goldenHasher = "stage-39776c45480f7f091f2148187344329440260128654f95b321ffad1e976d64ed"
+	goldenHasher = "stage-a656a5e9621de91f7e8b9f46b5d33576ec311eb628d163c2994ec492ab646b86"
 )
 
 // refHasher is the key framing written piece by piece: one Write per

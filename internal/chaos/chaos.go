@@ -34,7 +34,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,18 +113,6 @@ func Register(name string, stage fmerr.Stage) string {
 	}
 	regMu.Unlock()
 	return name
-}
-
-// Points returns every registered injection point name, sorted.
-func Points() []string {
-	regMu.RLock()
-	out := make([]string, 0, len(regPts))
-	for n := range regPts {
-		out = append(out, n)
-	}
-	regMu.RUnlock()
-	sort.Strings(out)
-	return out
 }
 
 // StageOfPoint returns the stage a point was registered under ("" for

@@ -102,12 +102,6 @@ func Alert(w sim.Waveform, clk, d tunit.Time) bool {
 	return w.At(clk) != w.At(clk-d)
 }
 
-// ShadowCapture returns the value captured by the shadow register for
-// clock period clk under delay d.
-func ShadowCapture(w sim.Waveform, clk, d tunit.Time) bool {
-	return w.At(clk - d)
-}
-
 // GuardBand returns the stability-checking window (clk-d, clk] monitored
 // under configuration d.
 func GuardBand(clk, d tunit.Time) (lo, hi tunit.Time) { return clk - d, clk }

@@ -123,13 +123,9 @@ func TestAlertDoubleToggleInvisible(t *testing.T) {
 	}
 }
 
-func TestShadowCaptureAndGuardBand(t *testing.T) {
+func TestGuardBand(t *testing.T) {
 	clk := tunit.Time(1000)
 	d := tunit.Time(300)
-	w := sim.Waveform{Init: false, T: []tunit.Time{800}}
-	if ShadowCapture(w, clk, d) != false { // samples at 700
-		t.Fatal("shadow capture wrong")
-	}
 	lo, hi := GuardBand(clk, d)
 	if lo != 700 || hi != 1000 {
 		t.Fatalf("guard band = %d..%d", lo, hi)

@@ -112,23 +112,6 @@ func New(capacity int) *Recorder {
 	return &Recorder{slots: make([]atomic.Pointer[Event], n), mask: uint64(n - 1)}
 }
 
-// Cap returns the ring capacity (0 for nil).
-func (r *Recorder) Cap() int {
-	if r == nil || len(r.slots) == 0 {
-		return 0
-	}
-	return len(r.slots)
-}
-
-// Recorded returns the total number of events ever recorded, including
-// overwritten ones (0 for nil).
-func (r *Recorder) Recorded() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.head.Load()
-}
-
 // Record appends one event to the ring, stamping its sequence number and
 // (when unset) its time. Safe for any number of concurrent writers; a
 // nil or zero-value recorder drops the event.

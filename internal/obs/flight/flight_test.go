@@ -23,9 +23,6 @@ func TestNilRecorderIsNoop(t *testing.T) {
 	if path, err := r.AutoDump("test"); err != nil || path != "" {
 		t.Fatalf("nil AutoDump = %q, %v", path, err)
 	}
-	if r.Cap() != 0 || r.Recorded() != 0 {
-		t.Fatalf("nil Cap/Recorded = %d/%d", r.Cap(), r.Recorded())
-	}
 	// The zero value (not constructed with New) must drop events too.
 	var zero Recorder
 	zero.Record(Event{Kind: KindCache})
@@ -38,8 +35,8 @@ func TestCapacityRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, DefaultCapacity}, {-5, DefaultCapacity}, {1, 1}, {2, 2}, {3, 4}, {1000, 1024},
 	} {
-		if got := New(tc.in).Cap(); got != tc.want {
-			t.Errorf("New(%d).Cap() = %d, want %d", tc.in, got, tc.want)
+		if got := len(New(tc.in).slots); got != tc.want {
+			t.Errorf("New(%d) holds %d slots, want %d", tc.in, got, tc.want)
 		}
 	}
 }
@@ -79,8 +76,8 @@ func TestWraparoundKeepsNewest(t *testing.T) {
 			t.Fatalf("event %d has seq %d, want %d", i, ev.Seq, want)
 		}
 	}
-	if r.Recorded() != total {
-		t.Fatalf("Recorded = %d, want %d", r.Recorded(), total)
+	if r.head.Load() != total {
+		t.Fatalf("Recorded = %d, want %d", r.head.Load(), total)
 	}
 }
 
@@ -122,8 +119,8 @@ func TestConcurrentWriters(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if r.Recorded() != writers*perWriter {
-		t.Fatalf("Recorded = %d, want %d", r.Recorded(), writers*perWriter)
+	if r.head.Load() != writers*perWriter {
+		t.Fatalf("Recorded = %d, want %d", r.head.Load(), writers*perWriter)
 	}
 	evs := r.Snapshot()
 	if len(evs) != 256 {

@@ -252,7 +252,7 @@ func TestProblemCacheKey(t *testing.T) {
 		}
 	}
 	opt.Coverage = 0.95
-	const pinned = "schedule-7d4336aa3000d1e16c11fb5908d044e7642b19800a3b14d5e10a46a96d3601ab"
+	const pinned = "schedule-ef038f06083f12b97ea95901607583bd49733ec7da149a4643dc49e50eafbcd5"
 	if got := p.cacheKey(opt).String(); got != pinned {
 		t.Fatalf("schedule key drifted:\n got %s\nwant %s", got, pinned)
 	}

@@ -169,23 +169,6 @@ func (r *Result) LongestThrough(g int) tunit.Time {
 	return r.MaxArrival[g] + r.MaxToTap[g]
 }
 
-// MinSlackThrough returns clk minus the longest observable path through g:
-// the structural minimum slack a delay fault at the output of g sees. A
-// fault of size δ > MinSlackThrough(g) is at-speed detectable.
-func (r *Result) MinSlackThrough(g int, clk tunit.Time) tunit.Time {
-	lt := r.LongestThrough(g)
-	if lt < 0 {
-		return tunit.Infinity
-	}
-	return clk - lt
-}
-
-// Slack returns the timing slack of observation point i for clock period
-// clk.
-func (r *Result) Slack(i int, clk tunit.Time) tunit.Time {
-	return clk - r.TapArrival[i]
-}
-
 // RankTapsByLength returns the tap indices sorted by decreasing data
 // arrival time — "long path ends" first. Pseudo-only restricts the ranking
 // to pseudo primary outputs, which is where the paper places monitors.

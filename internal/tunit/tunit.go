@@ -27,12 +27,6 @@ const (
 // of a few Infinity values do not overflow int64.
 const Infinity Time = math.MaxInt64 / 16
 
-// FromNs converts a floating-point nanosecond value to integer picoseconds,
-// rounding to nearest.
-func FromNs(ns float64) Time {
-	return Time(math.Round(ns * 1000))
-}
-
 // Ns returns t expressed in nanoseconds.
 func (t Time) Ns() float64 { return float64(t) / 1000 }
 
@@ -72,14 +66,6 @@ func (f Freq) Period() Time {
 		return Infinity
 	}
 	return Time(math.Round(1e12 / float64(f)))
-}
-
-// FreqOf returns the frequency whose period is t.
-func FreqOf(t Time) Freq {
-	if t <= 0 {
-		return Freq(math.Inf(1))
-	}
-	return Freq(1e12 / float64(t))
 }
 
 // MHz renders the frequency in MHz.
