@@ -43,6 +43,9 @@ func run(list bool, name string, scale float64, outPath, sdfPath string) error {
 	if name == "" {
 		return fmt.Errorf("need -name NAME or -list")
 	}
+	if scale <= 0 || scale > 1 {
+		return fmt.Errorf("-scale %g outside (0, 1]", scale)
+	}
 	spec, ok := exper.SpecByName(name)
 	if !ok {
 		return fmt.Errorf("unknown circuit %q", name)

@@ -85,6 +85,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	case !known:
 		return fmt.Errorf("unknown suite circuit %q (try s9234..p141k)", *genName)
 	}
+	if *scale <= 0 || *scale > 1 {
+		return fmt.Errorf("-scale %g outside (0, 1]", *scale)
+	}
+	if *coverage <= 0 || *coverage > 1 {
+		return fmt.Errorf("-coverage %g outside (0, 1]", *coverage)
+	}
 	methods := map[string]fastmon.Method{"conv": fastmon.MethodConventional, "heur": fastmon.MethodHeuristic, "ilp": fastmon.MethodILP}
 	m, ok := methods[*method]
 	if !ok {

@@ -132,6 +132,34 @@ func TestUsageErrorWritesNothing(t *testing.T) {
 	}
 }
 
+// TestScaleOutOfRangeWritesNothing: -scale outside (0, 1] is a usage
+// error, not the paper-size circuit that the generator's clamp would
+// build, and it writes no file.
+func TestScaleOutOfRangeWritesNothing(t *testing.T) {
+	checkUsageError(t, []string{"-gen", "s9234", "-scale", "-1"}, "-scale -1 outside (0, 1]")
+}
+
+// TestCoverageOutOfRangeWritesNothing: -coverage outside (0, 1] is a
+// usage error, not a full-coverage schedule, and it writes no file.
+func TestCoverageOutOfRangeWritesNothing(t *testing.T) {
+	checkUsageError(t, []string{"-gen", "s27", "-coverage", "1.5"}, "-coverage 1.5 outside (0, 1]")
+}
+
+// checkUsageError runs the command line args with the manifest and the
+// flight dump in a fresh directory: run must fail with an error that
+// names want and leave the directory empty.
+func checkUsageError(t *testing.T, args []string, want string) {
+	t.Helper()
+	dir := t.TempDir()
+	err := run(context.Background(), append(args, outputFlags(dir)...), io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("%v: err = %v, want %q", args, err, want)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("%v: usage error left %v (%v), want no file", args, ents, err)
+	}
+}
+
 // TestBadFlagsReturnError: a command line the flag set rejects fails run
 // with the usage text on run's stderr instead of exiting the process, and
 // -h returns flag.ErrHelp.

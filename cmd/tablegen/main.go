@@ -108,6 +108,14 @@ func main() {
 func run(ctx context.Context, out, log io.Writer, cfg exper.SuiteConfig, opts options, stop <-chan struct{}) (err error) {
 	start := time.Now()
 	cfg = cfg.Defaults()
+	// Check the command line before the runtime starts, so that a usage
+	// error leaves no manifest and no flight dump behind.
+	if cfg.Scale <= 0 || cfg.Scale > 1 {
+		return fmt.Errorf("-scale %g outside (0, 1]", cfg.Scale)
+	}
+	if opts.fig3 && opts.steps < 1 {
+		return fmt.Errorf("-steps %d: the Fig. 3 sweep needs at least one point", opts.steps)
+	}
 	if !opts.t1 && !opts.t2 && !opts.t3 {
 		// The studies report on the first selected circuit alone, so a
 		// run that asks for no table computes only that circuit.

@@ -4,12 +4,15 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"fastmon/internal/cli"
 	"fastmon/internal/exper"
+	"fastmon/internal/obs"
 )
 
 func smallCfg() exper.SuiteConfig {
@@ -87,7 +90,7 @@ func withoutTotal(out string) string {
 	return strings.Join(kept, "\n")
 }
 
-var defaultRun = flag.Bool("default-run", false, "run TestDefaultRunTableI, the default suite's Table I (about 35 s at 2 workers)")
+var defaultRun = flag.Bool("default-run", false, "run TestDefaultRunTableI and TestDefaultAblations, the default suite's Table I and ablations (about a minute at 2 workers)")
 
 // TestDefaultRunTableI pins the default run's Table I: run with the
 // default suite configuration, -table1 and -workers 2 must print
@@ -147,6 +150,70 @@ func TestDefaultRobust(t *testing.T) {
 		t.Fatalf("%v\n%s", err, log.String())
 	}
 	checkGolden(t, "default_robust.golden", []byte(withoutTotal(out.String())))
+}
+
+// TestDefaultAblations pins the default run's ablation studies: -ablate
+// -workers 2 at the default selection, scale and fault budget must print
+// testdata/default_ablate.golden apart from the "# total" line. The
+// studies vary the flow of s9234 alone and run 70 covering solves;
+// with a one-minute solver budget every one of them finishes exact on a
+// 2-vCPU host (about 40 s), while at the default 5 s two of them run out.
+// A degraded solve would print a host-dependent schedule, so the test
+// fails when any solve degrades. It needs -default-run.
+// EXPERIMENTS.md's ablation blocks are kept equal to the golden
+// (TestExperimentsAblations).
+func TestDefaultAblations(t *testing.T) {
+	if !*defaultRun {
+		t.Skip("pass -default-run to pin the default run's ablations")
+	}
+	var out, log strings.Builder
+	dir := t.TempDir()
+	cfg := exper.SuiteConfig{Workers: 2, SolverBudget: time.Minute}
+	opts := options{ablate: true, Flags: cli.Flags{Manifest: filepath.Join(dir, "run.json")}}
+	if err := run(context.Background(), &out, &log, cfg, opts, nil); err != nil {
+		t.Fatalf("%v\n%s", err, log.String())
+	}
+	man, err := obs.ReadManifest(filepath.Join(dir, "run.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := man.Metrics.Counters["ilp.degraded"]; n != 0 {
+		t.Fatalf("%d of the ablations' covering solves degraded at a one-minute budget; their schedules depend on the host", n)
+	}
+	checkGolden(t, "default_ablate.golden", []byte(withoutTotal(out.String())))
+}
+
+// TestScaleOutOfRangeWritesNothing: -scale outside (0, 1] is a usage
+// error, not the scale-1.0 circuit that the generator's clamp would build
+// under a header that prints the requested scale, and it writes no file.
+func TestScaleOutOfRangeWritesNothing(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Scale = 1.5
+	checkUsageError(t, cfg, options{t1: true}, "-scale 1.5 outside (0, 1]")
+}
+
+// TestStepsBelowOneWritesNothing: -fig3 with -steps below one is a usage
+// error, not a run that prints no sweep and succeeds, and it writes no
+// file.
+func TestStepsBelowOneWritesNothing(t *testing.T) {
+	checkUsageError(t, smallCfg(), options{fig3: true, steps: 0}, "-steps 0")
+}
+
+// checkUsageError drives run() with the manifest and the flight dump in a
+// fresh directory: it must fail with an error that names want and leave
+// the directory empty.
+func checkUsageError(t *testing.T, cfg exper.SuiteConfig, opts options, want string) {
+	t.Helper()
+	dir := t.TempDir()
+	opts.Manifest, opts.Flight = filepath.Join(dir, "run.json"), filepath.Join(dir, "flight.jsonl")
+	var out, log strings.Builder
+	err := run(context.Background(), &out, &log, cfg, opts, nil)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("usage error left %v (%v), want no file", ents, err)
+	}
 }
 
 // TestRunStopEmitsPartialTables: a stop requested before the first circuit

@@ -29,6 +29,18 @@ func TestExperimentsLifetime(t *testing.T) {
 	checkDocTable(t, "## Lifetime sweep ", "cmd/tablegen/testdata/default_lifetime.golden", "Lifetime sweep:")
 }
 
+// TestExperimentsAblations keeps the four ablation tables of
+// EXPERIMENTS.md in step with the default run's pinned golden: the first
+// code block under each "### Ablation" heading must hold exactly the
+// golden's table lines.
+func TestExperimentsAblations(t *testing.T) {
+	const golden = "cmd/tablegen/testdata/default_ablate.golden"
+	checkDocTable(t, "### Ablation A ", golden, "Ablation A: monitor budget")
+	checkDocTable(t, "### Ablation B ", golden, "Ablation B: programmability")
+	checkDocTable(t, "### Ablation C ", golden, "Ablation C: glitch-filter pessimism")
+	checkDocTable(t, "### Ablation D ", golden, "Ablation D: shared vs per-monitor delay settings")
+}
+
 // TestExperimentsRobustness keeps the robustness study of EXPERIMENTS.md
 // in step with the default run's pinned golden: the first code block
 // under its "## Robustness" heading must hold exactly the golden's table

@@ -520,22 +520,3 @@ func compact(c *circuit.Circuit, patterns []sim.Pattern, faults []fault.Fault, d
 	}
 	return out
 }
-
-// Verify recomputes the set of fault indices detected by the pattern set
-// (the tests use it to validate coverage claims).
-func Verify(c *circuit.Circuit, patterns []sim.Pattern, faults []fault.Fault) []bool {
-	detected := make([]bool, len(faults))
-	var b logic.Batch
-	for start := 0; start < len(patterns); start += 64 {
-		b.Load(c, patterns, start)
-		for fi := range faults {
-			if detected[fi] {
-				continue
-			}
-			if b.DetectTransition(faults[fi]) != 0 {
-				detected[fi] = true
-			}
-		}
-	}
-	return detected
-}

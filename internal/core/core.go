@@ -208,32 +208,17 @@ func Run(ctx context.Context, c *circuit.Circuit, lib *cell.Library, annot *cell
 		return nil, fmerr.Wrap(fmerr.StageDetect, "extract", err)
 	}
 	_, extSpan := obs.StartSpan(ctx, "extract")
-	lo, hi := f.DetectCfg.ObservationWindow()
-	for i := range data {
-		fd := &data[i]
-		if len(fd.Per) == 0 {
-			continue
-		}
-		ffRange := fd.FFUnion().Clip(lo, hi)
-		if !ffRange.Empty() {
+	for i, c := range f.Model().Classify(data) {
+		if c.Conv {
 			f.ConvDetected = append(f.ConvDetected, i)
 		}
-		comb := fd.Combined(f.DetectCfg, f.Placement.Delays)
-		if comb.Empty() {
+		if !c.Prop {
 			continue
 		}
 		f.PropDetected = append(f.PropDetected, i)
-		// At-speed monitor-detectable: some configuration exposes the
-		// fault at the nominal period; no FAST frequency needed.
-		atSpeed := false
-		sr := fd.SRUnion()
-		for _, d := range f.Placement.Delays {
-			if sr.Shift(d).Contains(f.Clk) {
-				atSpeed = true
-				break
-			}
-		}
-		if atSpeed {
+		if c.AtSpeed {
+			// Some configuration exposes the fault at the nominal
+			// period; no FAST frequency needed.
 			f.AtSpeedMonitor = append(f.AtSpeedMonitor, i)
 		} else {
 			f.TargetIdx = append(f.TargetIdx, i)
@@ -253,6 +238,10 @@ func Run(ctx context.Context, c *circuit.Circuit, lib *cell.Library, annot *cell
 
 // Delays returns the monitor delay elements of the run.
 func (f *Flow) Delays() []tunit.Time { return f.Placement.Delays }
+
+// Model returns the observation model of the run: the window [TMin,
+// Clk+1) and the monitors' delay elements.
+func (f *Flow) Model() detect.Model { return f.DetectCfg.Model(f.Placement.Delays) }
 
 // ScheduleOptions builds the scheduling options for a method and coverage
 // target (step 6).
@@ -286,29 +275,13 @@ func (f *Flow) CoverageAt(fmaxFactor float64, delays []tunit.Time) (conv, prop f
 	if len(f.Data) == 0 {
 		return 0, 0
 	}
-	tmin := f.Clk.Scale(1 / fmaxFactor)
-	hi := f.Clk + 1
+	m := detect.Model{Lo: f.Clk.Scale(1 / fmaxFactor), Hi: f.Clk + 1, Delays: delays}
 	nConv, nProp := 0, 0
-	for i := range f.Data {
-		fd := &f.Data[i]
-		if len(fd.Per) == 0 {
-			continue
-		}
-		ff := fd.FFUnion().Clip(tmin, hi)
-		if !ff.Empty() {
+	for _, c := range m.Classify(f.Data) {
+		if c.Conv {
 			nConv++
-			nProp++
-			continue
 		}
-		sr := fd.SRUnion()
-		found := false
-		for _, d := range delays {
-			if !sr.Shift(d).Clip(tmin, hi).Empty() {
-				found = true
-				break
-			}
-		}
-		if found {
+		if c.Prop {
 			nProp++
 		}
 	}
@@ -319,5 +292,5 @@ func (f *Flow) CoverageAt(fmaxFactor float64, delays []tunit.Time) (conv, prop f
 // RangeOf returns the combined detection range of HDF index i (diagnostic
 // helper for examples and the CLI).
 func (f *Flow) RangeOf(i int) interval.Set {
-	return f.Data[i].Combined(f.DetectCfg, f.Placement.Delays)
+	return f.Model().Ranges(f.Data[i : i+1])[0]
 }

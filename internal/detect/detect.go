@@ -2,7 +2,9 @@
 // fault simulator over the whole pattern set and fault list (flow step 2
 // of Fig. 4), splits the per-tap difference waveforms into the flip-flop
 // part I_FF and the shadow-register part I_SR (steps 3–4), and applies the
-// pessimistic glitch filtering of Fig. 1.
+// pessimistic glitch filtering of Fig. 1. Its observation Model owns the
+// paper's detection rule: the capture window, the monitor shift and the
+// per-fault classification every later step reads.
 //
 // Per-fault, per-pattern ranges are kept sparse — only patterns that
 // detect a fault at all are stored — because the scheduler's second
@@ -67,17 +69,11 @@ type Config struct {
 	SlowSim bool
 }
 
-// ObservationWindow returns the half-open interval of admissible capture
-// times [TMin, Clk+1): FAST frequencies between f_max and f_nom inclusive.
-func (cfg Config) ObservationWindow() (lo, hi tunit.Time) {
-	return cfg.TMin, cfg.Clk + 1
-}
-
 // PatternRange holds the detection ranges of one fault under one pattern.
 // Both sets are *unshifted* and unclipped within [0, Clk]: FF is the union
 // over all observation points, SR the union over monitored observation
-// points only. The scheduler shifts SR by each configured delay and clips
-// to the observation window on demand.
+// points only. A Model shifts SR by the delay elements and clips to its
+// window.
 type PatternRange struct {
 	Pattern int
 	FF      interval.Set
@@ -91,68 +87,6 @@ type FaultData struct {
 	// Per holds one entry per pattern that detects the fault anywhere in
 	// [0, Clk], ordered by pattern index.
 	Per []PatternRange
-}
-
-// FFUnion returns the union of the flip-flop ranges over all patterns.
-func (fd *FaultData) FFUnion() interval.Set {
-	var a interval.Accum
-	for _, pr := range fd.Per {
-		a.Add(pr.FF)
-	}
-	return a.Result()
-}
-
-// SRUnion returns the union of the unshifted shadow-register ranges over
-// all patterns.
-func (fd *FaultData) SRUnion() interval.Set {
-	var a interval.Accum
-	for _, pr := range fd.Per {
-		a.Add(pr.SR)
-	}
-	return a.Result()
-}
-
-// Combined returns the full detection range
-//
-//	I(φ) = I_FF ∪ ⋃_{d∈C} (I_SR + d)
-//
-// clipped to the observation window [TMin, Clk].
-func (fd *FaultData) Combined(cfg Config, delays []tunit.Time) interval.Set {
-	lo, hi := cfg.ObservationWindow()
-	u := fd.FFUnion().Clip(lo, hi)
-	sr := fd.SRUnion()
-	for _, d := range delays {
-		u = u.Union(sr.Shift(d).Clip(lo, hi))
-	}
-	return u
-}
-
-// CombinedAt reports the detection range of the fault under one specific
-// pattern and monitor configuration (delay d; d < 0 means "flip-flops
-// only"), clipped to the observation window. Used by the second
-// scheduling step.
-func (pr PatternRange) CombinedAt(cfg Config, d tunit.Time) interval.Set {
-	lo, hi := cfg.ObservationWindow()
-	u := pr.FF.Clip(lo, hi)
-	if d >= 0 {
-		u = u.Union(pr.SR.Shift(d).Clip(lo, hi))
-	}
-	return u
-}
-
-// CombinedFree reports the detection range of the fault under one pattern
-// when every monitor may select its own delay element independently — the
-// extension beyond the paper's shared-setting assumption (Sec. IV-B). It
-// is the optimistic (best-case) model: per-monitor conflicts between
-// faults needing different settings at the same monitor are ignored, so
-// schedules built from it lower-bound the achievable test time.
-func (pr PatternRange) CombinedFree(cfg Config, delays []tunit.Time) interval.Set {
-	lo, hi := cfg.ObservationWindow()
-	u := pr.FF.Clip(lo, hi)
-	for _, d := range delays {
-		u = u.Union(pr.SR.Shift(d).Clip(lo, hi))
-	}
-	return u
 }
 
 // testHookPanic, when non-nil, is called before every (fault, pattern)

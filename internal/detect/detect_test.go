@@ -18,7 +18,6 @@ import (
 	"fastmon/internal/par"
 	"fastmon/internal/sim"
 	"fastmon/internal/sta"
-	"fastmon/internal/tunit"
 )
 
 // testbed builds a fully wired s27 environment.
@@ -121,109 +120,6 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 				t.Fatalf("fault %d pattern %d differs between worker counts", fi, a.Pattern)
 			}
 		}
-	}
-}
-
-func TestCombinedShiftProperty(t *testing.T) {
-	e, placement, cfg, faults, pats := testbed(t)
-	data, err := Run(context.Background(), e, placement, faults, pats, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := cfg.ObservationWindow()
-	delays := placement.Delays
-	for fi := range data {
-		fd := &data[fi]
-		if len(fd.Per) == 0 {
-			continue
-		}
-		comb := fd.Combined(cfg, delays)
-		// Exact identity: Combined = clip(FF) ∪ ⋃ clip(SR+d).
-		want := fd.FFUnion().Clip(lo, hi)
-		sr := fd.SRUnion()
-		for _, d := range delays {
-			want = want.Union(sr.Shift(d).Clip(lo, hi))
-		}
-		if !comb.Equal(want) {
-			t.Fatalf("Combined identity broken for fault %d", fi)
-		}
-		// Monotonicity: more delays never shrink the range.
-		small := fd.Combined(cfg, delays[:1])
-		if !small.Subtract(comb).Empty() {
-			t.Fatalf("adding configs shrank the range for fault %d", fi)
-		}
-		// No monitors at all: combined reduces to the FF part.
-		ffOnly := fd.Combined(cfg, nil)
-		if !ffOnly.Equal(fd.FFUnion().Clip(lo, hi)) {
-			t.Fatalf("nil delays wrong for fault %d", fi)
-		}
-	}
-}
-
-func TestCombinedAt(t *testing.T) {
-	e, placement, cfg, faults, pats := testbed(t)
-	data, err := Run(context.Background(), e, placement, faults, pats, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := cfg.ObservationWindow()
-	for fi := range data {
-		for _, pr := range data[fi].Per {
-			ffOnly := pr.CombinedAt(cfg, -1)
-			if !ffOnly.Equal(pr.FF.Clip(lo, hi)) {
-				t.Fatal("CombinedAt(-1) must be the clipped FF range")
-			}
-			d := placement.Delays[2]
-			withMon := pr.CombinedAt(cfg, d)
-			want := pr.FF.Clip(lo, hi).Union(pr.SR.Shift(d).Clip(lo, hi))
-			if !withMon.Equal(want) {
-				t.Fatal("CombinedAt(d) identity broken")
-			}
-		}
-	}
-}
-
-func TestMonitorShiftEnablesDetection(t *testing.T) {
-	// A short chain observed only by a monitored FF: the fault effect sits
-	// below TMin and becomes detectable only through the monitor delay.
-	c := circuit.New("shortpath")
-	pi := c.AddGate("pi", circuit.Input)
-	b1 := c.AddGate("b1", circuit.Buf, pi)
-	c.AddGate("ff0", circuit.DFF, b1)
-	// A long dummy chain to stretch the nominal clock.
-	prev := pi
-	for i := 0; i < 20; i++ {
-		prev = c.AddGate("inv"+string(rune('a'+i)), circuit.Not, prev)
-	}
-	c.AddGate("ff1", circuit.DFF, prev)
-	if err := c.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	lib := cell.NanGate45()
-	a := cell.Annotate(c, lib)
-	r := sta.Analyze(c, a)
-	clk := r.NominalClock(0.05)
-	placement := monitor.Place(r, 1.0, monitor.StandardDelays(clk))
-	e := sim.NewEngine(c, a)
-	cfg := Config{Clk: clk, TMin: clk / 3, Delta: lib.FaultSize(), Glitch: lib.MinPulse()}
-
-	fl := []fault.Fault{{Gate: b1, Pin: -1, Rising: true}}
-	pats := []sim.Pattern{{V1: []bool{false, false, false}, V2: []bool{true, false, false}}}
-	data, err := Run(context.Background(), e, placement, fl, pats, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data[0].Per) == 0 {
-		t.Fatal("fault not simulated as detectable at all")
-	}
-	lo, hi := cfg.ObservationWindow()
-	ffOnly := data[0].FFUnion().Clip(lo, hi)
-	if !ffOnly.Empty() {
-		t.Fatalf("fault unexpectedly FF-detectable in window: %v", ffOnly)
-	}
-	comb := data[0].Combined(cfg, placement.Delays)
-	if comb.Empty() {
-		t.Fatal("monitor shift failed to move the fault into the window")
 	}
 }
 
@@ -344,17 +240,6 @@ func TestRunCanceled(t *testing.T) {
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("cancelled run took %v", d)
-	}
-}
-
-func TestObservationWindow(t *testing.T) {
-	cfg := Config{Clk: 900, TMin: 300}
-	lo, hi := cfg.ObservationWindow()
-	if lo != 300 || hi != 901 {
-		t.Fatalf("window = %d..%d", lo, hi)
-	}
-	if tunit.Time(0) != 0 {
-		t.Fatal()
 	}
 }
 

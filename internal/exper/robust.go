@@ -40,7 +40,7 @@ func VariationRobustness(ctx context.Context, r *Run, s *schedule.Schedule, sigm
 		pt.MeanCoverage = 1
 		return pt, nil
 	}
-	delays := flow.Placement.Delays
+	model := flow.Model()
 	horizon := flow.Clk + 1
 	sum := 0.0
 	for trial := 0; trial < trials; trial++ {
@@ -75,7 +75,7 @@ func VariationRobustness(ctx context.Context, r *Run, s *schedule.Schedule, sigm
 					for _, det := range dets {
 						diff := det.Diff.FilterShort(flow.DetectCfg.Glitch)
 						if diff.Contains(plan.Period) || flow.Placement.Covers(det.Tap) &&
-							schedule.ViaMonitor(diff, plan.Period, combo.Config, delays) {
+							model.ViaMonitor(diff, plan.Period, combo.Config) {
 							ok = true
 							break
 						}

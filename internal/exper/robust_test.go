@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"fastmon/internal/detect"
 	"fastmon/internal/schedule"
 )
 
@@ -34,7 +35,7 @@ func TestVariationRobustness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if free.Size() == 0 || free.Periods[0].Combos[0].Config != schedule.ConfigFree {
+	if free.Size() == 0 || free.Periods[0].Combos[0].Config != detect.ConfigFree {
 		t.Fatalf("FreeConfig schedule has no ConfigFree combo: %+v", free.Periods)
 	}
 	pf, err := VariationRobustness(context.Background(), r, free, 0, 1, 99)

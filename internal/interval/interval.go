@@ -126,6 +126,16 @@ func (s Set) Contains(t tunit.Time) bool {
 	return i < len(s.ivs) && s.ivs[i].Contains(t)
 }
 
+// Overlaps reports whether s meets [lo, hi), that is whether s.Clip(lo,
+// hi) is non-empty, without building the clipped set.
+func (s Set) Overlaps(lo, hi tunit.Time) bool {
+	if lo >= hi {
+		return false
+	}
+	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].Hi > lo })
+	return i < len(s.ivs) && s.ivs[i].Lo < hi
+}
+
 // Min returns the infimum of the set. It panics on the empty set.
 func (s Set) Min() tunit.Time {
 	if s.Empty() {

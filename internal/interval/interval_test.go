@@ -246,6 +246,26 @@ func TestPropMembershipAlgebra(t *testing.T) {
 	}
 }
 
+// TestPropOverlapsMatchesClip: s meets [lo, hi) exactly when s.Clip(lo,
+// hi) is non-empty, empty and inverted windows included.
+func TestPropOverlapsMatchesClip(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	f := func() bool {
+		a := randomSet(r)
+		for i := 0; i < 50; i++ {
+			lo := tunit.Time(r.Intn(1200))
+			hi := lo + tunit.Time(r.Intn(200)-20)
+			if a.Overlaps(lo, hi) != !a.Clip(lo, hi).Empty() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPropMeasureMonotone(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	f := func() bool {

@@ -34,8 +34,9 @@ func tablePlans(opt Options) []Options {
 
 // TestProblemKeepsCandidates builds the seven Tables II–III schedules of
 // one problem and checks what the builds share: Step 0 runs once per
-// observation model, its combined ranges equal FaultData.Combined, and the
-// solvers leave the shared candidate fault sets as they found them.
+// observation model, its model's ranges equal the allocating combined
+// construction, and the solvers leave the shared candidate fault sets as
+// they found them.
 func TestProblemKeepsCandidates(t *testing.T) {
 	data, opt := referenceData(42, 120, 8, 3)
 	p := NewProblem(data)
@@ -81,10 +82,10 @@ func TestProblemKeepsCandidates(t *testing.T) {
 	}
 
 	for _, m := range p.models {
-		cfg := detect.Config{TMin: m.lo, Clk: m.hi - 1}
-		for fi, r := range combinedRanges(data, m.lo, m.hi, m.delays) {
-			if want := data[fi].Combined(cfg, m.delays); !r.Equal(want) {
-				t.Fatalf("fault %d, %d delays: combined %v, FaultData.Combined %v", fi, len(m.delays), r, want)
+		cfg := detect.Config{TMin: m.model.Lo, Clk: m.model.Hi - 1}
+		for fi, r := range m.model.Ranges(data) {
+			if want := combined(&data[fi], cfg, m.model.Delays); !r.Equal(want) {
+				t.Fatalf("fault %d, %d delays: Model.Ranges %v, combined %v", fi, len(m.model.Delays), r, want)
 			}
 		}
 	}
@@ -134,12 +135,12 @@ func TestProblemConcurrentBuilds(t *testing.T) {
 	}
 }
 
-// TestMembershipMatchesCombined checks the direct membership test of
-// Step 2 and Validate against the allocating range algebra: a (pattern,
-// config) pair detects at t iff t lies in the observation window and in
-// I_FF, or ViaMonitor holds, exactly when CombinedAt (CombinedFree for
-// ConfigFree) contains t. The probes are every range boundary, shifted by
-// every delay, and their neighbours.
+// TestMembershipMatchesCombined checks the membership tests of Step 2
+// and Validate against the allocating range algebra: Model.Detects holds
+// for a (pattern, config) pair at t, and so does Step 2's split form (t
+// in the window, and in I_FF or Model.ViaMonitor), exactly when
+// combinedAt (combinedFree for ConfigFree) contains t. The probes are
+// every range boundary, shifted by every delay, and their neighbours.
 func TestMembershipMatchesCombined(t *testing.T) {
 	s27, s27opt := buildS27(t)
 	gen, genOpt := referenceData(42, 120, 8, 3)
@@ -149,8 +150,9 @@ func TestMembershipMatchesCombined(t *testing.T) {
 		opt  Options
 	}{{s27, s27opt}, {gen, genOpt}} {
 		cfg, delays := inst.opt.Cfg, inst.opt.Delays
-		lo, hi := cfg.ObservationWindow()
-		configs := []int{ConfigOff, ConfigFree}
+		model := cfg.Model(delays)
+		lo, hi := model.Lo, model.Hi
+		configs := []int{detect.ConfigOff, detect.ConfigFree}
 		for ci := range delays {
 			configs = append(configs, ci)
 		}
@@ -168,18 +170,18 @@ func TestMembershipMatchesCombined(t *testing.T) {
 				for _, ci := range configs {
 					var want interval.Set
 					switch {
-					case ci == ConfigFree:
-						want = pr.CombinedFree(cfg, delays)
+					case ci == detect.ConfigFree:
+						want = combinedFree(pr, cfg, delays)
 					case ci >= 0:
-						want = pr.CombinedAt(cfg, delays[ci])
+						want = combinedAt(pr, cfg, delays[ci])
 					default:
-						want = pr.CombinedAt(cfg, -1)
+						want = combinedAt(pr, cfg, -1)
 					}
 					for _, at := range probes {
-						got := at >= lo && at < hi && (pr.FF.Contains(at) || ViaMonitor(pr.SR, at, ci, delays))
-						if got != want.Contains(at) {
-							t.Fatalf("fault %d pattern %d config %d at %s: direct %v, combined range %v says %v",
-								fi, pr.Pattern, ci, at, got, want, !got)
+						split := at >= lo && at < hi && (pr.FF.Contains(at) || model.ViaMonitor(pr.SR, at, ci))
+						if got := model.Detects(pr, at, ci); got != want.Contains(at) || split != got {
+							t.Fatalf("fault %d pattern %d config %d at %s: Detects %v, split test %v, combined range %v",
+								fi, pr.Pattern, ci, at, got, split, want)
 						}
 						checked++
 					}
@@ -272,7 +274,7 @@ func TestValidateRejectsBadIndices(t *testing.T) {
 			Period: period, Faults: []int{fault}, Combos: []Combo{{Pattern: 0, Config: config}},
 		}}}
 	}
-	if err := Validate(data, sched(450, 0, ConfigOff), opt); err != nil {
+	if err := Validate(data, sched(450, 0, detect.ConfigOff), opt); err != nil {
 		t.Fatalf("valid schedule: %v", err)
 	}
 	for _, c := range []struct {
@@ -283,9 +285,9 @@ func TestValidateRejectsBadIndices(t *testing.T) {
 		{450, 0, 3, []string{"period 450ps", "fault 0", "config 3"}},
 		{450, 0, 0, []string{"period 450ps", "fault 0", "config 0"}}, // Conventional: no delays
 		{450, 0, -3, []string{"period 450ps", "fault 0", "config -3"}},
-		{450, 1, ConfigOff, []string{"period 450ps", "fault 1"}},
-		{450, -1, ConfigOff, []string{"period 450ps", "fault -1"}},
-		{250, 0, ConfigOff, []string{"period 250ps", "fault 0", "not covered"}}, // below TMin
+		{450, 1, detect.ConfigOff, []string{"period 450ps", "fault 1"}},
+		{450, -1, detect.ConfigOff, []string{"period 450ps", "fault -1"}},
+		{250, 0, detect.ConfigOff, []string{"period 250ps", "fault 0", "not covered"}}, // below TMin
 	} {
 		err := Validate(data, sched(c.period, c.fault, c.config), opt)
 		if err == nil {

@@ -17,14 +17,75 @@ import (
 	"fastmon/internal/tunit"
 )
 
+// The allocating range algebra the detection model replaced, kept here
+// as the reference kernel's construction of the detection ranges, on the
+// window [TMin, Clk+1).
+
+// ffUnion returns the union of the flip-flop ranges over all patterns.
+func ffUnion(fd *detect.FaultData) interval.Set {
+	var a interval.Accum
+	for _, pr := range fd.Per {
+		a.Add(pr.FF)
+	}
+	return a.Result()
+}
+
+// srUnion returns the union of the unshifted shadow-register ranges over
+// all patterns.
+func srUnion(fd *detect.FaultData) interval.Set {
+	var a interval.Accum
+	for _, pr := range fd.Per {
+		a.Add(pr.SR)
+	}
+	return a.Result()
+}
+
+// combined returns the full detection range
+//
+//	I(φ) = I_FF ∪ ⋃_{d∈C} (I_SR + d)
+//
+// clipped to the observation window [TMin, Clk].
+func combined(fd *detect.FaultData, cfg detect.Config, delays []tunit.Time) interval.Set {
+	lo, hi := cfg.TMin, cfg.Clk+1
+	u := ffUnion(fd).Clip(lo, hi)
+	sr := srUnion(fd)
+	for _, d := range delays {
+		u = u.Union(sr.Shift(d).Clip(lo, hi))
+	}
+	return u
+}
+
+// combinedAt returns the detection range of the fault under one pattern
+// and monitor configuration (delay d; d < 0 means "flip-flops only"),
+// clipped to the observation window.
+func combinedAt(pr detect.PatternRange, cfg detect.Config, d tunit.Time) interval.Set {
+	lo, hi := cfg.TMin, cfg.Clk+1
+	u := pr.FF.Clip(lo, hi)
+	if d >= 0 {
+		u = u.Union(pr.SR.Shift(d).Clip(lo, hi))
+	}
+	return u
+}
+
+// combinedFree returns the detection range of the fault under one pattern
+// when every monitor may select its own delay element independently.
+func combinedFree(pr detect.PatternRange, cfg detect.Config, delays []tunit.Time) interval.Set {
+	lo, hi := cfg.TMin, cfg.Clk+1
+	u := pr.FF.Clip(lo, hi)
+	for _, d := range delays {
+		u = u.Union(pr.SR.Shift(d).Clip(lo, hi))
+	}
+	return u
+}
+
 // referenceBuild is a verbatim transcription of the schedule kernel as it
-// stood before the interval-kernel overhaul: per-fault Combined ranges
+// stood before the interval-kernel overhaul: per-fault combined ranges
 // recomputed up front with the allocating operations, Clone-based fault
 // dropping, and per-period combo covers that recompute
-// CombinedAt/CombinedFree at every lookup. It is the oracle of
+// combinedAt/combinedFree at every lookup. It is the oracle of
 // TestScheduleKernelMatchesReference: Build, which prepares Step 0 with
-// the in-place kernel and tests range membership on the raw FF and SR
-// ranges, must produce bit-identical schedules.
+// the detection model's in-place kernel and tests range membership on the
+// raw FF and SR ranges, must produce bit-identical schedules.
 func referenceBuild(ctx context.Context, data []detect.FaultData, opt Options) (*Schedule, error) {
 	delays := opt.Delays
 	if opt.Method == Conventional {
@@ -34,7 +95,7 @@ func referenceBuild(ctx context.Context, data []detect.FaultData, opt Options) (
 
 	ranges := make([]interval.Set, len(data))
 	for i := range data {
-		ranges[i] = data[i].Combined(opt.Cfg, delays)
+		ranges[i] = combined(&data[i], opt.Cfg, delays)
 	}
 	cands := dot.Discretize(ranges)
 	universe := dot.CoverableFaults(cands, len(data))
@@ -118,10 +179,10 @@ func referenceBuild(ctx context.Context, data []detect.FaultData, opt Options) (
 func referenceOptimizeCombos(ctx context.Context, data []detect.FaultData, plan *PeriodPlan,
 	opt Options, delays []tunit.Time, s *Schedule) error {
 
-	configs := []int{ConfigOff}
+	configs := []int{detect.ConfigOff}
 	if len(delays) > 0 {
 		if opt.FreeConfig {
-			configs = []int{ConfigFree}
+			configs = []int{detect.ConfigFree}
 		} else {
 			configs = configs[:0]
 			for ci := range delays {
@@ -136,12 +197,12 @@ func referenceOptimizeCombos(ctx context.Context, data []detect.FaultData, plan 
 			for _, ci := range configs {
 				var rng interval.Set
 				switch {
-				case ci == ConfigFree:
-					rng = pr.CombinedFree(opt.Cfg, delays)
+				case ci == detect.ConfigFree:
+					rng = combinedFree(pr, opt.Cfg, delays)
 				case ci >= 0:
-					rng = pr.CombinedAt(opt.Cfg, delays[ci])
+					rng = combinedAt(pr, opt.Cfg, delays[ci])
 				default:
-					rng = pr.CombinedAt(opt.Cfg, -1)
+					rng = combinedAt(pr, opt.Cfg, -1)
 				}
 				if rng.Contains(plan.Period) {
 					k := key{pr.Pattern, ci}

@@ -25,7 +25,6 @@ import (
 	"fastmon/internal/dot"
 	"fastmon/internal/fmerr"
 	"fastmon/internal/ilp"
-	"fastmon/internal/interval"
 	"fastmon/internal/obs"
 	"fastmon/internal/par"
 	"fastmon/internal/tunit"
@@ -102,18 +101,19 @@ func (o Options) budget() time.Duration {
 	return o.SolverBudget
 }
 
-// ConfigFree marks a combo whose monitors are tuned individually per
-// delay element (the beyond-the-paper extension); ConfigOff marks a combo
-// that uses flip-flops only.
-const (
-	ConfigOff  = -1
-	ConfigFree = -2
-)
+// model returns the observation model of method m: the detection window
+// with the delay elements, none for Conventional.
+func (o Options) model(m Method) detect.Model {
+	if m == Conventional {
+		return o.Cfg.Model(nil)
+	}
+	return o.Cfg.Model(o.Delays)
+}
 
 // Combo is one schedule entry at a given period: pattern index plus
-// monitor configuration (index into Options.Delays, ConfigOff for
-// "monitors unused / flip-flops only", or ConfigFree for per-monitor
-// independent settings).
+// monitor configuration (index into Options.Delays, detect.ConfigOff for
+// "monitors unused / flip-flops only", or detect.ConfigFree for
+// per-monitor independent settings).
 type Combo struct {
 	Pattern int
 	Config  int
@@ -208,13 +208,13 @@ func (s *Schedule) Size() int {
 // Problem is the schedule problem of one target-fault set: the detection
 // data every schedule of that set reads, plus the work its schedules share.
 // Step 0 — the combined detection ranges, the candidate periods and the
-// coverable universe — depends only on the observation model (the
-// observation window and the delay elements), so it is computed on the
-// first build of each model and kept; the data part of the cache key is
-// hashed on the first build under a result cache. Tables II–III build
-// seven schedules of one flow from two models. Only the candidates, the
-// universe and the key state are kept, and the solvers only read the
-// candidate fault sets.
+// coverable universe — depends only on the observation model (a
+// detect.Model: the observation window and the delay elements), so it is
+// computed on the first build of each model and kept; the data part of
+// the cache key is hashed on the first build under a result cache. Tables
+// II–III build seven schedules of one flow from two models. Only the
+// candidates, the universe and the key state are kept, and the solvers
+// only read the candidate fault sets.
 //
 // A Problem is safe for concurrent builds. The data must not change after
 // the first build.
@@ -232,8 +232,7 @@ type Problem struct {
 
 // step0 is the prepared Step 0 of one observation model.
 type step0 struct {
-	lo, hi   tunit.Time // observation window [TMin, Clk+1)
-	delays   []tunit.Time
+	model    detect.Model
 	once     sync.Once
 	cands    []dot.Candidate
 	universe *bitset.Set
@@ -320,114 +319,41 @@ func (p *Problem) cacheKey(opt Options) cache.Key {
 	return h.Key()
 }
 
-// comboConfigs returns the candidate monitor configurations for a build:
-// flip-flops only when there are no delay elements, one free-configuration
-// pseudo-config under the FreeConfig extension, and otherwise one config
-// per delay element (monitors are always engaged when available — a combo
-// that ignores them is dominated by any delay setting).
-func comboConfigs(opt Options, delays []tunit.Time) []int {
-	if len(delays) == 0 {
-		return []int{ConfigOff}
-	}
-	if opt.FreeConfig {
-		return []int{ConfigFree}
-	}
-	configs := make([]int, len(delays))
-	for ci := range delays {
-		configs[ci] = ci
-	}
-	return configs
-}
-
-// ViaMonitor reports whether a pattern's shadow-register range sr detects
-// its fault at period t under monitor configuration ci: t − d ∈ sr for the
-// config's delay d, for any delay under ConfigFree, never under ConfigOff.
-// A (pattern, config) pair detects at t iff t lies in the observation
-// window and in the pattern's FF range or ViaMonitor holds. That equals
-// membership in CombinedAt (CombinedFree for ConfigFree), because shift,
-// clip and union keep membership. ci must be ConfigOff, ConfigFree or an
-// index into delays.
-func ViaMonitor(sr interval.Set, t tunit.Time, ci int, delays []tunit.Time) bool {
-	if ci >= 0 {
-		return sr.Contains(t - delays[ci])
-	}
-	if ci == ConfigFree {
-		for _, d := range delays {
-			if sr.Contains(t - d) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // dropPool recycles the per-period fault-set scratch of the fault-dropping
 // pass.
 var dropPool bitset.Pool
 
-// prepare returns the Step 0 of the observation model (cfg's window,
-// delays), computing it on the model's first build. The FreeConfig
-// extension needs no model of its own: letting every monitor pick its
-// delay changes which combos detect, not the union over them.
-func (p *Problem) prepare(ctx context.Context, cfg detect.Config, delays []tunit.Time) *step0 {
-	lo, hi := cfg.ObservationWindow()
+// prepare returns the Step 0 of the observation model, computing it on
+// the model's first build. The FreeConfig extension needs no model of its
+// own: letting every monitor pick its delay changes which combos detect,
+// not the union over them.
+func (p *Problem) prepare(ctx context.Context, model detect.Model) *step0 {
 	p.mu.Lock()
 	var m *step0
 	for _, e := range p.models {
-		if e.lo == lo && e.hi == hi && slices.Equal(e.delays, delays) {
+		if e.model.Lo == model.Lo && e.model.Hi == model.Hi && slices.Equal(e.model.Delays, model.Delays) {
 			m = e
 			break
 		}
 	}
 	if m == nil {
-		m = &step0{lo: lo, hi: hi, delays: slices.Clone(delays)}
+		model.Delays = slices.Clone(model.Delays)
+		m = &step0{model: model}
 		p.models = append(p.models, m)
 	}
 	p.mu.Unlock()
 	m.once.Do(func() {
-		m.cands = dot.Discretize(combinedRanges(p.data, lo, hi, delays))
+		m.cands = dot.Discretize(m.model.Ranges(p.data))
 		m.universe = dot.CoverableFaults(m.cands, len(p.data))
 		obs.From(ctx).Counter("schedule.step0_builds").Inc()
 	})
 	return m
 }
 
-// combinedRanges returns every fault's combined detection range
-// I_FF ∪ ⋃_d (I_SR + d) clipped to [lo, hi), equal to
-// FaultData.Combined. Shift and clip distribute over union, so the FF and
-// SR ranges are folded over the patterns first and clipped and shifted
-// once per fault, all in reused buffers.
-func combinedRanges(data []detect.FaultData, lo, hi tunit.Time, delays []tunit.Time) []interval.Set {
-	out := make([]interval.Set, len(data))
-	var ff, sr, all interval.Accum
-	var scratch interval.Set
-	for i := range data {
-		ff.Reset()
-		sr.Reset()
-		for _, pr := range data[i].Per {
-			ff.Add(pr.FF)
-			sr.Add(pr.SR)
-		}
-		all.Reset()
-		ff.Result().ClipInto(lo, hi, &scratch)
-		all.Add(scratch)
-		for _, d := range delays {
-			sr.Result().ShiftClipInto(d, lo, hi, &scratch)
-			all.Add(scratch)
-		}
-		out[i] = all.Copy()
-	}
-	return out
-}
-
 // build is the uncached body of Build.
 func (p *Problem) build(ctx context.Context, opt Options) (*Schedule, error) {
 	data := p.data
-	delays := opt.Delays
-	if opt.Method == Conventional {
-		delays = nil
-	}
-
+	model := opt.model(opt.Method)
 	s := &Schedule{Method: opt.Method}
 	_, span := obs.StartSpan(ctx, "schedule")
 	defer func() {
@@ -448,7 +374,7 @@ func (p *Problem) build(ctx context.Context, opt Options) (*Schedule, error) {
 
 	// Step 0: combined detection ranges and observation-time candidates,
 	// shared by every build of the observation model.
-	m := p.prepare(ctx, opt.Cfg, delays)
+	m := p.prepare(ctx, model)
 	cands, universe := m.cands, m.universe
 	coverable := universe.Count()
 
@@ -531,7 +457,7 @@ func (p *Problem) build(ctx context.Context, opt Options) (*Schedule, error) {
 	// Schedule; it equals the serial build's up to the effort counters.
 	s.CombosOptimal = true
 	workers := par.ClampWorkersFor(opt.Workers, len(plans))
-	cfgs := comboConfigs(opt, delays)
+	cfgs := model.Configs(opt.FreeConfig)
 	var mu sync.Mutex
 	step2Start := time.Now()
 	busy, err := par.Each(workers, len(plans), func(_, pi int) error {
@@ -541,7 +467,7 @@ func (p *Problem) build(ctx context.Context, opt Options) (*Schedule, error) {
 		if err := chaos.Point(ctx, ptCombo); err != nil {
 			return fmerr.Wrap(fmerr.StageSchedule, "combo-selection", err)
 		}
-		res, err := optimizeCombos(ctx, data, &plans[pi], opt, delays, cfgs)
+		res, err := optimizeCombos(ctx, data, &plans[pi], opt, model, cfgs)
 		if err != nil {
 			return err
 		}
@@ -607,12 +533,13 @@ func solve(ctx context.Context, opt Options, sets []*bitset.Set, universe *bitse
 
 // optimizeCombos fills plan.Combos with a minimal covering set of
 // (pattern, config) combinations for the faults assigned to the period
-// and returns the solve for the caller to merge. Membership is tested on
-// the raw ranges (see ViaMonitor): the FF range once per pattern, the SR
-// range once per config only where FF misses. The period is a Step-0
-// candidate, so it lies in the observation window. The caller owns plan.
+// and returns the solve for the caller to merge. Membership is the
+// model's test on the raw ranges, split so that the FF range is tested
+// once per pattern and the SR range (Model.ViaMonitor) once per config
+// only where FF misses. The period is a Step-0 candidate, so it lies in
+// the observation window. The caller owns plan.
 func optimizeCombos(ctx context.Context, data []detect.FaultData, plan *PeriodPlan, opt Options,
-	delays []tunit.Time, cfgs []int) (ilp.CoverResult, error) {
+	model detect.Model, cfgs []int) (ilp.CoverResult, error) {
 
 	type key struct{ pattern, config int }
 	cover := map[key]*bitset.Set{}
@@ -621,7 +548,7 @@ func optimizeCombos(ctx context.Context, data []detect.FaultData, plan *PeriodPl
 		for _, pr := range data[fi].Per {
 			ff := pr.FF.Contains(t)
 			for _, ci := range cfgs {
-				if ff || ViaMonitor(pr.SR, t, ci, delays) {
+				if ff || model.ViaMonitor(pr.SR, t, ci) {
 					k := key{pr.Pattern, ci}
 					if cover[k] == nil {
 						cover[k] = bitset.New(len(data))
@@ -664,11 +591,7 @@ func optimizeCombos(ctx context.Context, data []detect.FaultData, plan *PeriodPl
 // period. It returns an error describing the first violation, including a
 // fault index outside data and a combo config that names no delay element.
 func Validate(data []detect.FaultData, s *Schedule, opt Options) error {
-	delays := opt.Delays
-	if s.Method == Conventional {
-		delays = nil
-	}
-	lo, hi := opt.Cfg.ObservationWindow()
+	model := opt.model(s.Method)
 	total := 0
 	for _, plan := range s.Periods {
 		t := plan.Period
@@ -678,15 +601,15 @@ func Validate(data []detect.FaultData, s *Schedule, opt Options) error {
 			}
 			ok := false
 			for _, c := range plan.Combos {
-				if c.Config < ConfigFree || c.Config >= len(delays) {
+				if c.Config < detect.ConfigFree || c.Config >= len(model.Delays) {
 					return fmt.Errorf("schedule: period %s: fault %d: combo config %d names no delay element (%d configured)",
-						t, fi, c.Config, len(delays))
+						t, fi, c.Config, len(model.Delays))
 				}
-				if ok || t < lo || t >= hi {
+				if ok {
 					continue
 				}
 				for _, pr := range data[fi].Per {
-					if pr.Pattern == c.Pattern && (pr.FF.Contains(t) || ViaMonitor(pr.SR, t, c.Config, delays)) {
+					if pr.Pattern == c.Pattern && model.Detects(pr, t, c.Config) {
 						ok = true
 						break
 					}

@@ -108,7 +108,7 @@ func TestBaselineS27(t *testing.T) {
 		if wfs[id].Final() != want[id] {
 			t.Fatalf("gate %s: final %v, want %v", e.C.Gates[id].Name, wfs[id].Final(), want[id])
 		}
-		if !wfs[id].Valid() {
+		if !wfs[id].valid() {
 			t.Fatalf("gate %s: invalid waveform %v", e.C.Gates[id].Name, wfs[id])
 		}
 	}

@@ -36,7 +36,7 @@ func FuzzWaveformDiff(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b []byte, hraw uint16) {
 		w, o := decodeWaveform(a), decodeWaveform(b)
 		horizon := tunit.Time(hraw) + 1
-		if !w.Valid() || !o.Valid() {
+		if !w.valid() || !o.valid() {
 			t.Fatalf("decoder produced invalid waveform: %v / %v", w, o)
 		}
 
@@ -59,7 +59,7 @@ func FuzzWaveformDiff(f *testing.F) {
 
 		minPulse := tunit.Time(hraw % 64)
 		fp := w.FilterPulses(minPulse)
-		if !fp.Valid() {
+		if !fp.valid() {
 			t.Fatalf("FilterPulses(%d) broke the invariant: %v -> %v", minPulse, w, fp)
 		}
 		if !fp.FilterPulses(minPulse).Equal(fp) {
@@ -69,7 +69,7 @@ func FuzzWaveformDiff(f *testing.F) {
 		delta := tunit.Time(hraw % 97)
 		for _, rising := range []bool{true, false} {
 			dt := w.DelayTransitions(delta, rising)
-			if !dt.Valid() {
+			if !dt.valid() {
 				t.Fatalf("DelayTransitions(%d, %v) broke the invariant: %v -> %v", delta, rising, w, dt)
 			}
 			if dt.Final() != w.Final() {

@@ -76,17 +76,6 @@ func (w Waveform) Equal(o Waveform) bool {
 	return true
 }
 
-// Valid reports whether the toggle list is strictly increasing (the
-// Waveform invariant). It exists for property tests.
-func (w Waveform) Valid() bool {
-	for i := 1; i < len(w.T); i++ {
-		if w.T[i-1] >= w.T[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func (w Waveform) String() string {
 	var sb strings.Builder
 	v := 0

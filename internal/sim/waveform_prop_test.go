@@ -43,7 +43,7 @@ func TestPropFilterPulsesIdempotent(t *testing.T) {
 		minPulse := tunit.Time(rng.Intn(150))
 		orig := slices.Clone(w.T)
 		f1 := w.FilterPulses(minPulse)
-		if !f1.Valid() {
+		if !f1.valid() {
 			t.Fatalf("iter %d: FilterPulses(%d) broke the toggle invariant: %v -> %v", i, minPulse, w, f1)
 		}
 		if ref := refFilterPulses(w, minPulse); !f1.Equal(ref) {
@@ -127,7 +127,7 @@ func TestPropDelayTransitionsMonotone(t *testing.T) {
 		for _, rising := range []bool{true, false} {
 			w1 := w.DelayTransitions(d1, rising)
 			w2 := w.DelayTransitions(d2, rising)
-			if !w1.Valid() || !w2.Valid() {
+			if !w1.valid() || !w2.valid() {
 				t.Fatalf("iter %d: DelayTransitions broke the toggle invariant: %v / %v", i, w1, w2)
 			}
 			if w1.Final() != w.Final() || w2.Final() != w.Final() {

@@ -11,6 +11,17 @@ import (
 
 func wf(init bool, ts ...tunit.Time) Waveform { return Waveform{Init: init, T: ts} }
 
+// valid reports whether the toggle list is strictly increasing (the
+// Waveform invariant).
+func (w Waveform) valid() bool {
+	for i := 1; i < len(w.T); i++ {
+		if w.T[i-1] >= w.T[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestWaveformAt(t *testing.T) {
 	w := wf(false, 10, 20, 30)
 	cases := []struct {
@@ -145,10 +156,10 @@ func TestDiff(t *testing.T) {
 func fromPts(pts ...tunit.Time) interval.Set { return interval.FromPoints(pts...) }
 
 func TestValid(t *testing.T) {
-	if !wf(false, 1, 2, 3).Valid() {
+	if !wf(false, 1, 2, 3).valid() {
 		t.Fatal("valid waveform rejected")
 	}
-	if wf(false, 1, 1).Valid() || wf(false, 2, 1).Valid() {
+	if wf(false, 1, 1).valid() || wf(false, 2, 1).valid() {
 		t.Fatal("invalid waveform accepted")
 	}
 }
@@ -177,7 +188,7 @@ func TestPropDelayTransitionsValid(t *testing.T) {
 		d := tunit.Time(r.Intn(60))
 		for _, rising := range []bool{true, false} {
 			out := w.DelayTransitions(d, rising)
-			if !out.Valid() {
+			if !out.valid() {
 				return false
 			}
 			// Initial value never changes (transitions only move right).
@@ -202,7 +213,7 @@ func TestPropFilterPulsesValid(t *testing.T) {
 		w := randomWaveform(r)
 		th := tunit.Time(r.Intn(30))
 		out := w.FilterPulses(th)
-		if !out.Valid() {
+		if !out.valid() {
 			return false
 		}
 		for i := 1; i < len(out.T); i++ {

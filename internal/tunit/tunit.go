@@ -15,12 +15,8 @@ import (
 // Time is a point in time or a duration, in picoseconds.
 type Time int64
 
-// Common scale factors.
-const (
-	Ps Time = 1
-	Ns Time = 1000
-	Us Time = 1000 * 1000
-)
+// Ns is one nanosecond.
+const Ns Time = 1000
 
 // Infinity is a sentinel meaning "beyond any observation time". It is large
 // enough that no realistic schedule reaches it, yet small enough that sums
@@ -29,9 +25,6 @@ const Infinity Time = math.MaxInt64 / 16
 
 // Ns returns t expressed in nanoseconds.
 func (t Time) Ns() float64 { return float64(t) / 1000 }
-
-// Ps returns t expressed in picoseconds as an int64.
-func (t Time) Ps() int64 { return int64(t) }
 
 // String renders the time with an adaptive unit, e.g. "250ps", "1.350ns".
 func (t Time) String() string {
